@@ -23,16 +23,32 @@ main(int, char **argv)
                   "Section V-B baselines (extension)");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(),
-                   {ArtifactKind::SimPoints, ArtifactKind::WholeCache,
-                    ArtifactKind::Native});
-    TableWriter t("Sampling accuracy at equal region budget "
-                  "(suite averages)");
-    t.header({"Strategy", "Mix err (pts)", "L1D err", "L3 err",
-              "CPI err vs native"});
-    CsvWriter csv;
-    csv.header({"strategy", "benchmark", "mix_err", "l1d_err",
-                "l3_err", "cpi_err"});
+    // Table rows are per-strategy suite averages; CSV rows are
+    // per-(strategy, benchmark) — the two halves of the schema do
+    // not align, so rows go through the table-only/CSV-only escape
+    // hatches.
+    bench::ReportSink sink(argv[0],
+                           "Sampling accuracy at equal region budget "
+                           "(suite averages)");
+    sink.schema({{"Strategy", ""},
+                 {"Mix err (pts)", ""},
+                 {"L1D err", ""},
+                 {"L3 err", ""},
+                 {"CPI err vs native", ""},
+                 {"", "strategy"},
+                 {"", "benchmark"},
+                 {"", "mix_err"},
+                 {"", "l1d_err"},
+                 {"", "l3_err"},
+                 {"", "cpi_err"}});
+    graph.config().describe(sink.manifest());
+
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::SimPoints, ArtifactKind::WholeCache,
+        ArtifactKind::Native};
+    graph.runSuite(names, targets);
+    graph.recordArtifacts(sink.manifest(), names, targets);
 
     struct Acc
     {
@@ -94,24 +110,25 @@ main(int, char **argv)
             acc[s].l1d += l1dErr;
             acc[s].l3 += l3Err;
             acc[s].cpi += cpiErr;
-            csv.row({labels[s], e.name, fmt(mixErr, 6),
-                     fmt(l1dErr, 6), fmt(l3Err, 6),
-                     fmt(cpiErr, 6)});
+            sink.csvOnlyRow({labels[s], e.name, fmt(mixErr, 6),
+                             fmt(l1dErr, 6), fmt(l3Err, 6),
+                             fmt(cpiErr, 6)});
         }
         n += 1;
     }
 
     for (int s = 0; s < 3; ++s)
-        t.row({labels[s], fmtPct(acc[s].mix / n),
-               fmtPct(acc[s].l1d / n), fmtPct(acc[s].l3 / n),
-               fmtPct(acc[s].cpi / n)});
-    t.print();
+        sink.tableOnlyRow({labels[s], fmtPct(acc[s].mix / n),
+                           fmtPct(acc[s].l1d / n),
+                           fmtPct(acc[s].l3 / n),
+                           fmtPct(acc[s].cpi / n)});
+    sink.printTable();
 
     std::printf("\nExpected shape: all three agree on the broad "
                 "instruction mix, but SimPoint's\nbehaviour-aware "
                 "placement + weighting wins on CPI; oblivious "
                 "sampling needs\nmany more regions to match it "
                 "(SMARTS uses thousands).\n");
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

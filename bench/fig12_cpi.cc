@@ -21,14 +21,20 @@ main(int, char **argv)
                   "Figure 12");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::Native,
-                                  ArtifactKind::PointsTiming});
-    TableWriter t("Fig 12 - CPI comparison");
-    t.header({"Benchmark", "Native (perf)", "Sniper Regional",
-              "Sniper Reduced", "err R", "err RR"});
-    CsvWriter csv;
-    csv.header({"benchmark", "native_cpi", "regional_cpi",
-                "reduced_cpi"});
+    bench::ReportSink sink(argv[0], "Fig 12 - CPI comparison");
+    sink.schema({{"Benchmark", "benchmark"},
+                 {"Native (perf)", "native_cpi"},
+                 {"Sniper Regional", "regional_cpi"},
+                 {"Sniper Reduced", "reduced_cpi"},
+                 {"err R", ""},
+                 {"err RR", ""}});
+    graph.config().describe(sink.manifest());
+
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::Native, ArtifactKind::PointsTiming};
+    graph.runSuite(names, targets);
+    graph.recordArtifacts(sink.manifest(), names, targets);
 
     std::vector<double> natives, regionals;
     double errR = 0, errRR = 0, n = 0;
@@ -39,12 +45,11 @@ main(int, char **argv)
         double reduced =
             aggregateTiming(reduceToQuantile(pts, 0.9)).cpi;
 
-        t.row({e.name, fmt(native, 3), fmt(regional, 3),
-               fmt(reduced, 3),
-               fmtPct(relativeError(regional, native)),
-               fmtPct(relativeError(reduced, native))});
-        csv.row({e.name, fmt(native, 5), fmt(regional, 5),
-                 fmt(reduced, 5)});
+        sink.row({e.name, {fmt(native, 3), fmt(native, 5)},
+                  {fmt(regional, 3), fmt(regional, 5)},
+                  {fmt(reduced, 3), fmt(reduced, 5)},
+                  fmtPct(relativeError(regional, native)),
+                  fmtPct(relativeError(reduced, native))});
 
         natives.push_back(native);
         regionals.push_back(regional);
@@ -52,10 +57,10 @@ main(int, char **argv)
         errRR += relativeError(reduced, native);
         n += 1.0;
     }
-    t.separator();
-    t.row({"Average", "-", "-", "-", fmtPct(errR / n),
-           fmtPct(errRR / n)});
-    t.print();
+    sink.separator();
+    sink.tableOnlyRow({"Average", "-", "-", "-", fmtPct(errR / n),
+                       fmtPct(errRR / n)});
+    sink.printTable();
 
     std::printf("\nPaper: 2.59%% average CPI error (Regional), "
                 "13.9%% average deviation (Reduced).\n"
@@ -63,6 +68,6 @@ main(int, char **argv)
                 "native-vs-sampled CPI correlation r = %.3f.\n",
                 errR / n * 100, errRR / n * 100,
                 pearson(natives, regionals));
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

@@ -37,7 +37,9 @@
  * identical to the dedicated single-tool passes (tools are passive
  * observers of one deterministic stream — tested), so their keys
  * keep the original narrow slices: an allcache change still leaves
- * WholeTiming's key (and cached blob) untouched.  Regions is the
+ * WholeTiming's key (and cached blob) untouched.  Native is a
+ * projection too: NativeMachine::observe over the WholeTiming view,
+ * so its deps stay {Spec} and its slice cfg.machine.  Regions is the
  * same shape: its value depends only on the BBV profile and the
  * active SamplingStrategy's knobs (strategy-salted via
  * SamplingConfig::activeHash), so its deps are {BbvProfile} even
@@ -366,7 +368,8 @@ class ArtifactGraph
     /** Whole run under the timing model (Table III machine). */
     const TimingRunMetrics &wholeTiming(const std::string &name);
 
-    /** Native-hardware perf counters (full run + noise model). */
+    /** Native-hardware perf counters: the WholeTiming view through
+     *  the hardware-effects model (no traversal of its own). */
     const PerfCounters &native(const std::string &name);
 
     /** Per-point cold timing replays (Sniper with SimPoints). */

@@ -20,12 +20,16 @@ NativeMachine::run(SyntheticWorkload &workload, u64 runIndex)
     Engine engine;
     engine.attach(&core);
     engine.runWhole(workload);
+    return observe(core.stats(), workload.spec().contentHash(),
+                   runIndex);
+}
 
-    const TimingStats &t = core.stats();
-
+PerfCounters
+NativeMachine::observe(const TimingStats &t, u64 benchKey,
+                       u64 runIndex) const
+{
     // Hardware-effects model: systematic per-benchmark bias plus
     // per-run jitter.
-    u64 benchKey = workload.spec().contentHash();
     Rng biasRng(benchKey, 0xb1a5ULL);
     Rng jitterRng(benchKey, runIndex, 0x11f7ULL);
     double factor = 1.0 + biasSigma * biasRng.gaussian() +
@@ -38,10 +42,11 @@ NativeMachine::run(SyntheticWorkload &workload, u64 runIndex)
     c.cpuCycles = static_cast<u64>(t.cycles * factor);
     c.branches = t.branches;
     c.branchMisses = t.mispredicts;
-    const CacheStats &l3 =
-        core.hierarchy().levelStats(CacheLevel::L3);
-    c.cacheReferences = l3.accesses;
-    c.cacheMisses = l3.misses;
+    // Every L3 lookup resolves to an L3 hit or a memory access, and
+    // the interval core counts each one (the hierarchy issues no
+    // writebacks), so these are exactly the L3 level's counters.
+    c.cacheReferences = t.l3Hits + t.memAccesses;
+    c.cacheMisses = t.memAccesses;
     return c;
 }
 

@@ -4,13 +4,18 @@
  * perf-style counters.
  *
  * Substitution note (see DESIGN.md): we cannot run on a physical
- * i7-3770, so the native machine is the same interval timing model
- * run over the *full* workload, perturbed by a hardware-effects
- * model: a small per-benchmark systematic bias (microarchitectural
- * effects the simulator does not capture) plus per-run jitter
- * (non-determinism).  This preserves the structure of the paper's
- * Figure 12 comparison: sampled-simulation error = sampling error +
- * model-vs-hardware error + noise.
+ * i7-3770, so native = the fused whole-run pass's timing view (the
+ * same interval timing model over the *full* workload) plus a
+ * hardware-effects model: a small per-benchmark systematic bias
+ * (microarchitectural effects the simulator does not capture) plus
+ * per-run jitter (non-determinism).  This preserves the structure of
+ * the paper's Figure 12 comparison: sampled-simulation error =
+ * sampling error + model-vs-hardware error + noise.
+ *
+ * observe() is the hardware-effects model alone, a pure function of
+ * whole-run timing statistics; the artifact graph applies it to the
+ * fused pass's timing view, so no benchmark is simulated twice.
+ * run() simulates first and then observes, for standalone use.
  */
 
 #ifndef SPLAB_PERF_NATIVE_HH
@@ -21,6 +26,8 @@
 
 namespace splab
 {
+
+struct TimingStats;
 
 /** Values read from perf's hardware event counters. */
 struct PerfCounters
@@ -62,6 +69,15 @@ class NativeMachine
      *        jitter only, like re-running perf).
      */
     PerfCounters run(SyntheticWorkload &workload, u64 runIndex = 0);
+
+    /**
+     * Read the counters of a whole run whose timing-model statistics
+     * are @p t: the hardware-effects model alone, no simulation.
+     * @param benchKey seeds the per-benchmark bias (the spec's
+     *        content hash); @p runIndex seeds the per-run jitter.
+     */
+    PerfCounters observe(const TimingStats &t, u64 benchKey,
+                         u64 runIndex = 0) const;
 
     const MachineConfig &config() const { return hwConfig; }
 

@@ -17,7 +17,9 @@
 
 #include "core/artifact_graph.hh"
 #include "obs/counters.hh"
+#include "perf/native.hh"
 #include "support/thread_pool.hh"
+#include "workload/synthetic.hh"
 
 namespace splab
 {
@@ -97,6 +99,18 @@ TEST(ArtifactKeys, ReplacementPolicyChangesCacheArtifactKeys)
               keyOf(fifo, ArtifactKind::SimPoints));
     EXPECT_EQ(keyOf(base, ArtifactKind::WholeTiming),
               keyOf(fifo, ArtifactKind::WholeTiming));
+    // Native projects the fused pass, which does run the allcache
+    // tool, yet its value must not move with cfg.allcache either.
+    EXPECT_EQ(keyOf(base, ArtifactKind::Native),
+              keyOf(fifo, ArtifactKind::Native));
+    auto nativeBytes = [](const ExperimentConfig &cfg) {
+        ArtifactGraph g(cfg, std::make_shared<const ArtifactCache>(
+                                 ArtifactCache("")));
+        ByteWriter w;
+        w.put(g.native(kBenches[0]));
+        return w.bytes();
+    };
+    EXPECT_EQ(nativeBytes(base), nativeBytes(fifo));
 }
 
 TEST(ArtifactKeys, SimpointConfigCascadesToDependents)
@@ -624,6 +638,34 @@ TEST(FusedPersistence, EnvKnobKeepsFusedMemoryResident)
 
     unsetenv("SPLAB_FUSED_PERSIST");
     std::filesystem::remove_all(dir);
+}
+
+TEST(NativeProjection, EqualsStandaloneNativeRun)
+{
+    ArtifactGraph g(fastConfig(), std::make_shared<const ArtifactCache>(
+                                      ArtifactCache("")));
+    for (const std::string &b :
+         {kBenches[0], kBenches[1], std::string("631.deepsjeng_s")}) {
+        ByteWriter projected;
+        projected.put(g.native(b));
+        SyntheticWorkload wl(g.spec(b));
+        ByteWriter standalone;
+        standalone.put(NativeMachine(g.config().machine).run(wl));
+        EXPECT_EQ(projected.bytes(), standalone.bytes()) << b;
+    }
+}
+
+TEST(NativeProjection, RunsNoTraversalOfItsOwn)
+{
+    obs::resetCounters();
+    ArtifactGraph g(fastConfig(), std::make_shared<const ArtifactCache>(
+                                      ArtifactCache("")));
+    g.wholeFused(kBenches[0]);
+    u64 windows = counterOr0(obs::counterSnapshot(), "pin.windows");
+    EXPECT_GT(windows, 0u);
+    g.native(kBenches[0]);
+    EXPECT_EQ(counterOr0(obs::counterSnapshot(), "pin.windows"),
+              windows);
 }
 
 TEST(ArtifactGraphManifest, RecordsDependencyClosure)

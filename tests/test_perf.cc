@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "core/scale.hh"
 #include "perf/native.hh"
+#include "pin/engine.hh"
+#include "timing/interval_core.hh"
 
 namespace splab
 {
@@ -93,6 +97,81 @@ TEST(Native, ZeroNoiseMatchesTimingModel)
     SyntheticWorkload wl2(spec());
     NativeMachine again(tableIIIMachine(), 0.0, 0.0);
     EXPECT_EQ(c.cpuCycles, again.run(wl2).cpuCycles);
+}
+
+/** Table III, and Table III with far caches shrunk as in the
+ *  model-scale experiment config. */
+std::vector<MachineConfig>
+machines()
+{
+    MachineConfig scaled = tableIIIMachine();
+    scaled.caches =
+        scaleFarCaches(scaled.caches, scale::kFarCacheDivisor);
+    return {tableIIIMachine(), scaled};
+}
+
+/** Drive @p core over the whole spec() workload. */
+void
+runWhole(IntervalCoreTool &core)
+{
+    SyntheticWorkload wl(spec());
+    Engine engine;
+    engine.attach(&core);
+    engine.runWhole(wl);
+}
+
+void
+expectSameCounters(const PerfCounters &a, const PerfCounters &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cpuCycles, b.cpuCycles);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.branchMisses, b.branchMisses);
+    EXPECT_EQ(a.cacheReferences, b.cacheReferences);
+    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+}
+
+TEST(Native, ObserveOfWholeTimingRunEqualsRun)
+{
+    // observe() is the hardware-effects model alone: applied to the
+    // statistics of a whole timing run it must reproduce run().
+    for (const MachineConfig &m : machines()) {
+        IntervalCoreTool core(m);
+        runWhole(core);
+
+        NativeMachine hw(m);
+        for (u64 runIndex : {0u, 2u}) {
+            SyntheticWorkload again(spec());
+            expectSameCounters(
+                hw.observe(core.stats(), spec().contentHash(),
+                           runIndex),
+                hw.run(again, runIndex));
+        }
+    }
+}
+
+TEST(Native, LlcCountersEqualIntervalCoreL3Outcomes)
+{
+    // observe() reads LLC references/misses from the timing stats,
+    // not the hierarchy: every L3 lookup ends as an L3 hit or a
+    // memory access, and the interval core counts each one outside
+    // warm-up.
+    for (const MachineConfig &m : machines()) {
+        IntervalCoreTool core(m);
+        runWhole(core);
+
+        const TimingStats &t = core.stats();
+        const CacheStats &l3 =
+            core.hierarchy().levelStats(CacheLevel::L3);
+        EXPECT_GT(t.l3Hits, 0u);
+        EXPECT_GT(t.memAccesses, 0u);
+        EXPECT_EQ(l3.accesses, t.l3Hits + t.memAccesses);
+        EXPECT_EQ(l3.misses, t.memAccesses);
+
+        PerfCounters c = NativeMachine(m).observe(t, 1);
+        EXPECT_EQ(c.cacheReferences, l3.accesses);
+        EXPECT_EQ(c.cacheMisses, l3.misses);
+    }
 }
 
 } // namespace
