@@ -19,14 +19,23 @@ main(int, char **argv)
                   "Figure 4");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::SimPoints});
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {ArtifactKind::SimPoints};
+    graph.runSuite(names, targets);
     const u32 kPoints[] = {5, 10, 15, 20, 25, 30, 35};
 
-    TableWriter t("Fig 4 - avg cluster variance (x1000) by #clusters");
-    t.header({"Benchmark", "k=5", "k=10", "k=15", "k=20", "k=25",
-              "k=30", "k=35"});
-    CsvWriter csv;
-    csv.header({"benchmark", "k", "avg_cluster_variance"});
+    // One table row per benchmark, one CSV row per (benchmark, k).
+    bench::ReportSink sink(
+        argv[0], "Fig 4 - avg cluster variance (x1000) by #clusters");
+    std::vector<bench::ReportSink::Column> cols = {{"Benchmark", ""}};
+    for (u32 k : kPoints)
+        cols.push_back({"k=" + std::to_string(k), ""});
+    cols.push_back({"", "benchmark"});
+    cols.push_back({"", "k"});
+    cols.push_back({"", "avg_cluster_variance"});
+    sink.schema(std::move(cols));
+    graph.config().describe(sink.manifest());
+    graph.recordArtifacts(sink.manifest(), names, targets);
 
     for (const auto &e : suiteTable()) {
         // The BIC sweep in the SimPoint selection already fit every
@@ -39,15 +48,15 @@ main(int, char **argv)
                 if (s.k == k)
                     var = s.avgClusterVariance;
             cells.push_back(fmt(var * 1000.0, 3));
-            csv.row({e.name, std::to_string(k), fmt(var, 8)});
+            sink.csvOnlyRow({e.name, std::to_string(k), fmt(var, 8)});
         }
-        t.row(cells);
+        sink.tableOnlyRow(std::move(cells));
     }
-    t.print();
+    sink.printTable();
 
     std::printf("\nExpected shape: variance decreases monotonically "
                 "with the cluster budget\n(fewer clusters force "
                 "dissimilar phases together).\n");
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

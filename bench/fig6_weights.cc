@@ -19,13 +19,25 @@ main(int, char **argv)
     bench::banner("Simulation-point weight distribution", "Figure 6");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::SimPoints});
-    TableWriter t("Fig 6 - per-benchmark weight profile");
-    t.header({"Benchmark", "Points", "Top-1", "Top-3 cum",
-              "90% cut at", "Weights (descending, top 8)"});
-    CsvWriter csv;
-    csv.header({"benchmark", "rank", "weight", "cumulative",
-                "within_90pct"});
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {ArtifactKind::SimPoints};
+    graph.runSuite(names, targets);
+
+    // One table row per benchmark, one CSV row per simulation point.
+    bench::ReportSink sink(argv[0], "Fig 6 - per-benchmark weight profile");
+    sink.schema({{"Benchmark", ""},
+                 {"Points", ""},
+                 {"Top-1", ""},
+                 {"Top-3 cum", ""},
+                 {"90% cut at", ""},
+                 {"Weights (descending, top 8)", ""},
+                 {"", "benchmark"},
+                 {"", "rank"},
+                 {"", "weight"},
+                 {"", "cumulative"},
+                 {"", "within_90pct"}});
+    graph.config().describe(sink.manifest());
+    graph.recordArtifacts(sink.manifest(), names, targets);
 
     for (const auto &e : suiteTable()) {
         const SimPointResult &r = graph.simpoints(e.name);
@@ -45,18 +57,19 @@ main(int, char **argv)
                 preview += fmt(sorted[i].weight * 100.0, 1);
                 preview += i + 1 < sorted.size() && i < 7 ? " " : "";
             }
-            csv.row({e.name, std::to_string(i + 1),
-                     fmt(sorted[i].weight, 6), fmt(cum, 6),
-                     i < cut ? "1" : "0"});
+            sink.csvOnlyRow({e.name, std::to_string(i + 1),
+                             fmt(sorted[i].weight, 6), fmt(cum, 6),
+                             i < cut ? "1" : "0"});
         }
         if (sorted.size() < 3)
             top3 = cum;
         if (sorted.size() > 8)
             preview += " ...";
-        t.row({e.name, std::to_string(sorted.size()), fmtPct(top1, 1),
-               fmtPct(top3, 1), std::to_string(cut), preview});
+        sink.tableOnlyRow({e.name, std::to_string(sorted.size()),
+                           fmtPct(top1, 1), fmtPct(top3, 1),
+                           std::to_string(cut), preview});
     }
-    t.print();
+    sink.printTable();
 
     const SimPointResult &bw = graph.simpoints("503.bwaves_r");
     auto bwSorted = bw.byDescendingWeight();
@@ -66,6 +79,6 @@ main(int, char **argv)
                 "cover ~80%%.  Measured: top-1 %.1f%%, top-3 "
                 "%.1f%%.\n", bwSorted[0].weight * 100.0,
                 bwTop3 * 100.0);
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

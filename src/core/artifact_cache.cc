@@ -99,6 +99,36 @@ fileSizeOr0(const std::string &p)
     return ec ? 0 : static_cast<u64>(n);
 }
 
+/**
+ * Write @p w (plus its checksum) to @p p through a unique temp file
+ * and an atomic rename: saveFile truncates in place, so a reader in
+ * another thread or process could otherwise see a torn file.
+ * @return false, after warning about @p what, on any I/O failure.
+ */
+bool
+saveAtomically(const ByteWriter &w, const std::string &p,
+               const char *what)
+{
+    static std::atomic<u64> seq{0};
+    std::string tmp = p + ".tmp." +
+                      std::to_string(static_cast<long>(::getpid())) +
+                      "." + std::to_string(seq.fetch_add(1));
+    std::error_code ec;
+    if (!w.saveFile(tmp)) {
+        SPLAB_WARN("cannot write ", what, " ", tmp);
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    std::filesystem::rename(tmp, p, ec);
+    if (ec) {
+        SPLAB_WARN("cannot publish ", what, " ", p, ": ",
+                   ec.message());
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    return true;
+}
+
 obs::Counter &
 evictionsCounter()
 {
@@ -277,20 +307,7 @@ ArtifactCache::indexSaveLocked(const IndexState &st) const
     }
 
     // tmp + rename so a reader (or a crash) never sees a torn index.
-    std::string p = root + "/index.bin";
-    std::string tmp =
-        p + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    if (!w.saveFile(tmp)) {
-        SPLAB_WARN("cannot write cache index ", tmp);
-        return;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, p, ec);
-    if (ec) {
-        SPLAB_WARN("cannot publish cache index ", p, ": ",
-                   ec.message());
-        std::filesystem::remove(tmp, ec);
-    }
+    saveAtomically(w, root + "/index.bin", "cache index");
 }
 
 void
@@ -326,12 +343,13 @@ ArtifactCache::indexRebuildLocked(IndexState &st) const
 void
 ArtifactCache::indexLoadLocked(IndexState &st) const
 {
-    std::string p = root + "/index.bin";
-    if (!ByteReader::probeFile(p)) {
+    std::optional<ByteReader> loaded =
+        ByteReader::tryLoadFile(root + "/index.bin");
+    if (!loaded) {
         indexRebuildLocked(st);
         return;
     }
-    ByteReader r = ByteReader::loadFile(p);
+    ByteReader &r = *loaded;
     if (r.remaining() < sizeof(u64) + sizeof(u32) ||
         r.get<u64>() != kIndexMagic ||
         r.get<u32>() != kIndexVersion) {
@@ -466,7 +484,7 @@ ArtifactCache::usage() const
 // --- blob operations -------------------------------------------------
 
 CacheOutcome
-ArtifactCache::load(const std::string &kind, u64 key) const
+ArtifactCache::readBlob(const std::string &p) const
 {
     static obs::Counter &hits = obs::counter("artifact_cache.hits");
     static obs::Counter &misses =
@@ -484,30 +502,39 @@ ArtifactCache::load(const std::string &kind, u64 key) const
         out.status = CacheStatus::Disabled;
         return out;
     }
-    std::string p = path(kind, key);
-    if (!ByteReader::probeFile(p)) {
-        std::error_code ec;
-        if (std::filesystem::exists(p, ec) && !ec) {
-            corrupt.add();
-            SPLAB_WARN("corrupt cache blob ", p,
-                       "; recomputing artifact");
-            out.status = CacheStatus::Corrupt;
-        } else {
-            misses.add();
-            out.status = CacheStatus::Miss;
-        }
+    // One read validates and returns the blob.  Publishing is atomic
+    // (saveAtomically), so a failed read of a file that exists means
+    // real damage, never a store in progress.
+    out.blob = ByteReader::tryLoadFile(p);
+    if (out.blob) {
+        hits.add();
+        bytesRead.add(out.blob->remaining());
+        out.status = CacheStatus::Hit;
         return out;
     }
-    out.blob = ByteReader::loadFile(p);
-    hits.add();
-    bytesRead.add(out.blob->remaining());
-    out.status = CacheStatus::Hit;
+    std::error_code ec;
+    if (std::filesystem::exists(p, ec) && !ec) {
+        corrupt.add();
+        SPLAB_WARN("corrupt cache blob ", p, "; recomputing artifact");
+        out.status = CacheStatus::Corrupt;
+    } else {
+        misses.add();
+        out.status = CacheStatus::Miss;
+    }
+    return out;
+}
+
+CacheOutcome
+ArtifactCache::load(const std::string &kind, u64 key) const
+{
+    std::string p = path(kind, key);
+    CacheOutcome out = readBlob(p);
     // Refresh the last-use stamp so LRU eviction sees live blobs.
     // Shared sub-blobs are governed by ref-counts, not recency.
-    if (kind != "shared") {
+    if (out.hit() && kind != "shared") {
         std::string name =
             std::filesystem::path(p).filename().string();
-        u64 size = fileSizeOr0(p);
+        u64 size = out.blob->remaining() + sizeof(u64); // + checksum
         indexMutate([&](IndexState &st) {
             auto it = st.entries.find(name);
             if (it == st.entries.end())
@@ -529,14 +556,12 @@ ArtifactCache::store(const std::string &kind, u64 key,
     if (!enabled())
         return;
     std::string p = path(kind, key);
-    if (!blob.saveFile(p)) {
-        SPLAB_WARN("cannot write cache artifact ", p);
+    if (!saveAtomically(blob, p, "cache artifact"))
         return;
-    }
     obs::counter("artifact_cache.bytes_written")
         .add(blob.bytes().size());
     std::string name = std::filesystem::path(p).filename().string();
-    u64 size = fileSizeOr0(p);
+    u64 size = blob.bytes().size() + sizeof(u64); // + checksum
     std::vector<std::string> refs;
     refs.reserve(sharedRefs.size());
     for (u64 h : sharedRefs)
@@ -560,34 +585,18 @@ ArtifactCache::storeShared(const u8 *data, std::size_t size) const
     if (!enabled())
         return h;
     std::string p = root + "/" + sharedFileName(h);
-    if (ByteReader::probeFile(p)) {
+    if (ByteReader::tryLoadFile(p)) {
         shareHits.add();
         return h;
     }
-    // Either absent or corrupt; (re)write through a unique temp file
-    // + rename so a concurrent reader or writer of the same content
-    // never observes a torn blob.  saveFile itself is not atomic.
-    static std::atomic<u64> seq{0};
-    std::string tmp = p + ".tmp." +
-                      std::to_string(static_cast<long>(::getpid())) +
-                      "." + std::to_string(seq.fetch_add(1));
+    // Either absent or corrupt; (re)write it.
     ByteWriter w;
     w.putRaw(data, size);
-    if (!w.saveFile(tmp)) {
-        SPLAB_WARN("cannot write shared cache blob ", tmp);
+    if (!saveAtomically(w, p, "shared cache blob"))
         return h;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, p, ec);
-    if (ec) {
-        SPLAB_WARN("cannot publish shared cache blob ", p, ": ",
-                   ec.message());
-        std::filesystem::remove(tmp, ec);
-        return h;
-    }
     obs::counter("artifact_cache.bytes_written").add(size);
     std::string name = std::filesystem::path(p).filename().string();
-    u64 fsize = fileSizeOr0(p);
+    u64 fsize = size + sizeof(u64); // + checksum
     indexMutate([&](IndexState &st) { st.shared[name] = fsize; });
     return h;
 }
@@ -595,41 +604,7 @@ ArtifactCache::storeShared(const u8 *data, std::size_t size) const
 CacheOutcome
 ArtifactCache::loadShared(u64 contentHash) const
 {
-    static obs::Counter &hits = obs::counter("artifact_cache.hits");
-    static obs::Counter &misses =
-        obs::counter("artifact_cache.misses");
-    static obs::Counter &corrupt =
-        obs::counter("artifact_cache.corrupt");
-    static obs::Counter &disabled =
-        obs::counter("artifact_cache.disabled_lookups");
-    static obs::Counter &bytesRead =
-        obs::counter("artifact_cache.bytes_read");
-
-    CacheOutcome out;
-    if (!enabled()) {
-        disabled.add();
-        out.status = CacheStatus::Disabled;
-        return out;
-    }
-    std::string p = root + "/" + sharedFileName(contentHash);
-    if (!ByteReader::probeFile(p)) {
-        std::error_code ec;
-        if (std::filesystem::exists(p, ec) && !ec) {
-            corrupt.add();
-            SPLAB_WARN("corrupt cache blob ", p,
-                       "; recomputing artifact");
-            out.status = CacheStatus::Corrupt;
-        } else {
-            misses.add();
-            out.status = CacheStatus::Miss;
-        }
-        return out;
-    }
-    out.blob = ByteReader::loadFile(p);
-    hits.add();
-    bytesRead.add(out.blob->remaining());
-    out.status = CacheStatus::Hit;
-    return out;
+    return readBlob(root + "/" + sharedFileName(contentHash));
 }
 
 } // namespace splab

@@ -109,17 +109,20 @@ class ArtifactCache
     const std::string &dir() const { return root; }
 
     /**
-     * Look up a blob.
+     * Look up a blob.  One read both validates and returns it; a
+     * torn or corrupt blob comes back as Corrupt, never a crash.
      * @param kind artifact family, e.g. "simpoints"
      * @param key  content hash of everything the artifact depends on
      */
     CacheOutcome load(const std::string &kind, u64 key) const;
 
-    /** Store a blob (no-op when disabled).  @p sharedRefs lists the
-     *  content hashes of the shared sub-blobs a ref blob points at
-     *  (empty for inline artifacts); the index ref-counts them so
-     *  eviction can reclaim a sub-blob exactly when its last
-     *  referencing artifact goes. */
+    /** Store a blob (no-op when disabled).  The file is published
+     *  through a temp file + atomic rename, so a concurrent load in
+     *  any process sees the old blob or the new one, never a torn
+     *  one.  @p sharedRefs lists the content hashes of the shared
+     *  sub-blobs a ref blob points at (empty for inline artifacts);
+     *  the index ref-counts them so eviction can reclaim a sub-blob
+     *  exactly when its last referencing artifact goes. */
     void store(const std::string &kind, u64 key,
                const ByteWriter &blob,
                const std::vector<u64> &sharedRefs = {}) const;
@@ -169,6 +172,10 @@ class ArtifactCache
 
     std::string path(const std::string &kind, u64 key) const;
     std::string sharedFileName(u64 contentHash) const;
+
+    /** Read and validate the blob at @p p in one pass, classify it
+     *  and bump the hit/miss/corrupt/disabled counters. */
+    CacheOutcome readBlob(const std::string &p) const;
 
     /** Run @p apply on the index under the in-process mutex and the
      *  cross-process file lock: reload the on-disk index (disk is

@@ -63,8 +63,12 @@ kindInfo(ArtifactKind k)
     static const std::array<KindInfo, kNumArtifactKinds> table = {{
         {"spec", "graph.spec", 0x7370656300000001ULL, false, false,
          {}},
+        // Persisted because every strategy graph over one cache
+        // selects from the same profile (its key has no strategy in
+        // it): the first graph computes it, later ones load it.
+        // Persisting moved neither the salt nor the bytes.
         {"bbvprofile", "graph.bbv_profile", 0x6262767000000001ULL,
-         false, false, {ArtifactKind::Spec}},
+         true, false, {ArtifactKind::Spec}},
         {"simpoints", "graph.simpoints", 0x73696d7000000001ULL,
          true, false, {ArtifactKind::BbvProfile}},
         // Strategy-selected regions.  Deps are {BbvProfile} even
@@ -747,6 +751,22 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     static obs::Counter &computed =
         obs::counter("graph.nodes_computed",
                      "artifact nodes computed fresh");
+    // Per-kind split of the two totals ("graph.computed.bbvprofile"),
+    // registered up front so a manifest lists every kind, zeros too.
+    auto perKind = [](const std::string &what, const char *desc) {
+        std::array<obs::Counter *, kNumArtifactKinds> out{};
+        for (std::size_t k = 0; k < kNumArtifactKinds; ++k) {
+            std::string kn =
+                artifactKindName(static_cast<ArtifactKind>(k));
+            out[k] = &obs::counter("graph." + what + "." + kn,
+                                   kn + desc);
+        }
+        return out;
+    };
+    static const auto loadedBy =
+        perKind("loaded", " nodes served from the disk cache");
+    static const auto computedBy =
+        perKind("computed", " nodes computed fresh");
 
     Node &n = nodeFor(name, kind);
     std::unique_lock<std::mutex> lock(n.mtx);
@@ -787,11 +807,13 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
                 v = deserializeArtifact(kind, r);
                 loaded = true;
                 hits.add();
+                loadedBy[static_cast<u8>(kind)]->add();
             }
         }
         if (!loaded) {
             v = computeValue(name, kind);
             computed.add();
+            computedBy[static_cast<u8>(kind)]->add();
             if (persist && backend->active()) {
                 ByteWriter w;
                 serializeArtifact(w, v);

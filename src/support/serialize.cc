@@ -36,6 +36,34 @@ slurp(const std::string &path, std::vector<u8> &out)
     return got == out.size();
 }
 
+/**
+ * Read a checksummed file and strip its trailing checksum.
+ * @return false, with @p why naming the failure, when the file is
+ *         unreadable, shorter than a checksum or fails validation.
+ */
+bool
+readChecked(const std::string &path, std::vector<u8> &data,
+            const char *&why)
+{
+    if (!slurp(path, data)) {
+        why = "cannot read file";
+        return false;
+    }
+    if (data.size() < sizeof(u64)) {
+        why = "file too small to be valid";
+        return false;
+    }
+    u64 stored;
+    std::memcpy(&stored, data.data() + data.size() - sizeof(u64),
+                sizeof(u64));
+    data.resize(data.size() - sizeof(u64));
+    if (stored != rawChecksum(data)) {
+        why = "checksum mismatch (corrupt file)";
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 void
@@ -63,30 +91,20 @@ ByteReader
 ByteReader::loadFile(const std::string &path)
 {
     std::vector<u8> data;
-    if (!slurp(path, data))
-        SPLAB_FATAL("cannot read file: ", path);
-    if (data.size() < sizeof(u64))
-        SPLAB_FATAL("file too small to be valid: ", path);
-    u64 stored;
-    std::memcpy(&stored, data.data() + data.size() - sizeof(u64),
-                sizeof(u64));
-    data.resize(data.size() - sizeof(u64));
-    if (stored != rawChecksum(data))
-        SPLAB_FATAL("checksum mismatch (corrupt file): ", path);
+    const char *why = nullptr;
+    if (!readChecked(path, data, why))
+        SPLAB_FATAL(why, ": ", path);
     return ByteReader(std::move(data));
 }
 
-bool
-ByteReader::probeFile(const std::string &path)
+std::optional<ByteReader>
+ByteReader::tryLoadFile(const std::string &path)
 {
     std::vector<u8> data;
-    if (!slurp(path, data) || data.size() < sizeof(u64))
-        return false;
-    u64 stored;
-    std::memcpy(&stored, data.data() + data.size() - sizeof(u64),
-                sizeof(u64));
-    data.resize(data.size() - sizeof(u64));
-    return stored == rawChecksum(data);
+    const char *why = nullptr;
+    if (!readChecked(path, data, why))
+        return std::nullopt;
+    return ByteReader(std::move(data));
 }
 
 std::string

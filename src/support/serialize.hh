@@ -12,6 +12,7 @@
 #define SPLAB_SUPPORT_SERIALIZE_HH
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,8 +78,9 @@ class ByteReader
     /** Load a checksummed file; fatal() on mismatch or I/O error. */
     static ByteReader loadFile(const std::string &path);
 
-    /** True if a file exists and its checksum validates. */
-    static bool probeFile(const std::string &path);
+    /** Load a checksummed file with one read; nullopt when it is
+     *  absent, unreadable, truncated or fails its checksum. */
+    static std::optional<ByteReader> tryLoadFile(const std::string &path);
 
     template <typename T>
     T

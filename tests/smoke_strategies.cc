@@ -11,8 +11,14 @@
  *  - the warm run is byte-identical to the cold run and was served
  *    from the per-strategy blob families (fewer nodes computed,
  *    more cache hits than cold — the cold run itself legitimately
- *    hits the cache, since all six strategy graphs share one
- *    whole-run reference through the same cache handle).
+ *    hits the cache: the six strategy graphs share one cache handle,
+ *    so the BBV profiles the first graph computes are loaded by the
+ *    other five),
+ *  - the BBV profile is computed once per benchmark in the cold run
+ *    and never in the warm run (graph.computed.bbvprofile), and
+ *  - a cold run at SPLAB_THREADS=1 writes the same CSV and the same
+ *    per-kind graph.computed.* / graph.loaded.* counters as the cold
+ *    run at SPLAB_THREADS=4.
  */
 
 #include <cstdio>
@@ -79,10 +85,13 @@ main(int argc, char **argv)
     std::filesystem::remove_all(cacheDir);
     std::filesystem::create_directories(cacheDir);
 
-    std::string cmd = "SPLAB_MANIFEST=1 SPLAB_CACHE=\"" + cacheDir +
-                      "\" SPLAB_LOG=0 SPLAB_SCALE=0.05 "
-                      "SPLAB_THREADS=4 \"" +
-                      bin + "\" > /dev/null";
+    auto command = [&](const std::string &dir, int threads) {
+        return "SPLAB_MANIFEST=1 SPLAB_CACHE=\"" + dir +
+               "\" SPLAB_LOG=0 SPLAB_SCALE=0.05 SPLAB_THREADS=" +
+               std::to_string(threads) + " \"" + bin +
+               "\" > /dev/null";
+    };
+    std::string cmd = command(cacheDir, 4);
 
     check(std::system(cmd.c_str()) == 0,
           "cold bench run exited non-zero");
@@ -93,6 +102,17 @@ main(int argc, char **argv)
           "warm bench run exited non-zero");
     std::string warmCsv = slurp(bin + ".csv");
     std::string warmMani = slurp(bin + ".manifest.json");
+
+    std::string serialDir = cacheDir + "-serial";
+    std::filesystem::remove_all(serialDir);
+    std::filesystem::create_directories(serialDir);
+    check(std::system(command(serialDir, 1).c_str()) == 0,
+          "serial cold bench run exited non-zero");
+    std::string serialCsv = slurp(bin + ".csv");
+    std::string serialMani = slurp(bin + ".manifest.json");
+    std::filesystem::remove_all(serialDir);
+    check(serialCsv == coldCsv,
+          "SPLAB_THREADS=1 CSV differs from SPLAB_THREADS=4 CSV");
 
     check(!coldCsv.empty(), "cold CSV missing or empty");
     check(coldCsv == warmCsv,
@@ -129,9 +149,17 @@ main(int argc, char **argv)
     using splab::obs::parseJson;
     auto cold = parseJson(coldMani);
     auto warm = parseJson(warmMani);
+    auto serial = parseJson(serialMani);
     check(cold.has_value(), "cold manifest does not parse");
     check(warm.has_value(), "warm manifest does not parse");
+    check(serial.has_value(), "serial manifest does not parse");
     if (cold && warm) {
+        // One BBV profile per benchmark, shared by all six strategy
+        // graphs through the cache; none at all when warm.
+        check(counterOf(*cold, "graph.computed.bbvprofile") == 3,
+              "cold run did not compute exactly 3 BBV profiles");
+        check(counterOf(*warm, "graph.computed.bbvprofile") == 0,
+              "warm run recomputed a BBV profile");
         check(counterOf(*warm, "graph.cache_hits") >
                   counterOf(*cold, "graph.cache_hits"),
               "warm run did not hit the cache more than cold");
@@ -147,6 +175,27 @@ main(int argc, char **argv)
                                        .c_str()) > 0,
                   "cold run missing sampling." + s +
                       ".regions_selected");
+    }
+
+    if (cold && serial) {
+        // Per-kind node counters count work, never scheduling.
+        const splab::obs::JsonValue *counters = cold->find("counters");
+        std::size_t perKind = 0;
+        if (counters)
+            for (const auto &kv : counters->members()) {
+                const std::string &name = kv.first;
+                if (name.rfind("graph.computed.", 0) != 0 &&
+                    name.rfind("graph.loaded.", 0) != 0)
+                    continue;
+                ++perKind;
+                check(counterOf(*serial, name.c_str()) ==
+                          kv.second.asU64(),
+                      name + " differs between SPLAB_THREADS=1 and 4");
+            }
+        // computed + loaded for each of the 12 artifact kinds
+        // (kNumArtifactKinds; this checker does not link the core).
+        check(perKind == 2 * 12,
+              "manifest lacks the per-kind graph counters");
     }
 
     if (failures == 0)

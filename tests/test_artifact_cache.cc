@@ -3,9 +3,10 @@
  * ArtifactCache hygiene tests: the persistent index (incremental
  * maintenance, reopen without a scan, rebuild from a corrupt or
  * missing index), size-bounded LRU eviction, ref-counted reclamation
- * of shared sub-blobs, and the multi-process torn-blob safety of
- * storeShared (N forked writers racing on one content hash must
- * leave exactly one healthy blob).
+ * of shared sub-blobs, and torn-blob safety: N forked writers
+ * racing storeShared on one content hash must leave exactly one
+ * healthy blob, and loads racing re-stores of one key must only ever
+ * see the whole blob.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/artifact_cache.hh"
@@ -313,6 +316,51 @@ TEST(CacheStress, ForkedStoresKeepIndexConsistent)
     EXPECT_EQ(after.usage().artifacts, u64(kWriters));
     for (int w = 0; w < kWriters; ++w)
         EXPECT_TRUE(after.load("stress", u64(w)).hit()) << w;
+}
+
+TEST(CacheStress, ConcurrentStoresAndLoadsOfOneKeyNeverTear)
+{
+    std::string dir = freshDir("store-load");
+    // Large enough that a non-atomic rewrite stays torn for a while.
+    std::vector<u8> payload = patternBytes(1 << 20, 61);
+    ByteWriter blob;
+    blob.putRaw(payload.data(), payload.size());
+    // Two handles on one directory, as two processes would hold.
+    ArtifactCache writer(dir), reader(dir);
+    writer.store("stress", 7, blob);
+
+    constexpr int kWriters = 2;
+    constexpr int kReaders = 4;
+    constexpr int kRounds = 40;
+    std::atomic<int> notHit{0}, wrongBytes{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w)
+        threads.emplace_back([&] {
+            for (int i = 0; i < kRounds; ++i)
+                writer.store("stress", 7, blob);
+        });
+    for (int r = 0; r < kReaders; ++r)
+        threads.emplace_back([&] {
+            for (int i = 0; i < kRounds; ++i) {
+                CacheOutcome got = reader.load("stress", 7);
+                if (!got.hit()) {
+                    notHit.fetch_add(1);
+                    continue;
+                }
+                if (got->remaining() != payload.size() ||
+                    got->getRaw(payload.size()) != payload)
+                    wrongBytes.fetch_add(1);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    // The blob exists throughout, so every load is a hit on exactly
+    // the stored bytes, and no temp file is left behind.
+    EXPECT_EQ(notHit.load(), 0);
+    EXPECT_EQ(wrongBytes.load(), 0);
+    EXPECT_EQ(blobFiles(dir).size(), 1u);
+    EXPECT_EQ(ArtifactCache(dir).usage().artifacts, 1u);
 }
 
 } // namespace

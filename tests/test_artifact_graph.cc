@@ -719,5 +719,207 @@ TEST(ArtifactGraphSerialization, RoundTripsEveryKind)
     roundTrip(ArtifactKind::PointsCacheCold, g.pointsCacheCold(b));
 }
 
+/** The targets a select-only strategy graph asks for. */
+std::vector<ArtifactKind>
+selectTargets(const std::string &strategy)
+{
+    if (strategy == "simpoint")
+        return {ArtifactKind::SimPoints, ArtifactKind::Regions};
+    return {ArtifactKind::Regions};
+}
+
+/** What running every strategy graph in turn over one cache did. */
+struct StrategyGraphsRun
+{
+    std::vector<u64> windows;  ///< pin.windows added, per graph
+    std::vector<u64> computed; ///< graph.computed.bbvprofile, per graph
+    std::vector<u64> loaded;   ///< graph.loaded.bbvprofile, per graph
+    std::vector<std::vector<u8>> profiles; ///< profile bytes, per graph
+    std::map<std::string, u64> graphCounters; ///< graph.* at the end
+};
+
+StrategyGraphsRun
+runStrategyGraphs(const std::string &dir)
+{
+    StrategyGraphsRun out;
+    obs::resetCounters();
+    for (const std::string &s : strategyNames()) {
+        auto before = obs::counterSnapshot();
+        ArtifactGraph g(fastConfig().withStrategy(s),
+                        std::make_shared<const ArtifactCache>(
+                            ArtifactCache(dir)));
+        g.runSuite(kBenches, selectTargets(s));
+        auto after = obs::counterSnapshot();
+        auto added = [&](const char *name) {
+            return counterOr0(after, name) - counterOr0(before, name);
+        };
+        out.windows.push_back(added("pin.windows"));
+        out.computed.push_back(added("graph.computed.bbvprofile"));
+        out.loaded.push_back(added("graph.loaded.bbvprofile"));
+        std::vector<u8> bytes;
+        for (const std::string &b : kBenches) {
+            std::vector<u8> p =
+                g.ensureSerialized(b, ArtifactKind::BbvProfile);
+            bytes.insert(bytes.end(), p.begin(), p.end());
+        }
+        out.profiles.push_back(std::move(bytes));
+    }
+    for (const auto &kv : obs::counterSnapshot())
+        if (kv.first.rfind("graph.", 0) == 0)
+            out.graphCounters[kv.first] = kv.second;
+    return out;
+}
+
+/** The bbvprofile blob files of @p dir. */
+std::map<std::string, std::vector<char>>
+profileBlobs(const std::string &dir)
+{
+    std::map<std::string, std::vector<char>> out;
+    for (auto &kv : dirContents(dir))
+        if (kv.first.rfind("bbvprofile-", 0) == 0)
+            out.insert(std::move(kv));
+    return out;
+}
+
+TEST(BbvProfilePersistence, ComputedOncePerCacheAcrossStrategyGraphs)
+{
+    std::string dir = testing::TempDir() + "/splab-bbv-strategies";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    StrategyGraphsRun run = runStrategyGraphs(dir);
+    ASSERT_EQ(run.windows.size(), strategyNames().size());
+    // The first graph profiles every benchmark; every later graph
+    // loads the profiles and traverses nothing.
+    EXPECT_GT(run.windows[0], 0u);
+    EXPECT_EQ(run.computed[0], kBenches.size());
+    EXPECT_EQ(run.loaded[0], 0u);
+    for (std::size_t i = 1; i < run.windows.size(); ++i) {
+        EXPECT_EQ(run.windows[i], 0u) << strategyNames()[i];
+        EXPECT_EQ(run.computed[i], 0u) << strategyNames()[i];
+        EXPECT_EQ(run.loaded[i], kBenches.size()) << strategyNames()[i];
+    }
+    EXPECT_EQ(profileBlobs(dir).size(), kBenches.size());
+
+    // Loaded profiles are byte-equal to computed ones and to a graph
+    // without any cache.
+    ArtifactGraph plain(fastConfig(), std::make_shared<const ArtifactCache>(
+                                          ArtifactCache("")));
+    std::vector<u8> uncached;
+    for (const std::string &b : kBenches) {
+        std::vector<u8> p =
+            plain.ensureSerialized(b, ArtifactKind::BbvProfile);
+        uncached.insert(uncached.end(), p.begin(), p.end());
+    }
+    ASSERT_FALSE(uncached.empty());
+    for (std::size_t i = 0; i < run.profiles.size(); ++i)
+        EXPECT_EQ(run.profiles[i], uncached) << strategyNames()[i];
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BbvProfilePersistence, BlobsAndCountersThreadCountInvariant)
+{
+    std::vector<std::map<std::string, std::vector<char>>> blobs;
+    std::vector<std::map<std::string, u64>> counters;
+    for (std::size_t threads : {1u, 4u}) {
+        std::string dir = testing::TempDir() + "/splab-bbv-threads-" +
+                          std::to_string(threads);
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        ThreadPool::setGlobalThreads(threads);
+        counters.push_back(runStrategyGraphs(dir).graphCounters);
+        blobs.push_back(profileBlobs(dir));
+        std::filesystem::remove_all(dir);
+    }
+    ThreadPool::setGlobalThreads(0);
+
+    ASSERT_EQ(blobs[0].size(), kBenches.size());
+    EXPECT_EQ(blobs[0], blobs[1]);
+    // The per-kind node counters count work, never scheduling.
+    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_EQ(counters[0].at("graph.computed.bbvprofile"),
+              kBenches.size());
+    EXPECT_EQ(counters[0].at("graph.loaded.bbvprofile"),
+              kBenches.size() * (strategyNames().size() - 1));
+    EXPECT_EQ(counters[0].at("graph.computed.regions"),
+              kBenches.size() * strategyNames().size());
+}
+
+TEST(BbvProfilePersistence, CorruptBlobIsRecomputed)
+{
+    std::string dir = testing::TempDir() + "/splab-bbv-corrupt";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::vector<ArtifactKind> targets = selectTargets("simpoint");
+    auto selectionBytes = [&](ArtifactGraph &g) {
+        std::vector<u8> out;
+        for (const std::string &b : kBenches)
+            for (ArtifactKind k : targets) {
+                std::vector<u8> v = g.ensureSerialized(b, k);
+                out.insert(out.end(), v.begin(), v.end());
+            }
+        return out;
+    };
+    auto openGraph = [&] {
+        return ArtifactGraph(fastConfig(),
+                             std::make_shared<const ArtifactCache>(
+                                 ArtifactCache(dir)));
+    };
+
+    std::vector<u8> coldBytes;
+    {
+        ArtifactGraph cold = openGraph();
+        cold.runSuite(kBenches, targets);
+        coldBytes = selectionBytes(cold);
+    }
+    auto coldFiles = dirContents(dir);
+
+    // Drop the selections so they must be rebuilt from the profiles,
+    // then flip one byte in the middle of one profile blob.
+    for (const auto &kv : coldFiles)
+        if (kv.first.rfind("simpoints-", 0) == 0 ||
+            kv.first.rfind("regions_", 0) == 0)
+            std::filesystem::remove(dir + "/" + kv.first);
+    auto profiles = profileBlobs(dir);
+    ASSERT_EQ(profiles.size(), kBenches.size());
+    {
+        std::fstream f(dir + "/" + profiles.begin()->first,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        std::streamoff mid =
+            static_cast<std::streamoff>(profiles.begin()->second.size() / 2);
+        f.seekg(mid);
+        char c = 0;
+        f.get(c);
+        f.seekp(mid);
+        f.put(static_cast<char>(c ^ 0x5a));
+    }
+
+    obs::resetCounters();
+    {
+        ArtifactGraph warm = openGraph();
+        warm.runSuite(kBenches, targets);
+        EXPECT_EQ(selectionBytes(warm), coldBytes);
+    }
+    auto stats = obs::counterSnapshot();
+    EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 1u);
+    EXPECT_EQ(counterOr0(stats, "graph.computed.bbvprofile"), 1u);
+    EXPECT_EQ(counterOr0(stats, "graph.loaded.bbvprofile"),
+              kBenches.size() - 1);
+    // The recompute rewrote the damaged blob: every file is back to
+    // its cold bytes, and a third graph loads cleanly.
+    EXPECT_EQ(dirContents(dir), coldFiles);
+    obs::resetCounters();
+    {
+        ArtifactGraph again = openGraph();
+        for (const std::string &b : kBenches)
+            again.bbvProfile(b);
+    }
+    stats = obs::counterSnapshot();
+    EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 0u);
+    EXPECT_EQ(counterOr0(stats, "graph.loaded.bbvprofile"),
+              kBenches.size());
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 } // namespace splab

@@ -163,7 +163,10 @@ TEST(Serialize, FileRoundTripWithChecksum)
     w.put<u64>(99);
     w.putString("persisted");
     ASSERT_TRUE(w.saveFile(path));
-    ASSERT_TRUE(ByteReader::probeFile(path));
+    std::optional<ByteReader> tried = ByteReader::tryLoadFile(path);
+    ASSERT_TRUE(tried.has_value());
+    EXPECT_EQ(tried->get<u64>(), 99u);
+    EXPECT_EQ(tried->getString(), "persisted");
     ByteReader r = ByteReader::loadFile(path);
     EXPECT_EQ(r.get<u64>(), 99u);
     EXPECT_EQ(r.getString(), "persisted");
@@ -184,7 +187,15 @@ TEST(Serialize, CorruptionDetected)
     std::fseek(f, 10, SEEK_SET);
     std::fputc(c ^ 0xff, f);
     std::fclose(f);
-    EXPECT_FALSE(ByteReader::probeFile(path));
+    EXPECT_FALSE(ByteReader::tryLoadFile(path).has_value());
+    std::remove(path.c_str());
+    // Absent and shorter-than-a-checksum files fail the same way.
+    EXPECT_FALSE(ByteReader::tryLoadFile(path).has_value());
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("abc", f);
+    std::fclose(f);
+    EXPECT_FALSE(ByteReader::tryLoadFile(path).has_value());
     std::remove(path.c_str());
 }
 
