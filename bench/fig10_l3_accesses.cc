@@ -20,15 +20,24 @@ main(int, char **argv)
                   "Figure 10");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::WholeCache,
-                                  ArtifactKind::PointsCacheCold});
-    TableWriter t("Fig 10 - L3 cache accesses");
-    t.header({"Benchmark", "Whole Run", "Regional", "Reduced",
-              "Whole/Regional"});
-    CsvWriter csv;
-    csv.header({"benchmark", "whole_l3", "regional_l3",
-                "reduced_l3"});
+    bench::ReportSink sink(argv[0], "Fig 10 - L3 cache accesses");
+    sink.schema({{"Benchmark", "benchmark"},
+                 {"Whole Run", "whole_l3"},
+                 {"Regional", "regional_l3"},
+                 {"Reduced", "reduced_l3"},
+                 {"Whole/Regional", ""}});
+    graph.config().describe(sink.manifest());
 
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::WholeCache, ArtifactKind::PointsCacheCold};
+    graph.runSuite(names, targets);
+    graph.recordArtifacts(sink.manifest(), names, targets);
+
+    // Counts: SI-formatted in the table, exact in the CSV.
+    auto count = [](u64 v) -> bench::ReportSink::Cell {
+        return {fmtSi(static_cast<double>(v), 2), std::to_string(v)};
+    };
     double sumW = 0, sumR = 0, sumRR = 0;
     for (const auto &e : suiteTable()) {
         u64 whole = graph.wholeCache(e.name).l3.accesses;
@@ -40,28 +49,25 @@ main(int, char **argv)
         for (const auto &p : reduced)
             rr += p.m.l3.accesses;
 
-        t.row({e.name, fmtSi(static_cast<double>(whole), 2),
-               fmtSi(static_cast<double>(regional), 2),
-               fmtSi(static_cast<double>(rr), 2),
-               fmtX(regional ? static_cast<double>(whole) /
-                                   static_cast<double>(regional)
-                             : 0.0, 0)});
-        csv.row({e.name, std::to_string(whole),
-                 std::to_string(regional), std::to_string(rr)});
+        sink.row({e.name, count(whole), count(regional), count(rr),
+                  fmtX(regional ? static_cast<double>(whole) /
+                                      static_cast<double>(regional)
+                                : 0.0, 0)});
         sumW += static_cast<double>(whole);
         sumR += static_cast<double>(regional);
         sumRR += static_cast<double>(rr);
     }
     double n = static_cast<double>(suiteTable().size());
-    t.separator();
-    t.row({"Average", fmtSi(sumW / n, 2), fmtSi(sumR / n, 2),
-           fmtSi(sumRR / n, 2), fmtX(sumW / sumR, 0)});
-    t.print();
+    sink.separator();
+    sink.tableOnlyRow({"Average", fmtSi(sumW / n, 2),
+                       fmtSi(sumR / n, 2), fmtSi(sumRR / n, 2),
+                       fmtX(sumW / sumR, 0)});
+    sink.printTable();
 
     std::printf("\nExpected shape: Regional/Reduced runs touch the "
                 "L3 orders of magnitude less\noften than the Whole "
                 "Run (measured: %.0fx fewer on average).\n",
                 sumW / sumR);
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

@@ -20,15 +20,29 @@ main(int, char **argv)
                   "Reduced Regional", "Figure 7");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::WholeCache,
-                                  ArtifactKind::PointsCacheCold});
-    TableWriter t("Fig 7 - instruction mix (NO_MEM/MEM_R/MEM_W/"
-                  "MEM_RW, % of instructions)");
-    t.header({"Benchmark", "Whole", "Regional", "Reduced",
-              "max |err| R", "max |err| RR"});
-    CsvWriter csv;
-    csv.header({"benchmark", "run", "no_mem", "mem_r", "mem_w",
-                "mem_rw"});
+    // One table row per benchmark, one CSV row per (benchmark, run).
+    bench::ReportSink sink(argv[0],
+                           "Fig 7 - instruction mix (NO_MEM/MEM_R/"
+                           "MEM_W/MEM_RW, % of instructions)");
+    sink.schema({{"Benchmark", ""},
+                 {"Whole", ""},
+                 {"Regional", ""},
+                 {"Reduced", ""},
+                 {"max |err| R", ""},
+                 {"max |err| RR", ""},
+                 {"", "benchmark"},
+                 {"", "run"},
+                 {"", "no_mem"},
+                 {"", "mem_r"},
+                 {"", "mem_w"},
+                 {"", "mem_rw"}});
+    graph.config().describe(sink.manifest());
+
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::WholeCache, ArtifactKind::PointsCacheCold};
+    graph.runSuite(names, targets);
+    graph.recordArtifacts(sink.manifest(), names, targets);
 
     auto mixString = [](const std::array<double, 4> &f) {
         return fmt(f[0] * 100, 1) + "/" + fmt(f[1] * 100, 1) + "/" +
@@ -43,8 +57,8 @@ main(int, char **argv)
     };
     auto csvRow = [&](const std::string &bench, const char *run,
                       const std::array<double, 4> &f) {
-        csv.row({bench, run, fmt(f[0], 6), fmt(f[1], 6), fmt(f[2], 6),
-                 fmt(f[3], 6)});
+        sink.csvOnlyRow({bench, run, fmt(f[0], 6), fmt(f[1], 6),
+                         fmt(f[2], 6), fmt(f[3], 6)});
     };
 
     std::array<double, 4> suiteWhole{};
@@ -57,10 +71,10 @@ main(int, char **argv)
 
         double errR = maxErr(regional.mixFrac, whole.mixFrac);
         double errRR = maxErr(reduced.mixFrac, whole.mixFrac);
-        t.row({e.name, mixString(whole.mixFrac),
-               mixString(regional.mixFrac),
-               mixString(reduced.mixFrac), fmtPct(errR),
-               fmtPct(errRR)});
+        sink.tableOnlyRow({e.name, mixString(whole.mixFrac),
+                           mixString(regional.mixFrac),
+                           mixString(reduced.mixFrac), fmtPct(errR),
+                           fmtPct(errRR)});
         csvRow(e.name, "whole", whole.mixFrac);
         csvRow(e.name, "regional", regional.mixFrac);
         csvRow(e.name, "reduced", reduced.mixFrac);
@@ -73,10 +87,10 @@ main(int, char **argv)
     double n = static_cast<double>(suiteTable().size());
     for (auto &x : suiteWhole)
         x /= n;
-    t.separator();
-    t.row({"Average", mixString(suiteWhole), "-", "-",
-           fmtPct(sumErrR / n), fmtPct(sumErrRR / n)});
-    t.print();
+    sink.separator();
+    sink.tableOnlyRow({"Average", mixString(suiteWhole), "-", "-",
+                       fmtPct(sumErrR / n), fmtPct(sumErrRR / n)});
+    sink.printTable();
 
     std::printf("\nPaper: Whole-run average 49.1%% NO_MEM / 36.7%% "
                 "MEM_R / 12.9%% MEM_W; sampling\nerrors < 1%%.  "
@@ -85,6 +99,6 @@ main(int, char **argv)
                 suiteWhole[0] * 100, suiteWhole[1] * 100,
                 suiteWhole[2] * 100, sumErrR / n * 100,
                 sumErrRR / n * 100);
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

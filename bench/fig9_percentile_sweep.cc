@@ -20,18 +20,25 @@ main(int, char **argv)
                   "percentile", "Figure 9");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite(suiteNames(), {ArtifactKind::WholeCache,
-                                  ArtifactKind::PointsCacheCold});
+    bench::ReportSink sink(argv[0],
+                           "Fig 9 - average error vs Whole Run, and "
+                           "paper-equivalent execution time");
+    sink.schema({{"Percentile", "percentile"},
+                 {"Mix err (pts)", "mix_err"},
+                 {"L1D err", "l1d_err"},
+                 {"L2 err", "l2_err"},
+                 {"L3 err", "l3_err"},
+                 {"Exec time (min)", "exec_minutes"},
+                 {"Points/bench", "avg_points"}});
+    graph.config().describe(sink.manifest());
+
+    const auto names = suiteNames();
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::WholeCache, ArtifactKind::PointsCacheCold};
+    graph.runSuite(names, targets);
+    graph.recordArtifacts(sink.manifest(), names, targets);
     ReplayCostModel cost;
     const double percentiles[] = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5};
-
-    TableWriter t("Fig 9 - average error vs Whole Run, and "
-                  "paper-equivalent execution time");
-    t.header({"Percentile", "Mix err (pts)", "L1D err", "L2 err",
-              "L3 err", "Exec time (min)", "Points/bench"});
-    CsvWriter csv;
-    csv.header({"percentile", "mix_err", "l1d_err", "l2_err",
-                "l3_err", "exec_minutes", "avg_points"});
 
     for (double q : percentiles) {
         double mixErr = 0, err[3] = {}, execS = 0, pts = 0;
@@ -64,19 +71,20 @@ main(int, char **argv)
             pts += static_cast<double>(sub.size());
             n += 1.0;
         }
-        t.row({fmt(q * 100, 0), fmtPct(mixErr / n),
-               fmtPct(err[0] / n), fmtPct(err[1] / n),
-               fmtPct(err[2] / n), fmt(execS / n / 60.0, 2),
-               fmt(pts / n, 1)});
-        csv.row({fmt(q, 2), fmt(mixErr / n, 6), fmt(err[0] / n, 6),
-                 fmt(err[1] / n, 6), fmt(err[2] / n, 6),
-                 fmt(execS / n / 60.0, 4), fmt(pts / n, 2)});
+        // Each cell: (table text, CSV text).
+        sink.row({{fmt(q * 100, 0), fmt(q, 2)},
+                  {fmtPct(mixErr / n), fmt(mixErr / n, 6)},
+                  {fmtPct(err[0] / n), fmt(err[0] / n, 6)},
+                  {fmtPct(err[1] / n), fmt(err[1] / n, 6)},
+                  {fmtPct(err[2] / n), fmt(err[2] / n, 6)},
+                  {fmt(execS / n / 60.0, 2), fmt(execS / n / 60.0, 4)},
+                  {fmt(pts / n, 1), fmt(pts / n, 2)}});
     }
-    t.print();
+    sink.printTable();
 
     std::printf("\nExpected shape: errors grow and execution time "
                 "falls as the percentile\nshrinks; 100 = Regional, "
                 "90 = Reduced Regional.\n");
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

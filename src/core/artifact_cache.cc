@@ -56,41 +56,6 @@ warnOnce(const std::string &dir, const char *why)
     SPLAB_WARN("cache dir ", dir, ": ", why, "; caching disabled");
 }
 
-/**
- * Exclusive flock over "<root>/index.lock" serializing index
- * read-modify-write cycles across processes.  Advisory, so only
- * ArtifactCache instances contend; blob reads never take it.
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string &path)
-        : fd(::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644))
-    {
-        if (fd < 0)
-            return;
-        while (::flock(fd, LOCK_EX) != 0) {
-            if (errno != EINTR) {
-                ::close(fd);
-                fd = -1;
-                return;
-            }
-        }
-    }
-
-    ~FileLock()
-    {
-        if (fd >= 0)
-            ::close(fd); // closing drops the flock
-    }
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-  private:
-    int fd;
-};
-
 u64
 fileSizeOr0(const std::string &p)
 {
@@ -159,6 +124,37 @@ residentGauge()
 }
 
 } // namespace
+
+FileLock::FileLock(const std::string &path)
+    : fd(::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644))
+{
+    if (fd < 0)
+        return;
+    while (::flock(fd, LOCK_EX) != 0) {
+        if (errno != EINTR) {
+            ::close(fd);
+            fd = -1;
+            return;
+        }
+    }
+}
+
+FileLock &
+FileLock::operator=(FileLock &&o) noexcept
+{
+    if (this != &o) {
+        if (fd >= 0)
+            ::close(fd);
+        fd = std::exchange(o.fd, -1);
+    }
+    return *this;
+}
+
+FileLock::~FileLock()
+{
+    if (fd >= 0)
+        ::close(fd); // closing drops the flock
+}
 
 /**
  * In-memory mirror of index.bin.  Disk is authoritative: every
@@ -263,13 +259,19 @@ ArtifactCache::fromEnv()
 }
 
 std::string
-ArtifactCache::path(const std::string &kind, u64 key) const
+ArtifactCache::stem(const std::string &kind, u64 key) const
 {
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(
                       hashCombine(key, kVersionSalt)));
-    return root + "/" + kind + "-" + hex + ".bin";
+    return kind + "-" + hex;
+}
+
+std::string
+ArtifactCache::path(const std::string &kind, u64 key) const
+{
+    return root + "/" + stem(kind, key) + ".bin";
 }
 
 std::string
@@ -380,11 +382,10 @@ ArtifactCache::indexLoadLocked(IndexState &st) const
 
 void
 ArtifactCache::evictLocked(IndexState &st,
-                           const std::string &protect,
-                           u64 evictBudget) const
+                           const std::string &protect) const
 {
     u64 resident = st.residentBytes();
-    while (resident > evictBudget) {
+    while (resident > budget) {
         // Oldest last-use stamp wins; never the blob being stored.
         auto victim = st.entries.end();
         for (auto it = st.entries.begin(); it != st.entries.end();
@@ -445,27 +446,9 @@ ArtifactCache::indexMutate(
     indexLoadLocked(*idx);
     apply(*idx);
     if (budget != 0)
-        evictLocked(*idx, protect, budget);
+        evictLocked(*idx, protect);
     indexSaveLocked(*idx);
     residentGauge().set(idx->residentBytes());
-}
-
-CacheUsage
-ArtifactCache::evictToBytes(u64 targetBytes) const
-{
-    CacheUsage u;
-    if (!enabled() || !idx)
-        return u;
-    std::lock_guard<std::mutex> g(idx->mtx);
-    FileLock lock(root + "/index.lock");
-    indexLoadLocked(*idx);
-    evictLocked(*idx, "", targetBytes);
-    indexSaveLocked(*idx);
-    residentGauge().set(idx->residentBytes());
-    u.artifacts = idx->entries.size();
-    u.sharedBlobs = idx->shared.size();
-    u.residentBytes = idx->residentBytes();
-    return u;
 }
 
 CacheUsage
@@ -605,6 +588,82 @@ CacheOutcome
 ArtifactCache::loadShared(u64 contentHash) const
 {
     return readBlob(root + "/" + sharedFileName(contentHash));
+}
+
+// --- artifacts (inline or ref blob over shared sub-blobs) ------------
+
+FileLock
+ArtifactCache::lockArtifact(const std::string &family, u64 key) const
+{
+    if (!enabled())
+        return FileLock();
+    std::string p = root + "/locks/" + stem(family, key) + ".lock";
+    FileLock lock(p);
+    if (!lock.locked()) {
+        // First lock in this directory: create "locks/" and retry.
+        // Still unlocked after that means an unusable directory; the
+        // caller then computes without cross-process merging.
+        std::error_code ec;
+        std::filesystem::create_directories(root + "/locks", ec);
+        lock = FileLock(p);
+    }
+    return lock;
+}
+
+bool
+ArtifactCache::loadArtifact(const std::string &family, u64 key,
+                            bool shared, std::vector<u8> &out) const
+{
+    static obs::Counter &fallbacks = obs::counter(
+        "graph.shared_blob_fallbacks",
+        "shared-blob refs with a missing or corrupt sub-blob "
+        "(artifact recomputed)");
+
+    CacheOutcome got = load(family, key);
+    if (!got.hit())
+        return false;
+    if (!shared) {
+        out = got->getRaw(got->remaining());
+        return true;
+    }
+    // Ref blob: sub-blob count, then their content hashes.
+    u64 n = got->get<u64>();
+    out.clear();
+    for (u64 i = 0; i < n; ++i) {
+        CacheOutcome sub = loadShared(got->get<u64>());
+        if (!sub.hit()) {
+            fallbacks.add();
+            return false;
+        }
+        std::vector<u8> bytes = sub->getRaw(sub->remaining());
+        out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    return true;
+}
+
+void
+ArtifactCache::storeArtifact(
+    const std::string &family, u64 key, const std::vector<u8> &bytes,
+    const std::vector<std::pair<std::size_t, std::size_t>>
+        &sharedRanges) const
+{
+    ByteWriter w;
+    if (sharedRanges.empty()) {
+        w.putRaw(bytes.data(), bytes.size());
+        store(family, key, w);
+        return;
+    }
+    // The sub-blobs dedup against identical stored bytes, and the
+    // hash list rides into the index so eviction can ref-count them.
+    std::vector<u64> hashes;
+    hashes.reserve(sharedRanges.size());
+    w.put<u64>(sharedRanges.size());
+    for (auto [off, len] : sharedRanges) {
+        u64 h = storeShared(bytes.data() + off, len);
+        w.put<u64>(h);
+        hashes.push_back(h);
+    }
+    store(family, key, w, hashes);
 }
 
 } // namespace splab

@@ -35,6 +35,13 @@
  *  - Hit/miss/eviction/byte counters ("artifact_cache.*") register
  *    eagerly at construction so every run manifest carries the full
  *    family even when a count is zero.
+ *  - Cross-process single-flight: lockArtifact() takes an exclusive
+ *    flock on "locks/<family>-<hex>.lock", so processes (or cache
+ *    handles) sharing one directory compute each artifact once — the
+ *    holder loads, computes on a miss and stores before releasing;
+ *    a waiter then loads the published blob.  Lock files are empty
+ *    and live in a subdirectory, so they are never indexed or
+ *    evicted.  Lock order is always key lock, then index lock.
  */
 
 #ifndef SPLAB_CORE_ARTIFACT_CACHE_HH
@@ -44,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/serialize.hh"
@@ -81,6 +89,27 @@ struct CacheUsage
     u64 artifacts = 0;     ///< indexed artifact blobs
     u64 sharedBlobs = 0;   ///< indexed shared sub-blobs
     u64 residentBytes = 0; ///< artifact + shared payload bytes
+};
+
+/**
+ * Scoped exclusive flock on one file.  Advisory, so only
+ * ArtifactCache users contend.  A file that cannot be opened yields
+ * an unlocked (no-op) lock: the caller degrades to unlocked work
+ * instead of failing.  Default-constructed = holds nothing.
+ */
+class FileLock
+{
+  public:
+    FileLock() = default;
+    explicit FileLock(const std::string &path);
+    FileLock(FileLock &&o) noexcept : fd(std::exchange(o.fd, -1)) {}
+    FileLock &operator=(FileLock &&o) noexcept;
+    ~FileLock();
+
+    bool locked() const { return fd >= 0; }
+
+  private:
+    int fd = -1;
 };
 
 /** Content-addressed blob store under one directory. */
@@ -150,15 +179,37 @@ class ArtifactCache
     CacheUsage usage() const;
 
     /**
-     * Evict least-recently-used artifacts until the resident bytes
-     * (artifact blobs + shared sub-blobs) fit @p targetBytes,
-     * regardless of the construction-time budget; 0 evicts
-     * everything evictable.  This is the admin hook behind
-     * `splabd --evict`.  Runs under the same in-process mutex and
-     * cross-process file lock as any index mutation.
-     * @return post-eviction occupancy.
+     * Exclusive lock on artifact (@p family, @p key), shared with
+     * every process and cache handle on this directory.  Hold it
+     * across one loadArtifact and, on a miss, the compute and its
+     * storeArtifact.  Unlocked when the cache is disabled.
      */
-    CacheUsage evictToBytes(u64 targetBytes) const;
+    FileLock lockArtifact(const std::string &family, u64 key) const;
+
+    /**
+     * Load the serialized payload of artifact (@p family, @p key)
+     * into @p out.  A @p shared artifact is stored as a ref blob
+     * naming content-addressed sub-blobs (see storeArtifact); it is
+     * reassembled here, and a missing or corrupt sub-blob counts as
+     * a miss ("graph.shared_blob_fallbacks") so the caller
+     * recomputes and the store heals it.
+     * @return true on a hit.
+     */
+    bool loadArtifact(const std::string &family, u64 key, bool shared,
+                      std::vector<u8> &out) const;
+
+    /**
+     * Store serialized payload @p bytes of artifact (@p family,
+     * @p key).  Inline when @p sharedRanges is empty; otherwise each
+     * (offset, length) range becomes a shared sub-blob and the
+     * artifact a ref blob over their content hashes, so artifacts
+     * embedding identical ranges store them once.
+     */
+    void storeArtifact(
+        const std::string &family, u64 key,
+        const std::vector<u8> &bytes,
+        const std::vector<std::pair<std::size_t, std::size_t>>
+            &sharedRanges = {}) const;
 
     /**
      * Version salt mixed into every key; bump when serialized
@@ -170,6 +221,8 @@ class ArtifactCache
     struct IndexState; // index + mutex; lives behind a unique_ptr
                        // so the cache stays movable
 
+    /** "<kind>-<hex>": the file stem of a blob and of its lock. */
+    std::string stem(const std::string &kind, u64 key) const;
     std::string path(const std::string &kind, u64 key) const;
     std::string sharedFileName(u64 contentHash) const;
 
@@ -188,9 +241,8 @@ class ArtifactCache
     void indexRebuildLocked(IndexState &st) const;
 
     /** Evict LRU artifacts (sparing @p protect) until the resident
-     *  bytes fit @p evictBudget.  Caller holds both locks. */
-    void evictLocked(IndexState &st, const std::string &protect,
-                     u64 evictBudget) const;
+     *  bytes fit the budget.  Caller holds both locks. */
+    void evictLocked(IndexState &st, const std::string &protect) const;
 
     std::string root;
     u64 budget = 0;

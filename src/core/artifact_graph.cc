@@ -359,201 +359,6 @@ ExperimentConfig::describe(obs::RunManifest &m) const
     m.setConfig("experiment.content_hash", hashHex(contentHash()));
 }
 
-namespace
-{
-
-/** Wire-format version of ExperimentConfig::serialize. */
-constexpr u32 kConfigWireVersion = 1;
-
-/// @name Defensive wire readers (false on truncation, never fatal)
-/// @{
-template <typename T>
-bool
-rdGet(ByteReader &r, T &out)
-{
-    if (r.remaining() < sizeof(T))
-        return false;
-    out = r.get<T>();
-    return true;
-}
-
-bool
-rdString(ByteReader &r, std::string &out)
-{
-    u32 n = 0;
-    if (!rdGet(r, n) || r.remaining() < n)
-        return false;
-    std::vector<u8> raw = r.getRaw(n);
-    out.assign(raw.begin(), raw.end());
-    return true;
-}
-/// @}
-
-void
-wrString(ByteWriter &w, const std::string &s)
-{
-    w.put<u32>(static_cast<u32>(s.size()));
-    w.putRaw(reinterpret_cast<const u8 *>(s.data()), s.size());
-}
-
-void
-wrCacheParams(ByteWriter &w, const CacheParams &p)
-{
-    wrString(w, p.name);
-    w.put<u64>(p.sizeBytes);
-    w.put<u32>(p.ways);
-    w.put<u32>(p.lineBytes);
-    w.put<u8>(static_cast<u8>(p.replacement));
-}
-
-bool
-rdCacheParams(ByteReader &r, CacheParams &p)
-{
-    u8 replacement = 0;
-    if (!rdString(r, p.name) || !rdGet(r, p.sizeBytes) ||
-        !rdGet(r, p.ways) || !rdGet(r, p.lineBytes) ||
-        !rdGet(r, replacement) || replacement > 1)
-        return false;
-    p.replacement = static_cast<ReplacementPolicy>(replacement);
-    return true;
-}
-
-} // namespace
-
-void
-ExperimentConfig::serialize(ByteWriter &w) const
-{
-    w.put<u32>(kConfigWireVersion);
-
-    w.put<u32>(simpoint.maxK);
-    w.put<u64>(u64{simpoint.sliceInstrs});
-    w.put<u32>(simpoint.projectionDim);
-    w.put<double>(simpoint.bicFraction);
-    w.put<i32>(static_cast<i32>(simpoint.restarts));
-    w.put<i32>(static_cast<i32>(simpoint.maxIters));
-    w.put<u32>(simpoint.sampleCap);
-    w.put<double>(simpoint.mergeThreshold);
-    w.put<u64>(simpoint.seed);
-
-    w.put<u8>(static_cast<u8>(sampling.strategy));
-    w.put<u64>(sampling.smarts.k);
-    w.put<u64>(sampling.smarts.munit);
-    w.put<u64>(sampling.smarts.wunit);
-    w.put<u8>(sampling.smarts.allwarm ? 1 : 0);
-    w.put<u32>(sampling.stratified.strata);
-    w.put<u32>(sampling.stratified.budget);
-    w.put<u32>(sampling.stratified.pilotStride);
-    w.put<u64>(sampling.stratified.seed);
-    w.put<u32>(sampling.rankedSet.setSize);
-    w.put<u32>(sampling.rankedSet.cycles);
-    w.put<u32>(sampling.rankedSet.subsamples);
-    w.put<u64>(sampling.rankedSet.seed);
-    w.put<u32>(sampling.random.n);
-    w.put<u64>(sampling.random.seed);
-    w.put<u32>(sampling.stride.n);
-
-    wrCacheParams(w, allcache.l1i);
-    wrCacheParams(w, allcache.l1d);
-    wrCacheParams(w, allcache.l2);
-    wrCacheParams(w, allcache.l3);
-
-    wrString(w, machine.model);
-    w.put<double>(machine.frequencyGHz);
-    w.put<u32>(machine.dispatchWidth);
-    w.put<u32>(machine.robEntries);
-    w.put<u32>(machine.branchMispredictPenalty);
-    w.put<u32>(machine.l1LatencyCycles);
-    w.put<u32>(machine.l2LatencyCycles);
-    w.put<u32>(machine.l3LatencyCycles);
-    w.put<u32>(machine.memLatencyCycles);
-    w.put<u32>(machine.predictorHistoryBits);
-    wrCacheParams(w, machine.caches.l1i);
-    wrCacheParams(w, machine.caches.l1d);
-    wrCacheParams(w, machine.caches.l2);
-    wrCacheParams(w, machine.caches.l3);
-
-    w.put<u64>(warmupChunks);
-    w.put<double>(cost.wholeRate);
-    w.put<double>(cost.regionalRate);
-    w.put<double>(cost.pinballStartup);
-    w.put<double>(cost.loggerSlowdown);
-    w.put<double>(cost.nativeRate);
-}
-
-bool
-ExperimentConfig::deserialize(ByteReader &r, ExperimentConfig &out)
-{
-    u32 version = 0;
-    if (!rdGet(r, version) || version != kConfigWireVersion)
-        return false;
-
-    u64 sliceInstrs = 0;
-    i32 restarts = 0, maxIters = 0;
-    if (!rdGet(r, out.simpoint.maxK) || !rdGet(r, sliceInstrs) ||
-        !rdGet(r, out.simpoint.projectionDim) ||
-        !rdGet(r, out.simpoint.bicFraction) ||
-        !rdGet(r, restarts) || !rdGet(r, maxIters) ||
-        !rdGet(r, out.simpoint.sampleCap) ||
-        !rdGet(r, out.simpoint.mergeThreshold) ||
-        !rdGet(r, out.simpoint.seed))
-        return false;
-    out.simpoint.sliceInstrs = sliceInstrs;
-    out.simpoint.restarts = restarts;
-    out.simpoint.maxIters = maxIters;
-
-    u8 strategy = 0, allwarm = 0;
-    if (!rdGet(r, strategy) || strategy >= kNumStrategies ||
-        !rdGet(r, out.sampling.smarts.k) ||
-        !rdGet(r, out.sampling.smarts.munit) ||
-        !rdGet(r, out.sampling.smarts.wunit) || !rdGet(r, allwarm))
-        return false;
-    out.sampling.strategy = static_cast<StrategyKind>(strategy);
-    out.sampling.smarts.allwarm = allwarm != 0;
-    if (!rdGet(r, out.sampling.stratified.strata) ||
-        !rdGet(r, out.sampling.stratified.budget) ||
-        !rdGet(r, out.sampling.stratified.pilotStride) ||
-        !rdGet(r, out.sampling.stratified.seed) ||
-        !rdGet(r, out.sampling.rankedSet.setSize) ||
-        !rdGet(r, out.sampling.rankedSet.cycles) ||
-        !rdGet(r, out.sampling.rankedSet.subsamples) ||
-        !rdGet(r, out.sampling.rankedSet.seed) ||
-        !rdGet(r, out.sampling.random.n) ||
-        !rdGet(r, out.sampling.random.seed) ||
-        !rdGet(r, out.sampling.stride.n))
-        return false;
-
-    if (!rdCacheParams(r, out.allcache.l1i) ||
-        !rdCacheParams(r, out.allcache.l1d) ||
-        !rdCacheParams(r, out.allcache.l2) ||
-        !rdCacheParams(r, out.allcache.l3))
-        return false;
-
-    if (!rdString(r, out.machine.model) ||
-        !rdGet(r, out.machine.frequencyGHz) ||
-        !rdGet(r, out.machine.dispatchWidth) ||
-        !rdGet(r, out.machine.robEntries) ||
-        !rdGet(r, out.machine.branchMispredictPenalty) ||
-        !rdGet(r, out.machine.l1LatencyCycles) ||
-        !rdGet(r, out.machine.l2LatencyCycles) ||
-        !rdGet(r, out.machine.l3LatencyCycles) ||
-        !rdGet(r, out.machine.memLatencyCycles) ||
-        !rdGet(r, out.machine.predictorHistoryBits) ||
-        !rdCacheParams(r, out.machine.caches.l1i) ||
-        !rdCacheParams(r, out.machine.caches.l1d) ||
-        !rdCacheParams(r, out.machine.caches.l2) ||
-        !rdCacheParams(r, out.machine.caches.l3))
-        return false;
-
-    if (!rdGet(r, out.warmupChunks) ||
-        !rdGet(r, out.cost.wholeRate) ||
-        !rdGet(r, out.cost.regionalRate) ||
-        !rdGet(r, out.cost.pinballStartup) ||
-        !rdGet(r, out.cost.loggerSlowdown) ||
-        !rdGet(r, out.cost.nativeRate))
-        return false;
-    return r.atEnd();
-}
-
 /** Single-flight state of one (benchmark, kind) node. */
 struct ArtifactGraph::Node
 {
@@ -577,24 +382,19 @@ ArtifactGraph::ArtifactGraph(ExperimentConfig cfg)
 
 ArtifactGraph::ArtifactGraph(
     ExperimentConfig cfg, std::shared_ptr<const ArtifactCache> cache)
-    : ArtifactGraph(std::move(cfg), std::move(cache), nullptr)
-{
-}
-
-ArtifactGraph::ArtifactGraph(
-    ExperimentConfig cfg, std::shared_ptr<const ArtifactCache> cache,
-    std::unique_ptr<ArtifactBackend> backend)
     : cfg(std::move(cfg)), cache(std::move(cache)),
-      backend(std::move(backend)),
       pipe(this->cfg.simpoint, this->cache)
 {
     SPLAB_ASSERT(this->cache != nullptr,
                  "artifact graph needs a cache instance (may be "
                  "disabled, not null)");
-    // Default backend from the environment: a service client when
-    // SPLAB_SERVICE names a daemon socket, local otherwise.
-    if (!this->backend)
-        this->backend = makeBackend(this->cache, this->cfg);
+}
+
+ArtifactGraph::ArtifactGraph(
+    ExperimentConfig cfg, std::shared_ptr<const ArtifactCache> cache,
+    LocalBackendTag)
+    : ArtifactGraph(std::move(cfg), std::move(cache))
+{
 }
 
 ArtifactGraph::~ArtifactGraph() = default;
@@ -787,22 +587,21 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
         obs::TraceSpan span(info.spanName);
         // SPLAB_FUSED_PERSIST=0 keeps the fused node memory-resident
         // (pre-sharing behaviour); the projections persist either way.
-        bool persist = info.persisted &&
+        bool persist = info.persisted && cache->enabled() &&
                        (kind != ArtifactKind::WholeFused ||
                         fusedPersistEnabled());
         bool loaded = false;
-        ArtifactRequest req{name, kind, blobFamily(kind, cfg), 0,
-                            info.shared};
-        // The backend seam (artifact_backend.hh) decides *where*
-        // persisted bytes come from: the local ArtifactCache
-        // (including shared-sub-blob assembly) or a splabd daemon
-        // with local fallback.  Either way fetch yields exactly the
-        // serializeArtifact payload, so the value round-trips
-        // identically.
-        if (persist && backend->active()) {
-            req.key = artifactKey(name, kind);
+        std::string family = blobFamily(kind, cfg);
+        u64 key = 0;
+        // Held until the store below is published: another process
+        // (or cache handle) asking for this artifact waits here and
+        // then loads it instead of computing it a second time.
+        FileLock keyLock;
+        if (persist) {
+            key = artifactKey(name, kind);
+            keyLock = cache->lockArtifact(family, key);
             std::vector<u8> bytes;
-            if (backend->fetch(req, bytes)) {
+            if (cache->loadArtifact(family, key, info.shared, bytes)) {
                 ByteReader r(std::move(bytes));
                 v = deserializeArtifact(kind, r);
                 loaded = true;
@@ -814,11 +613,11 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
             v = computeValue(name, kind);
             computed.add();
             computedBy[static_cast<u8>(kind)]->add();
-            if (persist && backend->active()) {
+            if (persist) {
                 ByteWriter w;
                 serializeArtifact(w, v);
-                backend->publish(
-                    req, w.bytes(),
+                cache->storeArtifact(
+                    family, key, w.bytes(),
                     info.shared
                         ? sharedRanges(kind, w.bytes().size())
                         : std::vector<

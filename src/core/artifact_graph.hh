@@ -60,7 +60,13 @@
  *
  * Scheduling: accessors compute lazily with single-flight per node
  * (concurrent requests for the same node block until the one
- * computation finishes).  runSuite() fans (benchmark x target) tasks
+ * computation finishes).  A persisted node also holds its cache
+ * key lock (ArtifactCache::lockArtifact) across its one load and,
+ * on a miss, its compute and store, so graphs in other processes —
+ * or over other cache handles on the same directory — wait and then
+ * load instead of computing it again.  A holder only waits on the
+ * locks of its own upstream nodes, so the waits follow DAG edges and
+ * cannot cycle.  runSuite() fans (benchmark x target) tasks
  * over the global thread pool in topological kind order, so
  * cross-benchmark parallelism is the default for suite-wide benches
  * — while one benchmark's replays run, another's profile is being
@@ -221,15 +227,6 @@ struct ExperimentConfig
     /** Dump the configuration into a run manifest. */
     void describe(obs::RunManifest &m) const;
 
-    /**
-     * Field-wise wire serialization (leading format version), so a
-     * service client can ship its exact experiment configuration to
-     * the daemon.  deserialize() is defensive — bounds-checked,
-     * false on truncation or a version mismatch, never fatal — as
-     * the bytes arrive over a socket.
-     */
-    void serialize(ByteWriter &w) const;
-    static bool deserialize(ByteReader &r, ExperimentConfig &out);
 };
 
 /** The artifact kinds, in topological (dependency) order. */
@@ -289,15 +286,15 @@ void serializeArtifact(ByteWriter &w, const ArtifactValue &v);
 ArtifactValue deserializeArtifact(ArtifactKind k, ByteReader &r);
 /// @}
 
-class ArtifactBackend; // see artifact_backend.hh
+struct LocalBackendTag; // see artifact_backend.hh
 
 /**
  * Content-addressed, cross-benchmark-parallel experiment core.
  *
  * Thread-safe: accessors may be called concurrently (from inside
  * runSuite() tasks or from user code); each node computes exactly
- * once per process (single-flight) and at most once per cache
- * lifetime on disk.
+ * once per process (single-flight) and, when persisted, at most once
+ * per cache lifetime on disk across every process sharing it.
  */
 class ArtifactGraph
 {
@@ -308,15 +305,11 @@ class ArtifactGraph
     ArtifactGraph(ExperimentConfig cfg,
                   std::shared_ptr<const ArtifactCache> cache);
 
-    /**
-     * Additionally pin the artifact backend instead of deriving it
-     * from SPLAB_SERVICE (artifact_backend.hh: the splabd daemon
-     * passes makeLocalBackend so its own graphs never try to
-     * connect back to the daemon's socket).
-     */
+    /** Same as the two-argument form; the tag is a leftover of the
+     *  removed backend seam (see artifact_backend.hh). */
     ArtifactGraph(ExperimentConfig cfg,
                   std::shared_ptr<const ArtifactCache> cache,
-                  std::unique_ptr<ArtifactBackend> backend);
+                  LocalBackendTag);
 
     ~ArtifactGraph(); // out-of-line: Node is incomplete here
 
@@ -386,9 +379,7 @@ class ArtifactGraph
 
     /**
      * ensure() + serializeArtifact: the artifact's cache-blob payload
-     * bytes.  This is what the splabd daemon streams to clients (and
-     * what a RemoteBackend fetch returns), so daemon-served and
-     * locally computed artifacts are byte-identical by construction.
+     * bytes, whether the value was computed or loaded.
      */
     std::vector<u8> ensureSerialized(const std::string &name,
                                      ArtifactKind kind);
@@ -429,7 +420,6 @@ class ArtifactGraph
 
     ExperimentConfig cfg;
     std::shared_ptr<const ArtifactCache> cache;
-    std::unique_ptr<ArtifactBackend> backend; ///< never null
     PinPointsPipeline pipe;
 
     std::mutex registryMtx; ///< guards the node map only

@@ -1,5 +1,6 @@
 #include "env.hh"
 
+#include <cctype>
 #include <cstdlib>
 
 #include "logging.hh"
@@ -7,34 +8,49 @@
 namespace splab
 {
 
-double
-envDouble(const char *name, double fallback)
+namespace
+{
+
+/**
+ * Parse $name with @p parse (strtod-like), accepting the value only
+ * when the number spans the whole string bar trailing whitespace:
+ * strtol("512M") stops at 'M' and would silently yield 512.
+ */
+template <typename T, typename Parse>
+T
+envNumber(const char *name, T fallback, Parse parse)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
     char *end = nullptr;
-    double x = std::strtod(v, &end);
-    if (end == v) {
+    T x = parse(v, &end);
+    bool ok = end != v;
+    for (; ok && *end; ++end)
+        ok = std::isspace(static_cast<unsigned char>(*end)) != 0;
+    if (!ok) {
         SPLAB_WARN("ignoring non-numeric ", name, "=", v);
         return fallback;
     }
     return x;
 }
 
+} // namespace
+
+double
+envDouble(const char *name, double fallback)
+{
+    return envNumber(name, fallback, [](const char *v, char **end) {
+        return std::strtod(v, end);
+    });
+}
+
 long
 envLong(const char *name, long fallback)
 {
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    long x = std::strtol(v, &end, 10);
-    if (end == v) {
-        SPLAB_WARN("ignoring non-numeric ", name, "=", v);
-        return fallback;
-    }
-    return x;
+    return envNumber(name, fallback, [](const char *v, char **end) {
+        return std::strtol(v, end, 10);
+    });
 }
 
 std::string
@@ -74,12 +90,6 @@ cacheMaxBytes()
         return 0;
     }
     return static_cast<u64>(v);
-}
-
-std::string
-servicePath()
-{
-    return envString("SPLAB_SERVICE", "");
 }
 
 bool

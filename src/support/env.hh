@@ -40,14 +40,6 @@
  *                    farther under conservative bound arithmetic, so
  *                    assignments, distortion and centroid bytes are
  *                    bit-identical either way.
- *  - SPLAB_SERVICE : path of a splabd artifact-service Unix-domain
- *                    socket.  When set, every ArtifactGraph becomes
- *                    a service client: persisted artifacts are
- *                    requested from the shared daemon instead of
- *                    computed locally, with transparent fallback to
- *                    the local path when no daemon answers (see
- *                    core/artifact_backend.hh).  Unset/empty =
- *                    local-only (today's behaviour).
  *  - SPLAB_CACHE_MAX_BYTES: size budget for the on-disk artifact
  *                    cache.  When the resident bytes (artifact blobs
  *                    plus shared sub-blobs) exceed the budget after
@@ -67,10 +59,14 @@
 namespace splab
 {
 
-/** Read a double from the environment, falling back to @p fallback. */
+/** Read a double from the environment, falling back to @p fallback
+ *  when unset or empty.  A value with anything but whitespace after
+ *  the number ("0.1x") is rejected with a warning, also falling
+ *  back. */
 double envDouble(const char *name, double fallback);
 
-/** Read an integer from the environment. */
+/** Read a base-10 integer from the environment; same fallback and
+ *  rejection rules as envDouble ("512M" falls back, " 7 " is 7). */
 long envLong(const char *name, long fallback);
 
 /** Read a string from the environment. */
@@ -85,11 +81,6 @@ std::string artifactCacheDir();
 /** Artifact-cache size budget in bytes (SPLAB_CACHE_MAX_BYTES);
  *  0 = unbounded.  Re-read per call so tests can toggle it. */
 u64 cacheMaxBytes();
-
-/** Artifact-service daemon socket path (SPLAB_SERVICE); empty =
- *  no daemon, local-only artifact resolution.  Re-read per call so
- *  tests can point individual graphs at scratch daemons. */
-std::string servicePath();
 
 /** Whether the fused whole-run artifact is persisted to the disk
  *  cache (SPLAB_FUSED_PERSIST; default on). */

@@ -22,11 +22,12 @@
  * composed parallel stages (a parallel k-sweep whose per-k restarts
  * are themselves parallelMap calls) neither deadlock nor
  * oversubscribe.  The pool runs one job at a time: a call from a
- * second outside thread (say, two daemon connection handlers) while
- * a job is in flight runs its indices inline on that thread instead
- * of waiting.  A task may therefore wait only on work already running
- * on another thread (as ArtifactGraph's single-flight node wait
- * does), never on a pool index that has not yet started.
+ * second outside thread (say, two threads each driving their own
+ * ArtifactGraph) while a job is in flight runs its indices inline on
+ * that thread instead of waiting.  A task may therefore wait only on
+ * work already running on another thread (as ArtifactGraph's
+ * single-flight node wait and its cache key-lock wait do), never on
+ * a pool index that has not yet started.
  */
 
 #ifndef SPLAB_SUPPORT_THREAD_POOL_HH

@@ -3,17 +3,20 @@
  * The artifact graph's contracts: Merkle key precision (every config
  * field keys exactly the artifacts it shapes), single-flight per
  * node, byte-identical values and counter snapshots at any
- * SPLAB_THREADS, and cold/warm artifact-cache coherence.
+ * SPLAB_THREADS, cold/warm artifact-cache coherence, and one
+ * computation per artifact across cache handles on one directory.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "core/artifact_graph.hh"
 #include "obs/counters.hh"
@@ -374,9 +377,10 @@ TEST(ArtifactGraphCache, ColdThenWarmRunsAreByteIdentical)
 
 /**
  * Raw bytes of every *blob* file in @p dir, keyed by filename.  The
- * cache's bookkeeping files ("index.bin", "index.lock") are skipped:
- * the index records scheduling-dependent last-use stamps, so only
- * the content-addressed blobs are comparable across runs and thread
+ * cache's bookkeeping ("index.bin", "index.lock" and the "locks/"
+ * directory of empty key-lock files) is skipped: the index records
+ * scheduling-dependent last-use stamps, so only the
+ * content-addressed blobs are comparable across runs and thread
  * counts.
  */
 std::map<std::string, std::vector<char>>
@@ -385,7 +389,7 @@ dirContents(const std::string &dir)
     std::map<std::string, std::vector<char>> out;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         std::string name = e.path().filename().string();
-        if (name.rfind("index.", 0) == 0)
+        if (name.rfind("index.", 0) == 0 || !e.is_regular_file())
             continue;
         std::ifstream f(e.path(), std::ios::binary);
         out[name] = {std::istreambuf_iterator<char>(f),
@@ -918,6 +922,51 @@ TEST(BbvProfilePersistence, CorruptBlobIsRecomputed)
     EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 0u);
     EXPECT_EQ(counterOr0(stats, "graph.loaded.bbvprofile"),
               kBenches.size());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SharedCacheLock, TwoHandlesOnOneDirectoryComputeOnce)
+{
+    std::string dir = testing::TempDir() + "/splab-two-handles";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ThreadPool::setGlobalThreads(4);
+    obs::resetCounters();
+
+    // Two graphs over two cache handles on one directory behave like
+    // two processes: they share no in-process single-flight.
+    auto openGraph = [&] {
+        return std::make_unique<ArtifactGraph>(
+            fastConfig(), std::make_shared<const ArtifactCache>(
+                              ArtifactCache(dir)));
+    };
+    std::unique_ptr<ArtifactGraph> graphs[2] = {openGraph(),
+                                                openGraph()};
+    // Resolve the unpersisted spec up front, so both threads reach
+    // the profile's key lock together.
+    for (auto &g : graphs)
+        g->spec(kBenches[0]);
+
+    std::barrier sync(2);
+    std::vector<u8> bytes[2];
+    std::thread threads[2];
+    for (int i = 0; i < 2; ++i)
+        threads[i] = std::thread([&, i] {
+            sync.arrive_and_wait();
+            bytes[i] = graphs[i]->ensureSerialized(
+                kBenches[0], ArtifactKind::BbvProfile);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    ThreadPool::setGlobalThreads(0);
+
+    // One handle computed and stored under the key lock; the other
+    // waited on it and loaded the published blob.
+    auto stats = obs::counterSnapshot();
+    EXPECT_EQ(counterOr0(stats, "graph.computed.bbvprofile"), 1u);
+    EXPECT_EQ(counterOr0(stats, "graph.loaded.bbvprofile"), 1u);
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_EQ(bytes[0], bytes[1]);
     std::filesystem::remove_all(dir);
 }
 

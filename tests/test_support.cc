@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the support library: RNG, serialization, tables,
- * numeric helpers.
+ * numeric helpers, environment knobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 
+#include "support/env.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/stats_util.hh"
@@ -262,6 +264,33 @@ TEST(StatsUtil, Pearson)
     EXPECT_NEAR(pearson(x, yUp), 1.0, 1e-12);
     EXPECT_NEAR(pearson(x, yDown), -1.0, 1e-12);
     EXPECT_DOUBLE_EQ(pearson(x, {1, 1, 1, 1, 1}), 0.0);
+}
+
+TEST(Env, NumbersMustSpanTheWholeValue)
+{
+    // A numeric prefix is not a number: "512M" must not become a
+    // 512-byte cache budget.  Rejected values fall back.
+    const char *var = "SPLAB_TEST_ENV_NUMBER";
+    auto longOf = [&](const char *v) {
+        setenv(var, v, 1);
+        return envLong(var, -1);
+    };
+    auto doubleOf = [&](const char *v) {
+        setenv(var, v, 1);
+        return envDouble(var, -1.0);
+    };
+    EXPECT_EQ(longOf("4096"), 4096);
+    EXPECT_EQ(longOf("512M"), -1);
+    EXPECT_EQ(longOf("1.5x"), -1);
+    EXPECT_EQ(longOf(" 7 "), 7);
+    EXPECT_EQ(longOf(""), -1);
+    EXPECT_DOUBLE_EQ(doubleOf("4096"), 4096.0);
+    EXPECT_DOUBLE_EQ(doubleOf("512M"), -1.0);
+    EXPECT_DOUBLE_EQ(doubleOf("1.5x"), -1.0);
+    EXPECT_DOUBLE_EQ(doubleOf(" 7 "), 7.0);
+    EXPECT_DOUBLE_EQ(doubleOf(""), -1.0);
+    unsetenv(var);
+    EXPECT_EQ(envLong(var, -1), -1);
 }
 
 } // namespace
