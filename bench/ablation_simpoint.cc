@@ -17,6 +17,12 @@ using namespace splab;
 namespace
 {
 
+/** A representative spread of the suite keeps the ablation cheap. */
+const std::vector<std::string> kAblationBenches = {
+    "505.mcf_r", "623.xalancbmk_s", "620.omnetpp_s",
+    "503.bwaves_r", "511.povray_r", "519.lbm_r",
+    "631.deepsjeng_s", "549.fotonik3d_r"};
+
 struct AblationRow
 {
     std::string label;
@@ -33,11 +39,7 @@ evaluate(const std::string &label, const SimPointConfig &cfg,
     AblationRow row;
     row.label = label;
     double n = 0;
-    // A representative spread of the suite keeps the ablation cheap.
-    for (const char *name :
-         {"505.mcf_r", "623.xalancbmk_s", "620.omnetpp_s",
-          "503.bwaves_r", "511.povray_r", "519.lbm_r",
-          "631.deepsjeng_s", "549.fotonik3d_r"}) {
+    for (const std::string &name : kAblationBenches) {
         const BenchmarkSpec &spec = baseline.spec(name);
         SimPointResult r = pipe.simpoints(spec);
         row.avgPoints += static_cast<double>(r.points.size());
@@ -70,15 +72,16 @@ main(int, char **argv)
                   "DESIGN.md section 5 (not a paper figure)");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    graph.runSuite({"505.mcf_r", "623.xalancbmk_s", "620.omnetpp_s",
-                    "503.bwaves_r", "511.povray_r", "519.lbm_r",
-                    "631.deepsjeng_s", "549.fotonik3d_r"},
-                   {ArtifactKind::WholeCache});
-    TableWriter t("Ablation - 8-benchmark averages per config");
-    t.header({"Config", "Points", "Points@90%", "Mix err"});
-    CsvWriter csv;
-    csv.header({"config", "avg_points", "avg_points90",
-                "avg_mix_err"});
+    graph.runSuite(kAblationBenches, {ArtifactKind::WholeCache});
+    bench::ReportSink sink(argv[0],
+                           "Ablation - 8-benchmark averages per config");
+    sink.schema({{"Config", "config"},
+                 {"Points", "avg_points"},
+                 {"Points@90%", "avg_points90"},
+                 {"Mix err", "avg_mix_err"}});
+    graph.config().describe(sink.manifest());
+    graph.recordArtifacts(sink.manifest(), kAblationBenches,
+                          {ArtifactKind::WholeCache});
 
     std::vector<std::pair<std::string, SimPointConfig>> configs;
     {
@@ -110,17 +113,17 @@ main(int, char **argv)
 
     for (const auto &[label, cfg] : configs) {
         AblationRow row = evaluate(label, cfg, graph);
-        t.row({row.label, fmt(row.avgPoints, 1),
-               fmt(row.avgPoints90, 1), fmtPct(row.avgMixErr)});
-        csv.row({row.label, fmt(row.avgPoints, 2),
-                 fmt(row.avgPoints90, 2), fmt(row.avgMixErr, 6)});
+        sink.row({row.label,
+                  {fmt(row.avgPoints, 1), fmt(row.avgPoints, 2)},
+                  {fmt(row.avgPoints90, 1), fmt(row.avgPoints90, 2)},
+                  {fmtPct(row.avgMixErr), fmt(row.avgMixErr, 6)}});
     }
-    t.print();
+    sink.printTable();
 
     std::printf("\nReading the table: too few projection dims or a "
                 "low BIC fraction lose phases\n(points drop, mix "
                 "error rises); disabling the overlap merge inflates "
                 "the point\ncount by splitting dominant phases.\n");
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

@@ -46,18 +46,21 @@ runConfig(const BenchmarkSpec &spec, u32 maxK, double sliceM,
     return row;
 }
 
-void
-emit(TableWriter &t, CsvWriter &csv, const std::string &label,
-     const AggregateCacheMetrics &m)
+/** Table text (percent) and CSV value (6 decimals) of one row. */
+std::vector<bench::ReportSink::Cell>
+cells(const std::string &label, const AggregateCacheMetrics &m)
 {
-    t.row({label, fmtPct(m.mixFrac[0]), fmtPct(m.mixFrac[1]),
-           fmtPct(m.mixFrac[2]), fmtPct(m.mixFrac[3]),
-           fmtPct(m.l1dMissRate), fmtPct(m.l2MissRate),
-           fmtPct(m.l3MissRate)});
-    csv.row({label, fmt(m.mixFrac[0], 6), fmt(m.mixFrac[1], 6),
-             fmt(m.mixFrac[2], 6), fmt(m.mixFrac[3], 6),
-             fmt(m.l1dMissRate, 6), fmt(m.l2MissRate, 6),
-             fmt(m.l3MissRate, 6)});
+    auto cell = [](double v) {
+        return bench::ReportSink::Cell{fmtPct(v), fmt(v, 6)};
+    };
+    return {label,
+            cell(m.mixFrac[0]),
+            cell(m.mixFrac[1]),
+            cell(m.mixFrac[2]),
+            cell(m.mixFrac[3]),
+            cell(m.l1dMissRate),
+            cell(m.l2MissRate),
+            cell(m.l3MissRate)};
 }
 
 } // namespace
@@ -76,39 +79,63 @@ main(int, char **argv)
     AggregateCacheMetrics whole =
         wholeAsAggregate(graph.wholeCache(name));
 
-    CsvWriter csv;
-    csv.header({"config", "no_mem", "mem_r", "mem_w", "mem_rw",
-                "l1d_miss", "l2_miss", "l3_miss"});
+    // The sink's table is Fig 3(a); Fig 3(b) is a second table whose
+    // rows continue the same CSV.
+    bench::ReportSink sink(argv[0],
+                           "Fig 3(a) - varying MaxK (slice = 30M-eq)");
+    sink.schema({{"Config", "config"},
+                 {"NO_MEM", "no_mem"},
+                 {"MEM_R", "mem_r"},
+                 {"MEM_W", "mem_w"},
+                 {"MEM_RW", "mem_rw"},
+                 {"L1D miss", "l1d_miss"},
+                 {"L2 miss", "l2_miss"},
+                 {"L3 miss", "l3_miss"}});
+    graph.config().describe(sink.manifest());
+    graph.recordArtifacts(sink.manifest(), {name},
+                          {ArtifactKind::WholeCache});
+    sink.manifest().setConfig("fig3.benchmark", name);
+    sink.manifest().setConfig("fig3.slice_for_maxk_sweep_m",
+                              scale::kChosenSliceM);
+    sink.manifest().setConfig("fig3.maxk_for_slice_sweep",
+                              scale::kChosenMaxK);
 
-    TableWriter ta("Fig 3(a) - varying MaxK (slice = 30M-eq)");
-    ta.header({"Config", "NO_MEM", "MEM_R", "MEM_W", "MEM_RW",
-               "L1D miss", "L2 miss", "L3 miss"});
-    emit(ta, csv, "Full Run", whole);
-    ta.separator();
+    sink.row(cells("Full Run", whole));
+    sink.separator();
     for (u32 maxK : scale::kMaxKSweep) {
         ConfigRow row =
             runConfig(spec, maxK, scale::kChosenSliceM, caches,
                       graph);
-        emit(ta, csv, row.label, row.agg);
+        sink.row(cells(row.label, row.agg));
     }
-    ta.print();
+    sink.printTable();
 
     TableWriter tb("Fig 3(b) - varying slice size (MaxK = 35)");
     tb.header({"Config", "NO_MEM", "MEM_R", "MEM_W", "MEM_RW",
                "L1D miss", "L2 miss", "L3 miss"});
-    emit(tb, csv, "Full Run", whole);
+    auto emitB = [&](const std::string &label,
+                     const AggregateCacheMetrics &m) {
+        std::vector<std::string> tr, cr;
+        for (const bench::ReportSink::Cell &c : cells(label, m)) {
+            tr.push_back(c.table);
+            cr.push_back(c.csv);
+        }
+        tb.row(std::move(tr));
+        sink.csvOnlyRow(cr);
+    };
+    emitB("Full Run", whole);
     tb.separator();
     for (double sliceM : scale::kPaperSliceSweepM) {
         ConfigRow row =
             runConfig(spec, scale::kChosenMaxK, sliceM, caches,
                       graph);
-        emit(tb, csv, row.label, row.agg);
+        emitB(row.label, row.agg);
     }
     tb.print();
 
     std::printf("\nExpected shape: instruction-mix errors shrink as "
                 "MaxK grows; L3 miss-rate\nerror shrinks as the "
                 "slice grows (cold-cache effect fades).\n");
-    bench::saveCsv(csv, argv[0]);
+    sink.finish();
     return 0;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Clustering microbench: the triangle-inequality-accelerated k-means
- * (SPLAB_KMEANS_ACCEL, Hamerly-style bounds in the Lloyd iterations
- * plus half-distance pruning in the fixed-centroid scans) against the
- * brute-force nearest-centroid path, on the paper-default BIC k-sweep
- * over real per-benchmark BBV profiles.
+ * Clustering microbench: the accelerated k-means (SPLAB_KMEANS_ACCEL:
+ * Hamerly-style bounds in the Lloyd iterations, the lane-parallel
+ * tile kernel for full scans and k-means++ seeding, half-distance
+ * pruning in the whole-run assignment) against the brute-force
+ * scalar path, on the paper-default BIC k-sweep over real
+ * per-benchmark BBV profiles.
  *
  * Always runs in check mode: every comparison byte-compares the
  * serialized SimPointResult (assignments, centroid doubles, sweep
@@ -12,7 +13,8 @@
  * mismatch — the acceleration contract is exact equality, not
  * approximation.  Wall times and the pruned-distance fraction go to
  * the paper-style tables, "<binary>.csv" and a "BENCH_kmeans.json"
- * baseline for perf tracking.
+ * baseline for perf tracking, which also records the core count,
+ * the pool size, SPLAB_SCALE and the tile-kernel build that ran.
  */
 
 #include <chrono>
@@ -20,6 +22,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -32,6 +35,7 @@
 #include "support/env.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
+#include "support/thread_pool.hh"
 #include "workload/suite.hh"
 
 namespace splab
@@ -112,10 +116,15 @@ main(int, char **argv)
     const char *accelOld = std::getenv("SPLAB_KMEANS_ACCEL");
     bool identical = true;
 
-    bench::banner("k-means: triangle-inequality pruning",
+    const unsigned nproc = std::thread::hardware_concurrency();
+    const std::size_t poolThreads = ThreadPool::global().threads();
+    const char *kernel = activeTileKernel().name;
+    bench::banner("k-means: bounds and tile kernel",
                   "BIC k-sweep (k = 1.." +
                       std::to_string(cfg.simpoint.maxK) +
                       ") vs brute-force nearest-centroid scans");
+    std::printf("nproc %u, pool threads %zu, tile kernel %s\n\n",
+                nproc, poolThreads, kernel);
 
     CsvWriter csv;
     csv.header({"section", "bench", "slices", "brute_sec",
@@ -183,7 +192,7 @@ main(int, char **argv)
     sweepTable.row({"brute force", fmt(bruteSec, 3),
                     fmtCount(bruteWork.computed), "-", fmtX(1.0, 2),
                     "-"});
-    sweepTable.row({"tri-inequality", fmt(accelSec, 3),
+    sweepTable.row({"accelerated", fmt(accelSec, 3),
                     fmtCount(accelWork.computed),
                     fmtPct(prunedFrac), fmtX(sweepSpeedup, 2),
                     identical ? "yes" : "NO"});
@@ -272,7 +281,9 @@ main(int, char **argv)
     if (std::FILE *f = std::fopen(jsonPath.c_str(), "w")) {
         std::fprintf(
             f,
-            "{\"bench\":\"micro_kmeans\",\"benchmarks\":%zu,"
+            "{\"bench\":\"micro_kmeans\",\"nproc\":%u,"
+            "\"pool_threads\":%zu,\"scale\":%.3g,"
+            "\"tile_kernel\":\"%s\",\"benchmarks\":%zu,"
             "\"max_k\":%u,\"slices\":%llu,"
             "\"sweep_brute_sec\":%.4f,\"sweep_accel_sec\":%.4f,"
             "\"sweep_speedup\":%.3f,"
@@ -281,6 +292,7 @@ main(int, char **argv)
             "\"pruned_fraction\":%.4f,"
             "\"assign_brute_sec\":%.4f,\"assign_accel_sec\":%.4f,"
             "\"assign_speedup\":%.3f,\"identical\":%s}\n",
+            nproc, poolThreads, workloadScale(), kernel,
             benches.size(), cfg.simpoint.maxK,
             static_cast<unsigned long long>(totalSlices), bruteSec,
             accelSec, sweepSpeedup,

@@ -1,6 +1,9 @@
 #include "kmeans.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -31,6 +34,163 @@ squaredDistance(const std::vector<double> &a,
 {
     SPLAB_ASSERT(a.size() == b.size(), "dimension mismatch");
     return squaredDistance(a.data(), b.data(), a.size());
+}
+
+void
+DistanceTile::assign(const DenseMatrix &m)
+{
+    nRows = m.rows();
+    nCols = m.cols();
+    const std::size_t full = nRows / kBlockRows * kBlockRows;
+    const std::size_t tail = tailLanes();
+    // 8 spare doubles let the block storage start on a 64-byte
+    // boundary, so no lane load straddles a cache line.
+    buf.assign(full * nCols + tail * nCols + 8, 0.0);
+    offset = (64 - reinterpret_cast<std::uintptr_t>(buf.data()) % 64) %
+             64 / sizeof(double);
+    double *blk = buf.data() + offset;
+    for (std::size_t r0 = 0; r0 < nRows; r0 += kBlockRows) {
+        const std::size_t lanes = r0 < full ? kBlockRows : tail;
+        const std::size_t used = std::min(kBlockRows, nRows - r0);
+        for (std::size_t j = 0; j < used; ++j) {
+            const double *src = m.row(r0 + j);
+            for (std::size_t d = 0; d < nCols; ++d)
+                blk[d * lanes + j] = src[d];
+        }
+        blk += lanes * nCols;
+    }
+}
+
+namespace
+{
+
+/**
+ * The tile kernel, written once over a GCC vector type V of L
+ * doubles.  A block of rows keeps one accumulator per vector G, so
+ * the adds of different rows overlap instead of waiting on each
+ * other as the scalar loop's do.  The per-vector steps are unrolled
+ * by a fold expression: constant indices let the compiler keep the
+ * accumulators in registers.
+ */
+template <typename V, std::size_t... G>
+[[gnu::always_inline]] inline void
+blockDistances(const double *row, const double *blk, std::size_t dim,
+               double *out, std::size_t nOut,
+               std::index_sequence<G...>)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    constexpr std::size_t W = sizeof...(G) * L;
+    V acc[sizeof...(G)] = {};
+    for (std::size_t d = 0; d < dim; ++d) {
+        const double x = row[d];
+        const double *col = blk + d * W;
+        (
+            [&] {
+                V c;
+                std::memcpy(&c, col + G * L, sizeof c);
+                V t = x - c;
+                acc[G] += t * t;
+            }(),
+            ...);
+    }
+    // Only the first nOut lanes are results; the rest are padding.
+    double lanes[W];
+    double *dst = nOut == W ? out : lanes;
+    (
+        [&] {
+            const V v = acc[G];
+            std::memcpy(dst + G * L, &v, sizeof v);
+        }(),
+        ...);
+    if (dst == lanes)
+        std::copy(lanes, lanes + nOut, out);
+}
+
+/** Distances from @p row to every row of @p tile, in blocks of
+ *  kBlockRows and one narrower tail block. */
+template <typename V>
+[[gnu::always_inline]] inline void
+tileDistances(const double *row, const DistanceTile &tile,
+              double *out)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    constexpr std::size_t B = DistanceTile::kBlockRows;
+    static_assert(DistanceTile::kLanePad % L == 0,
+                  "tail blocks must hold whole vectors");
+    const std::size_t dim = tile.cols();
+    const std::size_t n = tile.rows();
+    const double *blk = tile.data();
+    std::size_t r = 0;
+    for (; r + B <= n; r += B, blk += B * dim)
+        blockDistances<V>(row, blk, dim, out + r, B,
+                          std::make_index_sequence<B / L>());
+    switch (tile.tailLanes()) {
+    case 4:
+        blockDistances<V>(row, blk, dim, out + r, n - r,
+                          std::make_index_sequence<4 / L>());
+        break;
+    case 8:
+        blockDistances<V>(row, blk, dim, out + r, n - r,
+                          std::make_index_sequence<8 / L>());
+        break;
+    case 12:
+        blockDistances<V>(row, blk, dim, out + r, n - r,
+                          std::make_index_sequence<12 / L>());
+        break;
+    case 16:
+        blockDistances<V>(row, blk, dim, out + r, n - r,
+                          std::make_index_sequence<16 / L>());
+        break;
+    default:
+        break;
+    }
+}
+
+typedef double Lanes2 __attribute__((vector_size(16)));
+
+void
+tileDistancesBase(const double *row, const DistanceTile &tile,
+                  double *out)
+{
+    tileDistances<Lanes2>(row, tile, out);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+constexpr const char *kBaseName = "sse2";
+
+typedef double Lanes4 __attribute__((vector_size(32)));
+
+// AVX2 only: "fma" (or arch=x86-64-v3) would let the compiler fuse
+// t * t into the add, which rounds once instead of twice and breaks
+// the equality with squaredDistance.
+__attribute__((target("avx2"))) void
+tileDistancesAvx2(const double *row, const DistanceTile &tile,
+                  double *out)
+{
+    tileDistances<Lanes4>(row, tile, out);
+}
+#else
+constexpr const char *kBaseName = "generic";
+#endif
+
+} // namespace
+
+std::vector<TileKernel>
+supportedTileKernels()
+{
+    std::vector<TileKernel> builds = {{kBaseName, tileDistancesBase}};
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx2"))
+        builds.push_back({"avx2", tileDistancesAvx2});
+#endif
+    return builds;
+}
+
+const TileKernel &
+activeTileKernel()
+{
+    static const TileKernel picked = supportedTileKernels().back();
+    return picked;
 }
 
 double
@@ -83,9 +243,9 @@ constexpr double kMaxD = std::numeric_limits<double>::max();
 /**
  * Conservative bound margins.  The rule that makes pruning *safe*
  * rather than approximate: every stored lower bound is deflated by
- * kDistShrink / kSqShrink, every upper bound inflated by kDistGrow /
- * kSqGrow, and every pruning test demands one further margin factor
- * plus an absolute slack in its favor.  The relative margin (1e-6)
+ * kDistShrink, every upper bound inflated by kDistGrow, and every
+ * pruning test demands one further margin factor plus an absolute
+ * slack in its favor.  The relative margin (1e-6)
  * exceeds the distance kernel's worst-case relative rounding error
  * (~1e-13 at these dimensionalities) by seven orders of magnitude,
  * so a passed test is a *proof* about the computed (not just the
@@ -96,15 +256,9 @@ constexpr double kMaxD = std::numeric_limits<double>::max();
  * reproduce brute-force tie-breaking bit-for-bit.
  */
 constexpr double kBoundMargin = 1e-6;
-constexpr double kDistGrow = 1.0 + kBoundMargin;   // distance space
-constexpr double kDistShrink = 1.0 - kBoundMargin; // distance space
-constexpr double kSqGrow = 1.0 + kBoundMargin;     // squared space
-constexpr double kSqShrink = 1.0 - kBoundMargin;   // squared space
+constexpr double kDistGrow = 1.0 + kBoundMargin;
+constexpr double kDistShrink = 1.0 - kBoundMargin;
 constexpr double kAbsSlackDist = 1e-140;
-constexpr double kAbsSlackSq = 1e-280;
-
-/** Sentinel for "no cached centroid distance" in scanPoint. */
-constexpr u32 kNoCached = ~static_cast<u32>(0);
 
 /** Conservative lower bound on the runner-up distance from a scan's
  *  second-best computed squared distance.  second2 stays kMaxD when
@@ -119,62 +273,62 @@ lowerBoundFromSecond(double second2)
 }
 
 /**
- * Index-order nearest-centroid scan tracking best and second-best
- * computed squared distances.  Bit-equivalent to the brute scan for
- * (best, bestC): with @p geo, a candidate is skipped only when the
- * triangle inequality proves its computed distance strictly exceeds
- * the current *second*-best — which also proves the brute scan's
- * `d < best` comparison false.  The final second2 remains a valid
- * input for a runner-up lower bound: every skipped candidate was
- * proven farther than the second-best at skip time, and second2
- * only shrinks afterwards.
- *
- * @param cachedC centroid whose exact distance the caller already
- *                computed this iteration (kNoCached = none); reused
- *                bit-for-bit instead of re-evaluating.
+ * Index-order strict-`<` argmin over the k squared distances in
+ * @p dist: the brute scan's winner and its distance, plus the exact
+ * second-best (kMaxD when k == 1) for the runner-up bound.
  */
 void
-scanPoint(const double *p, std::size_t dim, const DenseMatrix &cents,
-          const NearestCentroids *geo, u32 cachedC, double cachedD2,
-          double &best, u32 &bestC, double &second2,
-          DistanceKernelStats &st)
+argminTwo(const double *dist, u32 k, double &best, u32 &bestC,
+          double &second2)
 {
-    const u32 k = static_cast<u32>(cents.rows());
     best = kMaxD;
     second2 = kMaxD;
     bestC = 0;
-    double ubNow = 0.0;  // inflated sqrt(best) once best is set
-    double slbNow = 0.0; // deflated sqrt(second2), +inf until set
-    const double inf = std::numeric_limits<double>::infinity();
     for (u32 c = 0; c < k; ++c) {
-        if (geo && best < kMaxD &&
-            2.0 * geo->halfLowAt(bestC, c) - ubNow >
-                slbNow + kAbsSlackDist) {
-            ++st.pruned;
-            continue;
-        }
-        double d;
-        if (c == cachedC) {
-            d = cachedD2;
-        } else {
-            d = squaredDistance(p, cents.row(c), dim);
-            ++st.computed;
-        }
+        const double d = dist[c];
         if (d < best) {
             second2 = best;
             best = d;
             bestC = c;
-            if (geo) {
-                ubNow = std::sqrt(best) * kDistGrow;
-                slbNow = second2 < kMaxD
-                             ? std::sqrt(second2) * kDistShrink
-                             : inf;
-            }
         } else if (d < second2) {
             second2 = d;
-            if (geo)
-                slbNow = std::sqrt(second2) * kDistShrink;
         }
+    }
+}
+
+/**
+ * For every centroid, a conservative lower bound on half the
+ * distance to its nearest other centroid (+inf when k == 1), from
+ * tile scans of @p tile (the same centroids).  The rounded map
+ * d2 -> 0.5 * sqrt(d2) * kDistShrink is monotone, so it is applied
+ * once, to the smallest squared distance.  A non-finite distance
+ * collapses the bound to 0: lower bounds may only shrink when the
+ * arithmetic gives out.
+ */
+void
+halfSeparations(const DenseMatrix &cents, const DistanceTile &tile,
+                const TileKernel &kernel, std::vector<double> &sLow,
+                DistanceKernelStats &st)
+{
+    const u32 k = static_cast<u32>(cents.rows());
+    sLow.assign(k, std::numeric_limits<double>::infinity());
+    if (k < 2)
+        return;
+    std::vector<double> dist(k);
+    for (u32 a = 0; a < k; ++a) {
+        kernel.distances(cents.row(a), tile, dist.data());
+        st.computed += k;
+        double m = kMaxD;
+        bool finite = true;
+        for (u32 b = 0; b < k; ++b) {
+            if (b == a)
+                continue;
+            if (!std::isfinite(dist[b]))
+                finite = false;
+            else if (dist[b] < m)
+                m = dist[b];
+        }
+        sLow[a] = finite ? 0.5 * std::sqrt(m) * kDistShrink : 0.0;
     }
 }
 
@@ -191,71 +345,60 @@ struct AssignAccum
     double distortion = 0.0;
     bool changed = false;
     DistanceKernelStats stats;
+    std::vector<double> dist; ///< one point's k centroid distances
 };
 
 /**
  * k-means++ initial centroid selection (sequential: each draw
  * conditions on the previous centroid).  d2[i] tracks the exact
- * squared distance from point i to its closest placed centroid, and
- * bestIdx[i] which centroid achieves it; with @p accel, a point
- * skips the distance to the newest centroid when a quarter of the
- * (deflated) squared centroid-to-centroid distance provably exceeds
- * d2[i] — by the triangle inequality the newest centroid is then
- * strictly farther, so d2, the sampling weights, and every RNG draw
- * stay bit-identical to the brute pass.
+ * squared distance from point i to its closest placed centroid.
+ * With @p accel, each new centroid is scored against a tile of the
+ * points; the kernel returns the same doubles as squaredDistance,
+ * and d2, the running total and every RNG draw are updated in index
+ * order, so the picks are bit-identical to the scalar pass.
  */
 DenseMatrix
 seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
               DistanceKernelStats &st)
 {
+    const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
     DenseMatrix centroids(k, dim);
     u32 placed = 0;
-    centroids.setRow(placed++, points.row(rng.below(points.rows())));
+    centroids.setRow(placed++, points.row(rng.below(n)));
 
-    std::vector<double> d2(points.rows(), kMaxD);
-    std::vector<u32> bestIdx(points.rows(), 0);
-    std::vector<double> quarterLow;
+    std::vector<double> d2(n, kMaxD);
+    std::vector<double> dist;
+    DistanceTile tile;
+    const TileKernel &kernel = activeTileKernel();
+    if (accel && k > 1) {
+        tile.assign(points);
+        dist.resize(n);
+    }
     while (placed < k) {
         double total = 0.0;
-        const u32 lastIdx = placed - 1;
-        const double *last = centroids.row(lastIdx);
-        const bool prune = accel && lastIdx >= 1;
-        if (prune) {
-            quarterLow.assign(lastIdx, 0.0);
-            for (u32 j = 0; j < lastIdx; ++j)
-                quarterLow[j] = 0.25 *
-                                squaredDistance(centroids.row(j),
-                                                last, dim) *
-                                kSqShrink;
-            st.computed += lastIdx;
-        }
-        for (std::size_t i = 0; i < points.rows(); ++i) {
-            if (prune && quarterLow[bestIdx[i]] >
-                             d2[i] * kSqGrow + kAbsSlackSq) {
-                ++st.pruned;
-                total += d2[i];
-                continue;
-            }
-            double d = squaredDistance(points.row(i), last, dim);
-            ++st.computed;
-            if (d < d2[i]) {
+        const double *last = centroids.row(placed - 1);
+        if (accel)
+            kernel.distances(last, tile, dist.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            double d = accel ? dist[i]
+                             : squaredDistance(points.row(i), last,
+                                               dim);
+            if (d < d2[i])
                 d2[i] = d;
-                bestIdx[i] = lastIdx;
-            }
             total += d2[i];
         }
+        st.computed += n;
         if (total <= 0.0) {
             // All remaining points coincide with a centroid; pad
             // with duplicates (clusters will come back empty).
-            centroids.setRow(placed++,
-                             points.row(rng.below(points.rows())));
+            centroids.setRow(placed++, points.row(rng.below(n)));
             continue;
         }
         double u = rng.uniform() * total;
         double acc = 0.0;
-        std::size_t pick = points.rows() - 1;
-        for (std::size_t i = 0; i < points.rows(); ++i) {
+        std::size_t pick = n - 1;
+        for (std::size_t i = 0; i < n; ++i) {
             acc += d2[i];
             if (acc >= u) {
                 pick = i;
@@ -275,13 +418,10 @@ NearestCentroids::NearestCentroids(const DenseMatrix &centroids,
     : cents(centroids), k(static_cast<u32>(centroids.rows())),
       usePruning(accel && centroids.rows() >= 2)
 {
-    if (!usePruning) {
-        sLow.assign(k, std::numeric_limits<double>::infinity());
+    if (!usePruning)
         return;
-    }
     const std::size_t dim = cents.cols();
     halfLow.assign(static_cast<std::size_t>(k) * k, 0.0);
-    sLow.assign(k, std::numeric_limits<double>::infinity());
     for (u32 a = 0; a < k; ++a) {
         for (u32 b = a + 1; b < k; ++b) {
             double d2 = squaredDistance(cents.row(a), cents.row(b),
@@ -296,10 +436,6 @@ NearestCentroids::NearestCentroids(const DenseMatrix &centroids,
                            : 0.0;
             halfLow[static_cast<std::size_t>(a) * k + b] = h;
             halfLow[static_cast<std::size_t>(b) * k + a] = h;
-            if (h < sLow[a])
-                sLow[a] = h;
-            if (h < sLow[b])
-                sLow[b] = h;
         }
     }
 }
@@ -379,10 +515,22 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
         prevCents.reset(k, dim);
     }
 
+    // Full scans (first iteration, bound fallbacks) score a point
+    // against every centroid at once through the tile kernel; the
+    // brute path keeps the scalar kernel.
+    DistanceTile centTile;
+    const TileKernel &kernel = activeTileKernel();
+    std::vector<double> sLow;
+
     for (int iter = 0; iter < maxIters; ++iter) {
-        // Conservative inter-centroid half-distances for this
-        // iteration's centroids, shared by every chunk below.
-        NearestCentroids geo(res.centroids, accel, &stats);
+        // The Hamerly gate reads each centroid's half-distance to
+        // its nearest neighbour.
+        if (accel) {
+            centTile.assign(res.centroids);
+            if (iter > 0)
+                halfSeparations(res.centroids, centTile, kernel, sLow,
+                                stats);
+        }
 
         // Assignment pass: each chunk accumulates private partial
         // sums; res.assignment and lb are written index-wise, so
@@ -392,6 +540,20 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
             [&](AssignAccum &a, const ChunkRange &r) {
                 a.sums.assign(k * dim, 0.0);
                 a.counts.assign(k, 0);
+                a.dist.resize(k);
+                // Every centroid's exact distance, then the index-
+                // order winner and runner-up.
+                auto fullScan = [&](const double *p, double &best,
+                                    u32 &bestC, double &second2) {
+                    if (accel)
+                        kernel.distances(p, centTile, a.dist.data());
+                    else
+                        for (u32 c = 0; c < k; ++c)
+                            a.dist[c] = squaredDistance(
+                                p, res.centroids.row(c), dim);
+                    a.stats.computed += k;
+                    argminTwo(a.dist.data(), k, best, bestC, second2);
+                };
                 for (std::size_t i = r.begin; i < r.end; ++i) {
                     const double *p = points.row(i);
                     double best;
@@ -410,7 +572,7 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
                             p, res.centroids.row(prev), dim);
                         ++a.stats.computed;
                         double ubT = std::sqrt(d2a) * kDistGrow;
-                        double z = std::max(l, geo.sLowAt(prev));
+                        double z = std::max(l, sLow[prev]);
                         if (ubT * kDistGrow + kAbsSlackDist < z) {
                             // Every other centroid is provably
                             // strictly farther: keep the incumbent.
@@ -420,22 +582,15 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
                             lb[i] = l;
                         } else {
                             ++a.stats.fallbacks;
-                            scanPoint(p, dim, res.centroids, &geo,
-                                      prev, d2a, best, bestC,
-                                      second2, a.stats);
+                            fullScan(p, best, bestC, second2);
                             lb[i] = lowerBoundFromSecond(second2);
                         }
-                    } else if (accel) {
-                        // First iteration: no carried bounds yet;
-                        // full (still second-pruned) scan seeds them.
-                        scanPoint(p, dim, res.centroids, &geo,
-                                  kNoCached, 0.0, best, bestC,
-                                  second2, a.stats);
-                        lb[i] = lowerBoundFromSecond(second2);
                     } else {
-                        scanPoint(p, dim, res.centroids, nullptr,
-                                  kNoCached, 0.0, best, bestC,
-                                  second2, a.stats);
+                        // First iteration (no carried bounds yet) or
+                        // the brute path.
+                        fullScan(p, best, bestC, second2);
+                        if (accel)
+                            lb[i] = lowerBoundFromSecond(second2);
                     }
                     if (res.assignment[i] != bestC) {
                         res.assignment[i] = bestC;

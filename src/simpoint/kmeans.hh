@@ -10,23 +10,28 @@
  * fixed chunk order, so fits are bit-identical at any SPLAB_THREADS.
  *
  * Triangle-inequality acceleration (SPLAB_KMEANS_ACCEL, default on):
- * Lloyd iterations keep Hamerly-style per-point bounds — an upper
- * bound on the distance to the assigned centroid and a single lower
- * bound on the second-closest — maintained across iterations via
- * per-centroid drift, and the fixed-centroid scans (whole-run slice
- * assignment, k-means++ d2 maintenance) prune candidates through
- * inter-centroid half-distances.  The contract is *exact equality*,
- * not approximation: a centroid is skipped only when conservative
- * bound arithmetic (lower bounds deflated, upper bounds inflated by
- * a relative margin that dwarfs the distance kernel's rounding
- * error) proves the brute-force scan's strict-`<` comparison could
- * not have selected it; whenever bounds are inconclusive the code
- * falls back to the exact scan.  Assignments, tie-breaks,
- * distortion, and centroid bytes are therefore bit-identical to the
- * brute-force path at any SPLAB_THREADS, and cached artifact bytes
- * never move (no version-salt bump).  Work is tallied in the
- * deterministic counters kmeans.distances_computed /
- * kmeans.distances_pruned / kmeans.bound_fallbacks.
+ * Lloyd iterations keep one Hamerly-style lower bound per point on
+ * the distance to its second-closest centroid, decayed each
+ * iteration by the largest drift of any other centroid; the upper
+ * bound is the incumbent's exact distance, recomputed every
+ * iteration, so none is stored.  Points whose bounds are
+ * inconclusive, the first iteration and the k-means++ seeding are
+ * scored against a transposed tile of rows by a lane-parallel kernel
+ * (DistanceTile) that reproduces squaredDistance's operation
+ * sequence in every lane.  The whole-run slice assignment prunes
+ * candidates through inter-centroid half-distances
+ * (NearestCentroids).  The contract is *exact equality*, not
+ * approximation: a centroid is skipped only when conservative bound
+ * arithmetic (lower bounds deflated, upper bounds inflated by a
+ * relative margin that dwarfs the distance kernel's rounding error)
+ * proves the brute-force scan's strict-`<` comparison could not
+ * have selected it, and every evaluated distance is the same double
+ * the scalar kernel returns.  Assignments, tie-breaks, distortion,
+ * and centroid bytes are therefore bit-identical to the brute-force
+ * path at any SPLAB_THREADS, and cached artifact bytes never move
+ * (no version-salt bump).  Work is tallied in the deterministic
+ * counters kmeans.distances_computed / kmeans.distances_pruned /
+ * kmeans.bound_fallbacks.
  */
 
 #ifndef SPLAB_SIMPOINT_KMEANS_HH
@@ -65,6 +70,66 @@ double squaredDistance(const std::vector<double> &a,
                        const std::vector<double> &b);
 
 /**
+ * Rows of a matrix stored transposed for the tile distance kernel.
+ * Rows are grouped in blocks of kBlockRows; inside a block each
+ * column is a run of lanes, one per row.  The last block is only as
+ * wide as its rows rounded up to kLanePad lanes.  Padding lanes are
+ * zero; the kernel computes them but never writes them out.
+ */
+class DistanceTile
+{
+  public:
+    static constexpr std::size_t kBlockRows = 16;
+    static constexpr std::size_t kLanePad = 4;
+
+    /** Rebuild from every row of @p m. */
+    void assign(const DenseMatrix &m);
+
+    std::size_t rows() const { return nRows; }
+    std::size_t cols() const { return nCols; }
+
+    /** Lanes in the last, possibly partial, block (0 when the rows
+     *  fill whole blocks). */
+    std::size_t
+    tailLanes() const
+    {
+        std::size_t rem = nRows % kBlockRows;
+        return (rem + kLanePad - 1) / kLanePad * kLanePad;
+    }
+
+    /** Block storage: block b starts at b * kBlockRows * cols(). */
+    const double *data() const { return buf.data() + offset; }
+
+  private:
+    std::size_t nRows = 0;
+    std::size_t nCols = 0;
+    std::size_t offset = 0; ///< first element on a 64-byte boundary
+    std::vector<double> buf;
+};
+
+/**
+ * One build of the tile distance kernel.  distances() writes
+ * out[r] = squaredDistance(row, tile row r) for r < tile.rows(),
+ * bit for bit, and nothing past out[tile.rows() - 1].  Each lane
+ * runs the scalar kernel's sequence (t = a[d] - b[d]; s += t * t,
+ * d ascending, s from +0.0) with no fused multiply-add, so the lane
+ * width never changes a result.  Swapping the operands only negates
+ * t, so out[r] also equals squaredDistance(tile row r, row).
+ */
+struct TileKernel
+{
+    const char *name; ///< "sse2", "avx2" or "generic"
+    void (*distances)(const double *row, const DistanceTile &tile,
+                      double *out);
+};
+
+/** Every kernel build this host can run, baseline first. */
+std::vector<TileKernel> supportedTileKernels();
+
+/** The widest supported build; picked once per process. */
+const TileKernel &activeTileKernel();
+
+/**
  * Tally of nearest-centroid kernel work.  Deterministic: every field
  * is a pure function of the data and the bound state, never of
  * scheduling, so totals are identical at any SPLAB_THREADS.
@@ -90,15 +155,15 @@ void accountDistanceKernel(const DistanceKernelStats &s);
 
 /**
  * Pruned nearest-centroid search over a FIXED centroid set (the
- * whole-run slice assignment of SimPoint finalize, k-means++ seeding
- * maintenance).  Construction precomputes conservative lower bounds
- * on half the inter-centroid distances; nearest() then skips a
- * candidate c only when half the distance from the current best
- * centroid to c provably exceeds the distance to the current best —
- * by the triangle inequality c is then strictly farther, so the
- * brute-force strict-`<` scan could not have picked it.  Results
- * (index and exact squared distance) are bit-identical to the brute
- * scan whether pruning is enabled or not.
+ * whole-run slice assignment of SimPoint finalize).  Construction
+ * precomputes conservative lower bounds on half the inter-centroid
+ * distances; nearest() then skips a candidate c only when half the
+ * distance from the current best centroid to c provably exceeds the
+ * distance to the current best — by the triangle inequality c is
+ * then strictly farther, so the brute-force strict-`<` scan could
+ * not have picked it.  Results (index and exact squared distance)
+ * are bit-identical to the brute scan whether pruning is enabled or
+ * not.
  */
 class NearestCentroids
 {
@@ -126,15 +191,10 @@ class NearestCentroids
         return halfLow[a * k + b];
     }
 
-    /** Conservative lower bound on half the distance from centroid
-     *  @p c to its nearest other centroid (+inf when k == 1). */
-    double sLowAt(u32 c) const { return sLow[c]; }
-
   private:
     const DenseMatrix &cents;
     u32 k = 0;
     std::vector<double> halfLow; ///< k*k half-distance lower bounds
-    std::vector<double> sLow;    ///< per-centroid row minimum
     bool usePruning = false;
 };
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the triangle-inequality-accelerated clustering kernels.
+ * Tests for the accelerated clustering kernels: triangle-inequality
+ * bounds and the lane-parallel tile distance kernel.
  *
  * The acceleration contract is *exact equality*, not approximation:
  * with SPLAB_KMEANS_ACCEL on, every fit, nearest-centroid scan and
  * whole-pipeline SimPoint selection must be bit-identical to the
- * brute-force path at any SPLAB_THREADS — so these tests compare
- * doubles with memcmp, not EXPECT_NEAR.  The work tallies
+ * brute-force path at any SPLAB_THREADS, and every build of the tile
+ * kernel must return squaredDistance's doubles — so these tests
+ * compare doubles with memcmp, not EXPECT_NEAR.  The work tallies
  * (kmeans.distances_computed / distances_pruned / bound_fallbacks)
  * are deterministic counters and are asserted to be thread-count
  * invariant as well.
@@ -16,6 +18,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "core/pipeline.hh"
 #include "obs/counters.hh"
@@ -118,19 +121,28 @@ kernelDeltas(Fn &&body)
 
 TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
 {
-    auto pts = gaussianBlobs(6, 60, 0.4, 11);
-    for (u32 k : {1u, 2u, 3u, 5u, 8u, 16u}) {
-        KMeansResult brute, accel;
-        {
-            AccelGuard off(false);
-            brute = kmeansFit(pts, k, 7);
+    // Every k of the paper's BIC sweep, on 360 points and on 1001
+    // points in the projection's 15 dimensions: neither count is a
+    // multiple of the tile kernel's block, so partial tail blocks
+    // are exercised in both the seeding and the Lloyd scans.
+    const std::vector<std::vector<std::vector<double>>> inputs = {
+        gaussianBlobs(6, 60, 0.4, 11),
+        gaussianBlobs(7, 143, 0.4, 13, 15)};
+    for (const auto &pts : inputs) {
+        for (u32 k = 1; k <= 35; ++k) {
+            KMeansResult brute, accel;
+            {
+                AccelGuard off(false);
+                brute = kmeansFit(pts, k, 7);
+            }
+            {
+                AccelGuard on(true);
+                accel = kmeansFit(pts, k, 7);
+            }
+            SCOPED_TRACE("n=" + std::to_string(pts.size()) +
+                         " k=" + std::to_string(k));
+            expectBitIdentical(brute, accel);
         }
-        {
-            AccelGuard on(true);
-            accel = kmeansFit(pts, k, 7);
-        }
-        SCOPED_TRACE("k=" + std::to_string(k));
-        expectBitIdentical(brute, accel);
     }
 }
 
@@ -240,6 +252,71 @@ TEST(KMeansAccel, CountersThreadCountInvariant)
         EXPECT_EQ(d.computed, refDeltas.computed);
         EXPECT_EQ(d.pruned, refDeltas.pruned);
         EXPECT_EQ(d.fallbacks, refDeltas.fallbacks);
+    }
+}
+
+/** Equal bit patterns (distinguishes -0.0 from 0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(TileKernel, EveryBuildMatchesScalarDistanceBitForBit)
+{
+    const std::vector<TileKernel> builds = supportedTileKernels();
+    ASSERT_FALSE(builds.empty());
+    EXPECT_STREQ(activeTileKernel().name, builds.back().name);
+
+    // Signed zeros, subnormals (whose squares underflow), 1e154
+    // (whose squared differences overflow to inf) and ordinary
+    // values of both signs.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double sub = std::numeric_limits<double>::min() / 8.0;
+    const std::vector<double> special = {
+        0.0,  -0.0,   tiny,   -tiny, sub,   -sub,  3.0 * sub,
+        1e154, -1e154, 1.0,   -1.0,  0.5,   -2.25, 1e-160};
+    Rng rng(83);
+    auto value = [&] {
+        if (rng.below(3) == 0)
+            return special[rng.below(special.size())];
+        return rng.uniform(-8.0, 8.0);
+    };
+    const double sentinel = -12345.0;
+    for (std::size_t dim : {1u, 2u, 3u, 5u, 8u, 15u, 16u, 17u, 31u}) {
+        for (std::size_t width = 1; width <= 37; ++width) {
+            DenseMatrix rows(width, dim);
+            for (std::size_t r = 0; r < width; ++r)
+                for (std::size_t d = 0; d < dim; ++d)
+                    rows.at(r, d) = value();
+            std::vector<double> row(dim);
+            for (double &x : row)
+                x = value();
+            DistanceTile tile;
+            tile.assign(rows);
+            ASSERT_EQ(tile.rows(), width);
+            for (const TileKernel &kernel : builds) {
+                SCOPED_TRACE(std::string(kernel.name) + " dim=" +
+                             std::to_string(dim) + " width=" +
+                             std::to_string(width));
+                std::vector<double> out(width + 16, sentinel);
+                kernel.distances(row.data(), tile, out.data());
+                for (std::size_t r = 0; r < width; ++r) {
+                    EXPECT_TRUE(sameBits(
+                        out[r], squaredDistance(row.data(),
+                                                rows.row(r), dim)))
+                        << "row " << r;
+                    EXPECT_TRUE(sameBits(
+                        out[r], squaredDistance(rows.row(r),
+                                                row.data(), dim)))
+                        << "row " << r << " (operands swapped)";
+                }
+                // Padding lanes are computed but never written.
+                for (std::size_t r = width; r < out.size(); ++r)
+                    EXPECT_TRUE(sameBits(out[r], sentinel))
+                        << "wrote past the tile at " << r;
+            }
+        }
     }
 }
 

@@ -65,14 +65,6 @@ selectionBytes(const RegionSelection &sel)
     return w.bytes();
 }
 
-std::vector<u8>
-simpointBytes(const SimPointResult &r)
-{
-    ByteWriter w;
-    serializeSimPoints(w, r);
-    return w.bytes();
-}
-
 u64
 keyOf(const ExperimentConfig &cfg, ArtifactKind kind)
 {

@@ -131,8 +131,9 @@ TEST(KMeans, DistortionDecreasesWithK)
     double prev = -1.0;
     for (u32 k : {1u, 2u, 4u, 8u}) {
         KMeansResult r = kmeansBestOf(pts, k, 1, 3);
-        if (prev >= 0.0)
+        if (prev >= 0.0) {
             EXPECT_LT(r.distortion, prev);
+        }
         prev = r.distortion;
     }
 }
@@ -305,8 +306,9 @@ TEST(SimPointSelect, TopByWeightCoversQuantile)
     EXPECT_GE(cum, 0.9 - 1e-9);
     EXPECT_LE(reduced.size(), r.points.size());
     // Dropping the lightest point must fall below the quantile.
-    if (reduced.size() > 1)
+    if (reduced.size() > 1) {
         EXPECT_LT(cum - reduced.back().weight, 0.9);
+    }
 }
 
 TEST(SimPointSelect, SweepCoversOneToMaxK)

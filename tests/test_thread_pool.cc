@@ -165,8 +165,9 @@ TEST(FixedChunks, CoversRangeExactlyOnce)
             expectedBegin = c.end;
         }
         EXPECT_EQ(covered, n);
-        if (!chunks.empty())
+        if (!chunks.empty()) {
             EXPECT_EQ(chunks.back().end, n);
+        }
     }
 }
 
