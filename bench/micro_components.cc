@@ -53,10 +53,10 @@ class NullTool : public PinTool
     const char *name() const override { return "null"; }
     bool wantsMemory() const override { return mem; }
     void
-    onBlock(const BlockRecord &rec, const MemAccess *, std::size_t,
-            const BranchRecord *) override
+    onBatch(const EventBatch &batch) override
     {
-        instrs += rec.instrs;
+        for (const BlockRecord &rec : batch.blocks())
+            instrs += rec.instrs;
     }
     ICount instrs = 0;
     bool mem;

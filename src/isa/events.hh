@@ -65,9 +65,9 @@ struct BlockRecord
  * clear() keeps capacity, so steady-state batch construction does not
  * allocate.
  *
- * Event content and order are exactly those of the per-block
- * callbacks — batching is a pure delivery reordering, never a
- * semantic change.
+ * The per-block accessors (block(i), accs(i), branch(i)) give the
+ * event content in stream order, for tools whose state evolves block
+ * by block.
  *
  * Chunk-grained aggregates: the batch carries whole-chunk totals —
  * the summed InstrMix, fp-instruction count, branch outcome totals
@@ -161,7 +161,7 @@ class EventBatch
         return totalInstrs;
     }
 
-    /// @name Per-block element access (the onBlock-compatible view)
+    /// @name Per-block element access, in stream order
     /// @{
     const BlockRecord &block(std::size_t i) const
     {

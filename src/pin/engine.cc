@@ -52,15 +52,6 @@ Engine::run(SyntheticWorkload &workload, u64 firstChunk, u64 numChunks)
 }
 
 void
-Engine::onBlock(const BlockRecord &rec, const MemAccess *accs,
-                std::size_t nAccs, const BranchRecord *br)
-{
-    icount += rec.instrs;
-    for (PinTool *t : tools)
-        t->onBlock(rec, accs, nAccs, br);
-}
-
-void
 Engine::onBatch(const EventBatch &batch)
 {
     static obs::Counter &batches =

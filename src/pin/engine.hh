@@ -59,12 +59,8 @@ class Engine : public EventSink
     /** Instructions executed across all run() calls so far. */
     ICount instructionsExecuted() const { return icount; }
 
-    // EventSink
-    void onBlock(const BlockRecord &rec, const MemAccess *accs,
-                 std::size_t nAccs, const BranchRecord *br) override;
-
-    /** Batched fan-out: one virtual call per (chunk, tool) instead
-     *  of one per (block, tool). */
+    /** EventSink: fans each batch out to every tool, one virtual
+     *  call per (chunk, tool). */
     void onBatch(const EventBatch &batch) override;
 
   private:

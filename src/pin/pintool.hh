@@ -2,9 +2,10 @@
  * @file
  * Analysis-tool interface of the instrumentation engine.
  *
- * Mirrors the role of a Pintool: a passive observer receiving
- * callbacks for every dynamic basic block (with its memory accesses
- * and terminating branch) of the instrumented execution.
+ * Mirrors the role of a Pintool: a passive observer of every dynamic
+ * basic block (with its memory accesses and terminating branch) of
+ * the instrumented execution, delivered one chunk-sized batch at a
+ * time.
  */
 
 #ifndef SPLAB_PIN_PINTOOL_HH
@@ -40,36 +41,18 @@ class PinTool
     }
 
     /**
-     * One dynamic basic block.
-     * @param rec   the block record
-     * @param accs  memory accesses (null when address generation is
-     *              off or the block has none)
-     * @param nAccs number of accesses
-     * @param br    terminating branch or null
-     */
-    virtual void onBlock(const BlockRecord &rec, const MemAccess *accs,
-                         std::size_t nAccs, const BranchRecord *br) = 0;
-
-    /**
-     * One batch (chunk) of dynamic blocks in SoA layout.  The engine
-     * dispatches per batch; the default unpacks to onBlock() in
-     * stream order, so block-granular tools need no changes.  Hot
-     * tools override this to process the arrays directly (identical
-     * event content — batching is a delivery reordering only).
+     * One batch (one workload chunk) of dynamic blocks in SoA
+     * layout: the tool's only event callback.  Block-granular tools
+     * walk batch.block(i) / accs(i) / branch(i) in stream order
+     * (accs(i) is null when address generation is off); counting
+     * tools read the batch's precomputed per-chunk aggregates.
      *
      * Threading contract: the engine delivers every batch of a run
      * in chunk order on the thread that called Engine::run, with the
      * batch contents read-only for the duration of the call.  Tools
      * need no locking as long as each engine run owns its tools.
      */
-    virtual void
-    onBatch(const EventBatch &batch)
-    {
-        const std::size_t n = batch.numBlocks();
-        for (std::size_t i = 0; i < n; ++i)
-            onBlock(batch.block(i), batch.accs(i), batch.accCount(i),
-                    batch.branch(i));
-    }
+    virtual void onBatch(const EventBatch &batch) = 0;
 
     /** Called once after the last block of a run window. */
     virtual void onRunEnd() {}

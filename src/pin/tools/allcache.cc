@@ -9,26 +9,15 @@ AllCacheTool::AllCacheTool(const HierarchyConfig &config)
 }
 
 void
-AllCacheTool::onBlock(const BlockRecord &rec, const MemAccess *accs,
-                      std::size_t nAccs, const BranchRecord *)
+AllCacheTool::onBatch(const EventBatch &batch)
 {
     // One instruction-fetch lookup per dynamic block.  Blocks are
     // small relative to I-cache lines and the paper reports L1I miss
     // rates as negligible, so per-line fetch modelling is not
-    // load-bearing here.
-    caches->accessInstr(rec.pc);
-    for (std::size_t i = 0; i < nAccs; ++i)
-        caches->accessData(accs[i].addr, accs[i].isWrite);
-}
-
-void
-AllCacheTool::onBatch(const EventBatch &batch)
-{
-    // Same event order as the per-block path (fetch, then that
-    // block's accesses), over the contiguous SoA access pool.  Data
-    // references must go through accessData(): the hierarchy keeps
-    // an absent-from-L1D memo there that a direct levelRef() probe
-    // would silently invalidate.
+    // load-bearing here.  Data references must go through
+    // accessData(): the hierarchy keeps an absent-from-L1D memo
+    // there that a direct levelRef() probe would silently
+    // invalidate.
     const BlockRecord *blocks = batch.blocks().data();
     const MemAccess *pool = batch.accessPool().data();
     const u32 *off = batch.offsets().data();

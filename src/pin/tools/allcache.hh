@@ -24,11 +24,8 @@ class AllCacheTool : public PinTool
     const char *name() const override { return "allcache"; }
     bool wantsMemory() const override { return true; }
 
-    void onBlock(const BlockRecord &rec, const MemAccess *accs,
-                 std::size_t nAccs, const BranchRecord *) override;
-
-    /** Batch path: tight L1D probe loop over the flattened access
-     *  pool, descending the hierarchy only on an L1D miss. */
+    /** Per block: one instruction fetch, then the block's data
+     *  accesses, over the batch's flattened access pool. */
     void onBatch(const EventBatch &batch) override;
 
     CacheHierarchy &hierarchy() { return *caches; }

@@ -24,55 +24,24 @@ BbvTool::onRunStart(const SyntheticWorkload &workload)
 }
 
 void
-BbvTool::onBlock(const BlockRecord &rec, const MemAccess *,
-                 std::size_t, const BranchRecord *)
-{
-    acc->add(rec.bb, static_cast<double>(rec.instrs));
-    inSlice += rec.instrs;
-    if (inSlice >= sliceInstrs) {
-        SPLAB_ASSERT(inSlice == sliceInstrs,
-                     "slice boundary crossed mid-block");
-        slices.push_back(acc->harvest());
-        inSlice = 0;
-    }
-}
-
-void
 BbvTool::onBatch(const EventBatch &batch)
 {
-    // Fast path: the whole batch lands inside the current slice
-    // (always true for whole-chunk batches, since the slice length
-    // is a multiple of the chunk length).  Accumulate from the
+    // Every batch is one whole chunk and onRunStart() checked that
+    // the slice length is a multiple of the chunk length, so the
+    // batch lands inside the current slice.  Accumulate from the
     // per-static-block sums — one add per *touched* block instead of
     // one per dynamic block.  The sums are integer-valued doubles
     // well below 2^53, so this reassociation is exact and the
-    // harvested (sorted) vectors are byte-identical to the
-    // per-block path; no bbvprofile salt bump is needed (asserted
-    // in tests/test_engine_batch.cc).
-    if (inSlice + batch.instrs() <= sliceInstrs) {
-        for (u32 b : batch.touchedBlocks())
-            acc->add(b, static_cast<double>(batch.blockInstrSum(b)));
-        inSlice += batch.instrs();
-        if (inSlice == sliceInstrs) {
-            slices.push_back(acc->harvest());
-            inSlice = 0;
-        }
-        return;
-    }
-    // A slice boundary falls inside this batch (partial-chunk
-    // delivery): walk the blocks to place it exactly.
-    const BlockRecord *blocks = batch.blocks().data();
-    const std::size_t n = batch.numBlocks();
-    for (std::size_t i = 0; i < n; ++i) {
-        const BlockRecord &rec = blocks[i];
-        acc->add(rec.bb, static_cast<double>(rec.instrs));
-        inSlice += rec.instrs;
-        if (inSlice >= sliceInstrs) {
-            SPLAB_ASSERT(inSlice == sliceInstrs,
-                         "slice boundary crossed mid-block");
-            slices.push_back(acc->harvest());
-            inSlice = 0;
-        }
+    // harvested (sorted) vectors are byte-identical to a per-block
+    // accumulation (asserted in tests/test_engine_batch.cc).
+    SPLAB_ASSERT(inSlice + batch.instrs() <= sliceInstrs,
+                 "slice boundary inside a batch");
+    for (u32 b : batch.touchedBlocks())
+        acc->add(b, static_cast<double>(batch.blockInstrSum(b)));
+    inSlice += batch.instrs();
+    if (inSlice == sliceInstrs) {
+        slices.push_back(acc->harvest());
+        inSlice = 0;
     }
 }
 

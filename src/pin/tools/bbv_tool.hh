@@ -30,12 +30,10 @@ class BbvTool : public PinTool
     const char *name() const override { return "bbv"; }
 
     void onRunStart(const SyntheticWorkload &workload) override;
-    void onBlock(const BlockRecord &rec, const MemAccess *,
-                 std::size_t, const BranchRecord *) override;
-    /** Batch path: accumulates from the batch's per-static-block
-     *  instruction sums (O(touched blocks) per chunk); falls back to
-     *  the per-block walk only when a slice boundary lands inside
-     *  the batch.  Byte-identical output either way. */
+    /** Accumulates from the batch's per-static-block instruction
+     *  sums (O(touched blocks) per chunk).  A batch is one chunk and
+     *  the slice length a whole number of chunks, so a slice
+     *  boundary never falls inside a batch. */
     void onBatch(const EventBatch &batch) override;
     void onRunEnd() override;
 

@@ -17,21 +17,8 @@ class BranchProfileTool : public PinTool
   public:
     const char *name() const override { return "branchprofile"; }
 
-    void
-    onBlock(const BlockRecord &, const MemAccess *, std::size_t,
-            const BranchRecord *br) override
-    {
-        if (!br)
-            return;
-        ++branches;
-        if (br->taken)
-            ++taken;
-        if (br->dataDependent)
-            ++dataDependent;
-    }
-
-    /** Batch path: O(1) per chunk off the precomputed aggregates
-     *  (the batch counted branch outcomes at push time). */
+    /** O(1) per chunk off the precomputed aggregates (the batch
+     *  counted branch outcomes at push time). */
     void
     onBatch(const EventBatch &batch) override
     {

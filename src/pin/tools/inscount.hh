@@ -17,17 +17,7 @@ class InsCountTool : public PinTool
   public:
     const char *name() const override { return "inscount"; }
 
-    void
-    onBlock(const BlockRecord &rec, const MemAccess *,
-            std::size_t, const BranchRecord *br) override
-    {
-        instrs += rec.instrs;
-        ++blocks;
-        if (br)
-            ++branches;
-    }
-
-    /** Batch path: O(1) per chunk off the precomputed aggregates. */
+    /** O(1) per chunk off the precomputed aggregates. */
     void
     onBatch(const EventBatch &batch) override
     {

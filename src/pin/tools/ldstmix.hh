@@ -19,16 +19,8 @@ class LdStMixTool : public PinTool
   public:
     const char *name() const override { return "ldstmix"; }
 
-    void
-    onBlock(const BlockRecord &rec, const MemAccess *,
-            std::size_t, const BranchRecord *) override
-    {
-        total += rec.mix;
-        fpInstrs += rec.fpInstrs;
-    }
-
-    /** Batch path: O(1) per chunk off the precomputed aggregates
-     *  (the batch already summed the per-block mixes at push time). */
+    /** O(1) per chunk off the precomputed aggregates (the batch
+     *  already summed the per-block mixes at push time). */
     void
     onBatch(const EventBatch &batch) override
     {

@@ -14,22 +14,30 @@ namespace splab
 namespace
 {
 
-/** Accumulates an order-sensitive checksum of the event stream. */
+/** Accumulates an order-sensitive checksum of the event stream:
+ *  per block, its id and length, then its accesses, then its
+ *  branch. */
 class ChecksumSink : public EventSink
 {
   public:
     void
-    onBlock(const BlockRecord &rec, const MemAccess *accs,
-            std::size_t nAccs, const BranchRecord *br) override
+    onBatch(const EventBatch &batch) override
     {
-        sum = hashCombine(sum, rec.bb);
-        sum = hashCombine(sum, rec.instrs);
-        for (std::size_t i = 0; i < nAccs; ++i) {
-            sum = hashCombine(
-                sum, accs[i].addr ^ (accs[i].isWrite ? 1ULL : 0ULL));
+        const std::size_t n = batch.numBlocks();
+        for (std::size_t b = 0; b < n; ++b) {
+            const BlockRecord &rec = batch.block(b);
+            sum = hashCombine(sum, rec.bb);
+            sum = hashCombine(sum, rec.instrs);
+            const MemAccess *accs = batch.accs(b);
+            for (std::size_t i = 0; i < batch.accCount(b); ++i) {
+                sum = hashCombine(
+                    sum,
+                    accs[i].addr ^ (accs[i].isWrite ? 1ULL : 0ULL));
+            }
+            if (const BranchRecord *br = batch.branch(b))
+                sum = hashCombine(sum,
+                                  br->pc ^ (br->taken ? 2ULL : 0ULL));
         }
-        if (br)
-            sum = hashCombine(sum, br->pc ^ (br->taken ? 2ULL : 0ULL));
     }
 
     u64 value() const { return sum; }

@@ -68,8 +68,8 @@ IntervalCoreTool::exposedLatency(HitLevel level)
 }
 
 void
-IntervalCoreTool::onBlock(const BlockRecord &rec, const MemAccess *accs,
-                          std::size_t nAccs, const BranchRecord *br)
+IntervalCoreTool::step(const BlockRecord &rec, const MemAccess *accs,
+                       std::size_t nAccs, const BranchRecord *br)
 {
     double cycles = static_cast<double>(rec.instrs) /
                     static_cast<double>(cfg.dispatchWidth);
@@ -116,12 +116,11 @@ void
 IntervalCoreTool::onBatch(const EventBatch &batch)
 {
     // The interval model carries sequential state (MLP window,
-    // predictor) across blocks, so the batch path is the same
-    // per-block computation with the virtual dispatch hoisted out.
+    // predictor) across blocks, so it steps block by block.
     const std::size_t n = batch.numBlocks();
     for (std::size_t i = 0; i < n; ++i)
-        IntervalCoreTool::onBlock(batch.block(i), batch.accs(i),
-                                  batch.accCount(i), batch.branch(i));
+        step(batch.block(i), batch.accs(i), batch.accCount(i),
+             batch.branch(i));
 }
 
 } // namespace splab

@@ -61,10 +61,7 @@ class IntervalCoreTool : public PinTool
     const char *name() const override { return "sniper-core"; }
     bool wantsMemory() const override { return true; }
 
-    void onBlock(const BlockRecord &rec, const MemAccess *accs,
-                 std::size_t nAccs, const BranchRecord *br) override;
-
-    /** Batch path: devirtualized per-block loop over the SoA views
+    /** Steps the model block by block over the batch's SoA views
      *  (the interval model is inherently sequential per block). */
     void onBatch(const EventBatch &batch) override;
 
@@ -82,6 +79,9 @@ class IntervalCoreTool : public PinTool
     CacheHierarchy &hierarchy() { return *caches; }
 
   private:
+    /** Time one dynamic block (fetch, data accesses, branch). */
+    void step(const BlockRecord &rec, const MemAccess *accs,
+              std::size_t nAccs, const BranchRecord *br);
     double exposedLatency(HitLevel level);
 
     MachineConfig cfg;

@@ -16,43 +16,18 @@ namespace splab
 {
 
 /**
- * Receiver of dynamic execution events.
- *
- * The workload delivers one EventBatch per chunk (structure-of-arrays,
- * see isa/events.hh); the default onBatch() unpacks it into the
- * per-block onBlock() callback in stream order, so block-granular
- * sinks observe exactly the pre-batching event sequence.  Sinks on
- * the hot path override onBatch() instead and skip the per-block
- * virtual dispatch entirely.
+ * Receiver of dynamic execution events: the workload delivers one
+ * EventBatch per chunk (structure-of-arrays, see isa/events.hh), in
+ * chunk order.  Sinks that need the per-block sequence walk
+ * batch.block(i) / accs(i) / branch(i).
  */
 class EventSink
 {
   public:
     virtual ~EventSink() = default;
 
-    /**
-     * @param rec    dynamic block record
-     * @param accs   memory accesses performed by the block (may be
-     *               null when address generation is disabled)
-     * @param nAccs  number of accesses
-     * @param br     terminating branch, or null if none
-     */
-    virtual void onBlock(const BlockRecord &rec, const MemAccess *accs,
-                         std::size_t nAccs,
-                         const BranchRecord *br) = 0;
-
-    /**
-     * One chunk's worth of events.  Default: unpack to onBlock() in
-     * order.  Overriders observe the identical event content.
-     */
-    virtual void
-    onBatch(const EventBatch &batch)
-    {
-        const std::size_t n = batch.numBlocks();
-        for (std::size_t i = 0; i < n; ++i)
-            onBlock(batch.block(i), batch.accs(i), batch.accCount(i),
-                    batch.branch(i));
-    }
+    /** One chunk's worth of events. */
+    virtual void onBatch(const EventBatch &batch) = 0;
 };
 
 /**

@@ -1,16 +1,18 @@
 /**
  * @file
- * Batched event delivery and the fused whole-run measurement:
- * batching must be a pure delivery reordering (identical tool
- * statistics to per-block dispatch), the MRU cache fast path must be
- * semantically invisible, and the fused single-pass measurement must
- * be byte-identical to the separate passes it replaces.
+ * Batched event delivery and the fused whole-run measurement: every
+ * batch tool must equal a per-block reduction over the batch's
+ * per-block view, the optimised cache hierarchy and interval core
+ * must equal independent reference models on real suite streams,
+ * and the fused single-pass measurement must be byte-identical to
+ * the separate passes it replaces.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 
@@ -51,380 +53,6 @@ smallSpec(u64 chunks = 300)
     spec.schedule = ScheduleKind::Interleaved;
     spec.dwellChunks = 30;
     return spec;
-}
-
-/**
- * Forces per-block delivery: overrides only onBlock, so the default
- * EventSink::onBatch unpacks each chunk and the wrapped engine fans
- * out one virtual call per (block, tool) — the pre-batching path.
- */
-class PerBlockFanout : public EventSink
-{
-  public:
-    explicit PerBlockFanout(Engine &e) : engine(e) {}
-
-    void
-    onBlock(const BlockRecord &rec, const MemAccess *accs,
-            std::size_t nAccs, const BranchRecord *br) override
-    {
-        engine.onBlock(rec, accs, nAccs, br);
-    }
-
-  private:
-    Engine &engine;
-};
-
-void
-expectSameCacheStats(const CacheHierarchy &a, const CacheHierarchy &b)
-{
-    for (CacheLevel l : {CacheLevel::L1I, CacheLevel::L1D,
-                         CacheLevel::L2, CacheLevel::L3}) {
-        const CacheStats &x = a.levelStats(l);
-        const CacheStats &y = b.levelStats(l);
-        EXPECT_EQ(x.accesses, y.accesses) << cacheLevelName(l);
-        EXPECT_EQ(x.misses, y.misses) << cacheLevelName(l);
-        EXPECT_EQ(x.readAccesses, y.readAccesses) << cacheLevelName(l);
-        EXPECT_EQ(x.readMisses, y.readMisses) << cacheLevelName(l);
-        EXPECT_EQ(x.writeAccesses, y.writeAccesses)
-            << cacheLevelName(l);
-        EXPECT_EQ(x.writeMisses, y.writeMisses) << cacheLevelName(l);
-    }
-}
-
-TEST(EventBatching, BatchedMatchesPerBlock)
-{
-    // Every bundled tool, batched dispatch vs forced per-block
-    // dispatch: all statistics exactly equal.
-    BenchmarkSpec spec = smallSpec(200);
-    const ICount slice = spec.chunkLen * 10;
-
-    AllCacheTool cacheA(tableIConfig());
-    LdStMixTool mixA;
-    BranchProfileTool brA;
-    IntervalCoreTool coreA(tableIIIMachine());
-    BbvTool bbvA(slice);
-    Engine batched;
-    for (PinTool *t : std::initializer_list<PinTool *>{
-             &cacheA, &mixA, &brA, &coreA, &bbvA})
-        batched.attach(t);
-    SyntheticWorkload wlA(spec);
-    batched.runWhole(wlA);
-
-    AllCacheTool cacheB(tableIConfig());
-    LdStMixTool mixB;
-    BranchProfileTool brB;
-    IntervalCoreTool coreB(tableIIIMachine());
-    BbvTool bbvB(slice);
-    Engine perBlock;
-    for (PinTool *t : std::initializer_list<PinTool *>{
-             &cacheB, &mixB, &brB, &coreB, &bbvB})
-        perBlock.attach(t);
-    SyntheticWorkload wlB(spec);
-    PerBlockFanout fanout(perBlock);
-    for (PinTool *t : std::initializer_list<PinTool *>{
-             &cacheB, &mixB, &brB, &coreB, &bbvB})
-        t->onRunStart(wlB);
-    wlB.run(0, spec.totalChunks, fanout, true);
-    for (PinTool *t : std::initializer_list<PinTool *>{
-             &cacheB, &mixB, &brB, &coreB, &bbvB})
-        t->onRunEnd();
-
-    expectSameCacheStats(cacheA.hierarchy(), cacheB.hierarchy());
-
-    for (std::size_t c = 0; c < kNumMemClasses; ++c)
-        EXPECT_EQ(mixA.mix().count[c], mixB.mix().count[c]);
-    EXPECT_EQ(mixA.fpInstructions(), mixB.fpInstructions());
-
-    EXPECT_EQ(brA.branchCount(), brB.branchCount());
-    EXPECT_EQ(brA.takenCount(), brB.takenCount());
-    EXPECT_EQ(brA.dataDependentCount(), brB.dataDependentCount());
-
-    const TimingStats &ta = coreA.stats();
-    const TimingStats &tb = coreB.stats();
-    EXPECT_EQ(ta.instrs, tb.instrs);
-    EXPECT_EQ(ta.cycles, tb.cycles);
-    EXPECT_EQ(ta.branches, tb.branches);
-    EXPECT_EQ(ta.mispredicts, tb.mispredicts);
-    EXPECT_EQ(ta.l2Hits, tb.l2Hits);
-    EXPECT_EQ(ta.l3Hits, tb.l3Hits);
-    EXPECT_EQ(ta.memAccesses, tb.memAccesses);
-
-    ASSERT_EQ(bbvA.vectors().size(), bbvB.vectors().size());
-    for (std::size_t s = 0; s < bbvA.vectors().size(); ++s) {
-        const auto &ea = bbvA.vectors()[s].entries;
-        const auto &eb = bbvB.vectors()[s].entries;
-        ASSERT_EQ(ea.size(), eb.size()) << "slice " << s;
-        for (std::size_t i = 0; i < ea.size(); ++i) {
-            EXPECT_EQ(ea[i].block, eb[i].block);
-            EXPECT_FLOAT_EQ(ea[i].weight, eb[i].weight);
-        }
-    }
-}
-
-/** Sink that checks the structural invariants of every batch. */
-class InvariantSink : public EventSink
-{
-  public:
-    void
-    onBlock(const BlockRecord &, const MemAccess *, std::size_t,
-            const BranchRecord *) override
-    {
-    }
-
-    void
-    onBatch(const EventBatch &batch) override
-    {
-        ++batches;
-        const std::size_t n = batch.numBlocks();
-        ASSERT_GT(n, 0u);
-        ASSERT_EQ(batch.offsets().size(), n + 1);
-        ASSERT_EQ(batch.branches().size(), n);
-        ASSERT_EQ(batch.branchValid().size(), n);
-        ASSERT_EQ(batch.blocks().size(), n);
-        EXPECT_EQ(batch.offsets().front(), 0u);
-        // The pool may retain high-water capacity; the offsets only
-        // ever address the used prefix.
-        EXPECT_LE(batch.offsets().back(), batch.accessPool().size());
-
-        ICount instrSum = 0;
-        std::size_t accSum = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_LE(batch.offsets()[i], batch.offsets()[i + 1]);
-            instrSum += batch.block(i).instrs;
-            accSum += batch.accCount(i);
-            // Element accessors agree with the raw arrays.
-            EXPECT_EQ(&batch.block(i), &batch.blocks()[i]);
-            if (batch.accCount(i) == 0) {
-                EXPECT_EQ(batch.accs(i), nullptr);
-            } else {
-                EXPECT_EQ(batch.accs(i), batch.accessPool().data() +
-                                             batch.offsets()[i]);
-            }
-            if (batch.branch(i)) {
-                EXPECT_EQ(batch.branch(i), &batch.branches()[i]);
-                EXPECT_TRUE(batch.block(i).endsInBranch);
-            }
-        }
-        EXPECT_EQ(batch.instrs(), instrSum);
-        EXPECT_EQ(batch.offsets().back(), accSum);
-        totalInstrs += instrSum;
-    }
-
-    std::size_t batches = 0;
-    ICount totalInstrs = 0;
-};
-
-TEST(EventBatching, BatchLayoutInvariants)
-{
-    BenchmarkSpec spec = smallSpec(64);
-    SyntheticWorkload wl(spec);
-    InvariantSink sink;
-    wl.run(0, spec.totalChunks, sink, true);
-    // One batch per chunk, covering the full instruction budget.
-    EXPECT_EQ(sink.batches, spec.totalChunks);
-    EXPECT_EQ(sink.totalInstrs, spec.totalChunks * spec.chunkLen);
-}
-
-/** Sink that recomputes every per-chunk aggregate from the raw
- *  arrays and checks it against the precomputed accessors. */
-class AggregateCheckSink : public EventSink
-{
-  public:
-    void
-    onBlock(const BlockRecord &, const MemAccess *, std::size_t,
-            const BranchRecord *) override
-    {
-    }
-
-    void
-    onBatch(const EventBatch &batch) override
-    {
-        ++batches;
-        InstrMix mix;
-        ICount fp = 0;
-        u64 branches = 0, taken = 0, dataDep = 0;
-        std::map<u32, u64> sums;
-        const std::size_t n = batch.numBlocks();
-        for (std::size_t i = 0; i < n; ++i) {
-            const BlockRecord &rec = batch.block(i);
-            mix += rec.mix;
-            fp += rec.fpInstrs;
-            if (const BranchRecord *br = batch.branch(i)) {
-                ++branches;
-                taken += br->taken ? 1 : 0;
-                dataDep += br->dataDependent ? 1 : 0;
-            }
-            sums[rec.bb] += rec.instrs;
-        }
-        for (std::size_t c = 0; c < kNumMemClasses; ++c)
-            ASSERT_EQ(batch.mixTotal().count[c], mix.count[c]);
-        ASSERT_EQ(batch.fpTotal(), fp);
-        ASSERT_EQ(batch.branchTotal(), branches);
-        ASSERT_EQ(batch.takenTotal(), taken);
-        ASSERT_EQ(batch.dataDependentTotal(), dataDep);
-
-        // The touched-block list names each touched block exactly
-        // once, the per-block sums match a from-scratch reduction,
-        // and together they cover the batch's instruction total.
-        std::set<u32> seen;
-        u64 total = 0;
-        for (u32 b : batch.touchedBlocks()) {
-            ASSERT_TRUE(seen.insert(b).second)
-                << "duplicate touched block " << b;
-            auto it = sums.find(b);
-            ASSERT_NE(it, sums.end()) << "untouched block " << b;
-            ASSERT_EQ(batch.blockInstrSum(b), it->second);
-            total += it->second;
-        }
-        ASSERT_EQ(seen.size(), sums.size());
-        ASSERT_EQ(total, batch.instrs());
-    }
-
-    std::size_t batches = 0;
-};
-
-TEST(EventBatching, ChunkAggregatesMatchPerBlockReduction)
-{
-    BenchmarkSpec spec = smallSpec(120);
-    SyntheticWorkload wl(spec);
-    AggregateCheckSink sink;
-    wl.run(0, spec.totalChunks, sink, true);
-    EXPECT_EQ(sink.batches, spec.totalChunks);
-
-    // Single-chunk windows out of stream order refill an arena that
-    // last held another chunk; the aggregates must still match.
-    for (u64 c : {17ull, 0ull, 39ull})
-        wl.run(c, 1, sink, true);
-    EXPECT_EQ(sink.batches, spec.totalChunks + 3);
-}
-
-TEST(BbvToolT, HalfFullSliverBoundary)
-{
-    // 25 chunks at slice = 10 chunks leaves a final sliver with
-    // inSlice * 2 == sliceInstrs exactly — the keep/drop boundary.
-    // A half-full sliver is kept; just under half (24 chunks -> 0.4
-    // of a slice) is dropped.  Both delivery grains must agree, and
-    // the kept vectors must be bit-identical (the chunk-aggregate
-    // BBV path reassociates exact integer-valued doubles only).
-    for (u64 chunks : {u64{25}, u64{24}}) {
-        BenchmarkSpec spec = smallSpec(chunks);
-        const ICount slice = spec.chunkLen * 10;
-        const std::size_t expectSlices = chunks == 25 ? 3 : 2;
-
-        BbvTool batched(slice);
-        Engine eb;
-        eb.attach(&batched);
-        SyntheticWorkload wlA(spec);
-        eb.runWhole(wlA);
-
-        BbvTool perBlock(slice);
-        Engine ep;
-        ep.attach(&perBlock);
-        PerBlockFanout fanout(ep);
-        SyntheticWorkload wlB(spec);
-        perBlock.onRunStart(wlB);
-        wlB.run(0, spec.totalChunks, fanout, false);
-        perBlock.onRunEnd();
-
-        ASSERT_EQ(batched.vectors().size(), expectSlices)
-            << chunks << " chunks";
-        ASSERT_EQ(perBlock.vectors().size(), expectSlices);
-        for (std::size_t s = 0; s < expectSlices; ++s) {
-            const auto &ea = batched.vectors()[s].entries;
-            const auto &eb2 = perBlock.vectors()[s].entries;
-            ASSERT_EQ(ea.size(), eb2.size()) << "slice " << s;
-            for (std::size_t i = 0; i < ea.size(); ++i) {
-                EXPECT_EQ(ea[i].block, eb2[i].block);
-                // Exact, not approximate: byte-stability of the BBV
-                // artifact is what keeps its cache salt unbumped.
-                EXPECT_EQ(ea[i].weight, eb2[i].weight);
-            }
-        }
-    }
-}
-
-TEST(HierarchyMemo, AccessDataMatchesMemoFreeWalk)
-{
-    // The absent-from-L1D memo must be semantically invisible: same
-    // per-access hit levels and same per-level counters as a plain
-    // L1D -> L2 -> L3 walk over memo-free caches.  Random streams
-    // with a working set far above L1D capacity make missing lines
-    // repeat (the memo's target case); a mid-stream flush checks the
-    // memo resets with the contents.
-    for (const HierarchyConfig &base :
-         {tableIConfig(), tableIIIConfig()}) {
-        for (ReplacementPolicy pol :
-             {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
-            HierarchyConfig cfg = base;
-            cfg.l1d.replacement = pol;
-            cfg.l2.replacement = pol;
-            cfg.l3.replacement = pol;
-
-            CacheHierarchy hier(cfg);
-            SetAssocCache refL1d(cfg.l1d);
-            SetAssocCache refL2(cfg.l2);
-            SetAssocCache refL3(cfg.l3);
-
-            u64 state = 0x9e3779b97f4a7c15ULL ^ cfg.contentHash();
-            for (int i = 0; i < 200000; ++i) {
-                if (i == 100000) {
-                    hier.flush();
-                    refL1d.flush();
-                    refL2.flush();
-                    refL3.flush();
-                }
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Addr addr = (state % (256 * 1024)) & ~7ULL;
-                bool isWrite = (state >> 21) & 1;
-                HitLevel got = hier.accessData(addr, isWrite);
-                HitLevel want =
-                    refL1d.access(addr, isWrite) ? HitLevel::L1
-                    : refL2.access(addr, isWrite)
-                        ? HitLevel::L2
-                        : refL3.access(addr, isWrite)
-                              ? HitLevel::L3
-                              : HitLevel::Memory;
-                ASSERT_EQ(static_cast<int>(got),
-                          static_cast<int>(want))
-                    << "access " << i << " policy "
-                    << replacementPolicyName(pol);
-            }
-
-            auto expectSame = [](const CacheStats &a,
-                                 const CacheStats &b) {
-                EXPECT_EQ(a.accesses, b.accesses);
-                EXPECT_EQ(a.misses, b.misses);
-                EXPECT_EQ(a.readAccesses, b.readAccesses);
-                EXPECT_EQ(a.readMisses, b.readMisses);
-                EXPECT_EQ(a.writeAccesses, b.writeAccesses);
-                EXPECT_EQ(a.writeMisses, b.writeMisses);
-            };
-            expectSame(hier.levelStats(CacheLevel::L1D),
-                       refL1d.statsRef());
-            expectSame(hier.levelStats(CacheLevel::L2),
-                       refL2.statsRef());
-            expectSame(hier.levelStats(CacheLevel::L3),
-                       refL3.statsRef());
-            // The stream really exercised the memo's target case.
-            EXPECT_GT(hier.levelStats(CacheLevel::L1D).misses, 0u);
-        }
-    }
-}
-
-TEST(EventBatching, EngineCountsBatches)
-{
-    obs::resetCounters();
-    SyntheticWorkload wl(smallSpec(50));
-    LdStMixTool mix;
-    Engine engine;
-    engine.attach(&mix);
-    engine.runWhole(wl);
-    auto counters = obs::counterSnapshot();
-    EXPECT_EQ(counters.at("pin.batches"), 50u);
-    EXPECT_GT(counters.at("pin.batch_blocks"), 50u);
-    EXPECT_EQ(counters.at("pin.instrs"), 50000u);
 }
 
 /**
@@ -494,6 +122,581 @@ class ReferenceCache
     std::vector<Line> lines;
 };
 
+/** Reference hierarchy: the plain L1 -> L2 -> L3 -> memory walk over
+ *  ReferenceCaches (no MRU fast path, no absent-line memo). */
+class ReferenceHierarchy
+{
+  public:
+    explicit ReferenceHierarchy(const HierarchyConfig &cfg)
+        : levels{ReferenceCache(cfg.l1i), ReferenceCache(cfg.l1d),
+                 ReferenceCache(cfg.l2), ReferenceCache(cfg.l3)}
+    {
+    }
+
+    HitLevel
+    accessData(Addr addr, bool isWrite)
+    {
+        return walk(levels[1], addr, isWrite);
+    }
+
+    HitLevel accessInstr(Addr pc) { return walk(levels[0], pc, false); }
+
+    const CacheStats &
+    stats(CacheLevel l) const
+    {
+        return levels[static_cast<u8>(l)].stats;
+    }
+
+  private:
+    HitLevel
+    walk(ReferenceCache &l1, Addr addr, bool isWrite)
+    {
+        if (l1.access(addr, isWrite))
+            return HitLevel::L1;
+        if (levels[2].access(addr, isWrite))
+            return HitLevel::L2;
+        if (levels[3].access(addr, isWrite))
+            return HitLevel::L3;
+        return HitLevel::Memory;
+    }
+
+    std::vector<ReferenceCache> levels;
+};
+
+/** Reference interval core: IntervalCoreTool's per-block step
+ *  without warm-up, operation for operation over the reference
+ *  hierarchy (no L1-hit shortcut), so cycle counts compare
+ *  bit-identically. */
+class ReferenceCore
+{
+  public:
+    explicit ReferenceCore(const MachineConfig &config)
+        : caches(config.caches), cfg(config),
+          predictor(config.predictorHistoryBits),
+          sinceMemMiss(config.robEntries)
+    {
+    }
+
+    void
+    step(const BlockRecord &rec, const MemAccess *accs,
+         std::size_t nAccs, const BranchRecord *br)
+    {
+        double cycles = static_cast<double>(rec.instrs) /
+                        static_cast<double>(cfg.dispatchWidth);
+
+        HitLevel fetch = caches.accessInstr(rec.pc);
+        if (fetch != HitLevel::L1)
+            cycles += exposedLatency(fetch) * 0.5;
+
+        sinceMemMiss += rec.instrs;
+        for (std::size_t i = 0; i < nAccs; ++i) {
+            HitLevel level =
+                caches.accessData(accs[i].addr, accs[i].isWrite);
+            double scale = accs[i].isWrite ? 0.3 : 1.0;
+            cycles += exposedLatency(level) * scale;
+        }
+
+        if (br) {
+            bool correct = predictor.update(br->pc, br->taken);
+            ++timing.branches;
+            if (!correct) {
+                ++timing.mispredicts;
+                cycles += cfg.branchMispredictPenalty;
+            }
+        }
+
+        timing.instrs += rec.instrs;
+        timing.cycles += cycles;
+    }
+
+    TimingStats timing;
+    ReferenceHierarchy caches;
+
+  private:
+    double
+    exposedLatency(HitLevel level)
+    {
+        switch (level) {
+          case HitLevel::L1:
+            return 0.0;
+          case HitLevel::L2:
+            ++timing.l2Hits;
+            return (cfg.l2LatencyCycles - cfg.l1LatencyCycles) * 0.35;
+          case HitLevel::L3:
+            ++timing.l3Hits;
+            return (cfg.l3LatencyCycles - cfg.l2LatencyCycles) * 0.55;
+          case HitLevel::Memory: {
+            ++timing.memAccesses;
+            double exposed =
+                static_cast<double>(cfg.memLatencyCycles);
+            if (sinceMemMiss < cfg.robEntries)
+                exposed *= 0.25;
+            sinceMemMiss = 0;
+            return exposed * 0.8;
+          }
+        }
+        return 0.0;
+    }
+
+    MachineConfig cfg;
+    TournamentPredictor predictor;
+    ICount sinceMemMiss;
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.accesses, b.accesses) << what;
+    EXPECT_EQ(a.misses, b.misses) << what;
+    EXPECT_EQ(a.readAccesses, b.readAccesses) << what;
+    EXPECT_EQ(a.readMisses, b.readMisses) << what;
+    EXPECT_EQ(a.writeAccesses, b.writeAccesses) << what;
+    EXPECT_EQ(a.writeMisses, b.writeMisses) << what;
+}
+
+void
+expectSameCacheStats(const CacheHierarchy &a,
+                     const ReferenceHierarchy &b)
+{
+    for (CacheLevel l : {CacheLevel::L1I, CacheLevel::L1D,
+                         CacheLevel::L2, CacheLevel::L3})
+        expectSameStats(a.levelStats(l), b.stats(l),
+                        cacheLevelName(l));
+}
+
+void
+expectSameTiming(const TimingStats &a, const TimingStats &b)
+{
+    EXPECT_EQ(a.instrs, b.instrs);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l3Hits, b.l3Hits);
+    EXPECT_EQ(a.memAccesses, b.memAccesses);
+}
+
+/**
+ * The per-block reference for every bundled tool.  Recomputes each
+ * per-chunk aggregate from the batch's per-block view and checks it
+ * against the precomputed accessors, and keeps running per-block
+ * reductions over the whole stream: instruction mix and branch
+ * counts always; optionally BBVs (a BbvAccumulator fed block by
+ * block, with BbvTool's half-full sliver rule) and the reference
+ * hierarchy and interval core.
+ */
+class AggregateCheckSink : public EventSink
+{
+  public:
+    /** Also collect one BBV per @p slice instructions. */
+    void
+    collectBbvs(const SyntheticWorkload &wl, ICount slice)
+    {
+        bbvAcc = std::make_unique<BbvAccumulator>(wl.numStaticBlocks());
+        sliceInstrs = slice;
+    }
+
+    /** Also drive the reference hierarchy and interval core. */
+    void
+    simulate(const HierarchyConfig &caches,
+             const MachineConfig &machine)
+    {
+        refCaches = std::make_unique<ReferenceHierarchy>(caches);
+        refCore = std::make_unique<ReferenceCore>(machine);
+    }
+
+    void
+    onBatch(const EventBatch &batch) override
+    {
+        ++batches;
+        InstrMix mix;
+        ICount fp = 0;
+        u64 branches = 0, taken = 0, dataDep = 0;
+        std::map<u32, u64> sums;
+        const std::size_t n = batch.numBlocks();
+        for (std::size_t i = 0; i < n; ++i) {
+            const BlockRecord &rec = batch.block(i);
+            mix += rec.mix;
+            fp += rec.fpInstrs;
+            if (const BranchRecord *br = batch.branch(i)) {
+                ++branches;
+                taken += br->taken ? 1 : 0;
+                dataDep += br->dataDependent ? 1 : 0;
+            }
+            sums[rec.bb] += rec.instrs;
+            if (bbvAcc)
+                addBbv(rec);
+            if (refCaches) {
+                const MemAccess *accs = batch.accs(i);
+                refCaches->accessInstr(rec.pc);
+                for (std::size_t k = 0; k < batch.accCount(i); ++k)
+                    refCaches->accessData(accs[k].addr,
+                                          accs[k].isWrite);
+                refCore->step(rec, accs, batch.accCount(i),
+                              batch.branch(i));
+            }
+        }
+        for (std::size_t c = 0; c < kNumMemClasses; ++c)
+            ASSERT_EQ(batch.mixTotal().count[c], mix.count[c]);
+        ASSERT_EQ(batch.fpTotal(), fp);
+        ASSERT_EQ(batch.branchTotal(), branches);
+        ASSERT_EQ(batch.takenTotal(), taken);
+        ASSERT_EQ(batch.dataDependentTotal(), dataDep);
+
+        // The touched-block list names each touched block exactly
+        // once, the per-block sums match a from-scratch reduction,
+        // and together they cover the batch's instruction total.
+        std::set<u32> seen;
+        u64 total = 0;
+        for (u32 b : batch.touchedBlocks()) {
+            ASSERT_TRUE(seen.insert(b).second)
+                << "duplicate touched block " << b;
+            auto it = sums.find(b);
+            ASSERT_NE(it, sums.end()) << "untouched block " << b;
+            ASSERT_EQ(batch.blockInstrSum(b), it->second);
+            total += it->second;
+        }
+        ASSERT_EQ(seen.size(), sums.size());
+        ASSERT_EQ(total, batch.instrs());
+
+        mixSum += mix;
+        fpSum += fp;
+        branchSum += branches;
+        takenSum += taken;
+        dataDepSum += dataDep;
+    }
+
+    /** End of run: keep the final BBV sliver if it is at least half
+     *  a slice, as BbvTool::onRunEnd does. */
+    void
+    finish()
+    {
+        if (bbvAcc && !bbvAcc->empty()) {
+            FrequencyVector sliver = bbvAcc->harvest();
+            if (inSlice * 2 >= sliceInstrs)
+                bbvs.push_back(std::move(sliver));
+        }
+        inSlice = 0;
+    }
+
+    std::size_t batches = 0;
+    InstrMix mixSum;
+    ICount fpSum = 0;
+    u64 branchSum = 0, takenSum = 0, dataDepSum = 0;
+    std::vector<FrequencyVector> bbvs;
+    std::unique_ptr<ReferenceHierarchy> refCaches;
+    std::unique_ptr<ReferenceCore> refCore;
+
+  private:
+    void
+    addBbv(const BlockRecord &rec)
+    {
+        bbvAcc->add(rec.bb, static_cast<double>(rec.instrs));
+        inSlice += rec.instrs;
+        if (inSlice >= sliceInstrs) {
+            ASSERT_EQ(inSlice, sliceInstrs)
+                << "slice boundary crossed mid-block";
+            bbvs.push_back(bbvAcc->harvest());
+            inSlice = 0;
+        }
+    }
+
+    std::unique_ptr<BbvAccumulator> bbvAcc;
+    ICount sliceInstrs = 0;
+    ICount inSlice = 0;
+};
+
+void
+expectSameBbvs(const std::vector<FrequencyVector> &a,
+               const std::vector<FrequencyVector> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        const auto &ea = a[s].entries;
+        const auto &eb = b[s].entries;
+        ASSERT_EQ(ea.size(), eb.size()) << "slice " << s;
+        for (std::size_t i = 0; i < ea.size(); ++i) {
+            EXPECT_EQ(ea[i].block, eb[i].block);
+            // Exact, not approximate: byte-stability of the BBV
+            // artifact is what keeps its cache salt unbumped.
+            EXPECT_EQ(ea[i].weight, eb[i].weight);
+        }
+    }
+}
+
+TEST(EventBatching, BatchedMatchesPerBlock)
+{
+    // Every bundled tool under batched dispatch against the per-block
+    // reductions over the same stream: all statistics exactly equal.
+    BenchmarkSpec spec = smallSpec(200);
+    const ICount slice = spec.chunkLen * 10;
+
+    AllCacheTool cache(tableIConfig());
+    LdStMixTool mix;
+    BranchProfileTool br;
+    IntervalCoreTool core(tableIIIMachine());
+    BbvTool bbv(slice);
+    Engine batched;
+    for (PinTool *t : std::initializer_list<PinTool *>{
+             &cache, &mix, &br, &core, &bbv})
+        batched.attach(t);
+    SyntheticWorkload wlA(spec);
+    batched.runWhole(wlA);
+
+    SyntheticWorkload wlB(spec);
+    AggregateCheckSink ref;
+    ref.collectBbvs(wlB, slice);
+    ref.simulate(tableIConfig(), tableIIIMachine());
+    wlB.run(0, spec.totalChunks, ref, true);
+    ref.finish();
+
+    expectSameCacheStats(cache.hierarchy(), *ref.refCaches);
+
+    for (std::size_t c = 0; c < kNumMemClasses; ++c)
+        EXPECT_EQ(mix.mix().count[c], ref.mixSum.count[c]);
+    EXPECT_EQ(mix.fpInstructions(), ref.fpSum);
+
+    EXPECT_EQ(br.branchCount(), ref.branchSum);
+    EXPECT_EQ(br.takenCount(), ref.takenSum);
+    EXPECT_EQ(br.dataDependentCount(), ref.dataDepSum);
+
+    expectSameTiming(core.stats(), ref.refCore->timing);
+
+    expectSameBbvs(bbv.vectors(), ref.bbvs);
+}
+
+TEST(ReferenceModel, SuiteStreamsMatchAllCacheAndIntervalCore)
+{
+    // The optimised hierarchy (same-line and way-0 fast paths,
+    // memmove replacement, absent-from-L1D memo) behind AllCacheTool
+    // (Table I) and IntervalCoreTool (Table III), against the
+    // reference models on real suite address streams under both
+    // replacement policies: every per-level counter and every timing
+    // field exactly equal.
+    const u64 window = 1000;
+    const ExperimentConfig paper = ExperimentConfig::paperDefaults();
+    for (ReplacementPolicy pol :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+        HierarchyConfig caches = paper.allcache;
+        MachineConfig machine = paper.machine;
+        for (HierarchyConfig *h : {&caches, &machine.caches})
+            for (CacheParams *p : {&h->l1i, &h->l1d, &h->l2, &h->l3})
+                p->replacement = pol;
+
+        for (const char *name :
+             {"505.mcf_r", "503.bwaves_r", "502.gcc_r", "519.lbm_r"}) {
+            SCOPED_TRACE(std::string(name) + " " +
+                         replacementPolicyName(pol));
+            BenchmarkSpec spec = benchmarkByName(name);
+
+            AllCacheTool cache(caches);
+            IntervalCoreTool core(machine);
+            Engine engine;
+            engine.attach(&cache);
+            engine.attach(&core);
+            SyntheticWorkload wlA(spec);
+            engine.run(wlA, 0, window);
+
+            SyntheticWorkload wlB(spec);
+            AggregateCheckSink ref;
+            ref.simulate(caches, machine);
+            wlB.run(0, window, ref, true);
+
+            expectSameCacheStats(cache.hierarchy(), *ref.refCaches);
+            expectSameCacheStats(core.hierarchy(),
+                                 ref.refCore->caches);
+            expectSameTiming(core.stats(), ref.refCore->timing);
+            // The stream reaches memory, so every level both hits
+            // and misses.
+            EXPECT_GT(core.stats().memAccesses, 0u);
+            EXPECT_GT(core.stats().l3Hits, 0u);
+        }
+    }
+}
+
+/** Sink that checks the structural invariants of every batch. */
+class InvariantSink : public EventSink
+{
+  public:
+    void
+    onBatch(const EventBatch &batch) override
+    {
+        ++batches;
+        const std::size_t n = batch.numBlocks();
+        ASSERT_GT(n, 0u);
+        ASSERT_EQ(batch.offsets().size(), n + 1);
+        ASSERT_EQ(batch.branches().size(), n);
+        ASSERT_EQ(batch.branchValid().size(), n);
+        ASSERT_EQ(batch.blocks().size(), n);
+        EXPECT_EQ(batch.offsets().front(), 0u);
+        // The pool may retain high-water capacity; the offsets only
+        // ever address the used prefix.
+        EXPECT_LE(batch.offsets().back(), batch.accessPool().size());
+
+        ICount instrSum = 0;
+        std::size_t accSum = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_LE(batch.offsets()[i], batch.offsets()[i + 1]);
+            instrSum += batch.block(i).instrs;
+            accSum += batch.accCount(i);
+            // Element accessors agree with the raw arrays.
+            EXPECT_EQ(&batch.block(i), &batch.blocks()[i]);
+            if (batch.accCount(i) == 0) {
+                EXPECT_EQ(batch.accs(i), nullptr);
+            } else {
+                EXPECT_EQ(batch.accs(i), batch.accessPool().data() +
+                                             batch.offsets()[i]);
+            }
+            if (batch.branch(i)) {
+                EXPECT_EQ(batch.branch(i), &batch.branches()[i]);
+                EXPECT_TRUE(batch.block(i).endsInBranch);
+            }
+        }
+        EXPECT_EQ(batch.instrs(), instrSum);
+        EXPECT_EQ(batch.offsets().back(), accSum);
+        totalInstrs += instrSum;
+    }
+
+    std::size_t batches = 0;
+    ICount totalInstrs = 0;
+};
+
+TEST(EventBatching, BatchLayoutInvariants)
+{
+    BenchmarkSpec spec = smallSpec(64);
+    SyntheticWorkload wl(spec);
+    InvariantSink sink;
+    wl.run(0, spec.totalChunks, sink, true);
+    // One batch per chunk, covering the full instruction budget.
+    EXPECT_EQ(sink.batches, spec.totalChunks);
+    EXPECT_EQ(sink.totalInstrs, spec.totalChunks * spec.chunkLen);
+}
+
+TEST(EventBatching, ChunkAggregatesMatchPerBlockReduction)
+{
+    BenchmarkSpec spec = smallSpec(120);
+    SyntheticWorkload wl(spec);
+    AggregateCheckSink sink;
+    wl.run(0, spec.totalChunks, sink, true);
+    EXPECT_EQ(sink.batches, spec.totalChunks);
+
+    // Single-chunk windows out of stream order refill an arena that
+    // last held another chunk; the aggregates must still match.
+    for (u64 c : {17ull, 0ull, 39ull})
+        wl.run(c, 1, sink, true);
+    EXPECT_EQ(sink.batches, spec.totalChunks + 3);
+}
+
+TEST(BbvToolT, HalfFullSliverBoundary)
+{
+    // 25 chunks at slice = 10 chunks leaves a final sliver with
+    // inSlice * 2 == sliceInstrs exactly — the keep/drop boundary.
+    // A half-full sliver is kept; just under half (24 chunks -> 0.4
+    // of a slice) is dropped.  The chunk-aggregate BBV path must
+    // agree with a per-block accumulation, and the kept vectors must
+    // be bit-identical (it reassociates exact integer-valued doubles
+    // only).
+    for (u64 chunks : {u64{25}, u64{24}}) {
+        BenchmarkSpec spec = smallSpec(chunks);
+        const ICount slice = spec.chunkLen * 10;
+        const std::size_t expectSlices = chunks == 25 ? 3 : 2;
+
+        BbvTool batched(slice);
+        Engine eb;
+        eb.attach(&batched);
+        SyntheticWorkload wlA(spec);
+        eb.runWhole(wlA);
+
+        SyntheticWorkload wlB(spec);
+        AggregateCheckSink perBlock;
+        perBlock.collectBbvs(wlB, slice);
+        wlB.run(0, spec.totalChunks, perBlock, false);
+        perBlock.finish();
+
+        ASSERT_EQ(batched.vectors().size(), expectSlices)
+            << chunks << " chunks";
+        ASSERT_EQ(perBlock.bbvs.size(), expectSlices);
+        expectSameBbvs(batched.vectors(), perBlock.bbvs);
+    }
+}
+
+TEST(HierarchyMemo, AccessDataMatchesMemoFreeWalk)
+{
+    // The absent-from-L1D memo must be semantically invisible: same
+    // per-access hit levels and same per-level counters as a plain
+    // L1D -> L2 -> L3 walk over memo-free caches.  Random streams
+    // with a working set far above L1D capacity make missing lines
+    // repeat (the memo's target case); a mid-stream flush checks the
+    // memo resets with the contents.
+    for (const HierarchyConfig &base :
+         {tableIConfig(), tableIIIConfig()}) {
+        for (ReplacementPolicy pol :
+             {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+            HierarchyConfig cfg = base;
+            cfg.l1d.replacement = pol;
+            cfg.l2.replacement = pol;
+            cfg.l3.replacement = pol;
+
+            CacheHierarchy hier(cfg);
+            SetAssocCache refL1d(cfg.l1d);
+            SetAssocCache refL2(cfg.l2);
+            SetAssocCache refL3(cfg.l3);
+
+            u64 state = 0x9e3779b97f4a7c15ULL ^ cfg.contentHash();
+            for (int i = 0; i < 200000; ++i) {
+                if (i == 100000) {
+                    hier.flush();
+                    refL1d.flush();
+                    refL2.flush();
+                    refL3.flush();
+                }
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                Addr addr = (state % (256 * 1024)) & ~7ULL;
+                bool isWrite = (state >> 21) & 1;
+                HitLevel got = hier.accessData(addr, isWrite);
+                HitLevel want =
+                    refL1d.access(addr, isWrite) ? HitLevel::L1
+                    : refL2.access(addr, isWrite)
+                        ? HitLevel::L2
+                        : refL3.access(addr, isWrite)
+                              ? HitLevel::L3
+                              : HitLevel::Memory;
+                ASSERT_EQ(static_cast<int>(got),
+                          static_cast<int>(want))
+                    << "access " << i << " policy "
+                    << replacementPolicyName(pol);
+            }
+
+            expectSameStats(hier.levelStats(CacheLevel::L1D),
+                            refL1d.statsRef(), "L1D");
+            expectSameStats(hier.levelStats(CacheLevel::L2),
+                            refL2.statsRef(), "L2");
+            expectSameStats(hier.levelStats(CacheLevel::L3),
+                            refL3.statsRef(), "L3");
+            // The stream really exercised the memo's target case.
+            EXPECT_GT(hier.levelStats(CacheLevel::L1D).misses, 0u);
+        }
+    }
+}
+
+TEST(EventBatching, EngineCountsBatches)
+{
+    obs::resetCounters();
+    SyntheticWorkload wl(smallSpec(50));
+    LdStMixTool mix;
+    Engine engine;
+    engine.attach(&mix);
+    engine.runWhole(wl);
+    auto counters = obs::counterSnapshot();
+    EXPECT_EQ(counters.at("pin.batches"), 50u);
+    EXPECT_GT(counters.at("pin.batch_blocks"), 50u);
+    EXPECT_EQ(counters.at("pin.instrs"), 50000u);
+}
+
+
 TEST(CacheFastPath, MruProbeMatchesReference)
 {
     // The inline MRU/tag-shift fast path against the slow reference
@@ -527,12 +730,7 @@ TEST(CacheFastPath, MruProbeMatchesReference)
                     << "access " << i << " ways " << ways;
             }
             const CacheStats &s = fast.statsRef();
-            EXPECT_EQ(s.accesses, ref.stats.accesses);
-            EXPECT_EQ(s.misses, ref.stats.misses);
-            EXPECT_EQ(s.readAccesses, ref.stats.readAccesses);
-            EXPECT_EQ(s.readMisses, ref.stats.readMisses);
-            EXPECT_EQ(s.writeAccesses, ref.stats.writeAccesses);
-            EXPECT_EQ(s.writeMisses, ref.stats.writeMisses);
+            expectSameStats(s, ref.stats, "ways " + std::to_string(ways));
             EXPECT_GT(s.accesses, s.misses); // hits occurred
         }
     }
@@ -691,12 +889,6 @@ batchBytes(const EventBatch &batch)
 class LastBatchSink : public EventSink
 {
   public:
-    void
-    onBlock(const BlockRecord &, const MemAccess *, std::size_t,
-            const BranchRecord *) override
-    {
-    }
-
     void
     onBatch(const EventBatch &batch) override
     {

@@ -166,6 +166,17 @@ TEST(Replayer, WarmupClampedAtRunStart)
     EXPECT_EQ(rep0.replayWarmup(0, 1000, engine), 0u);
 }
 
+TEST(Logger, ChecksumPinned)
+{
+    // Relative equality cannot see a reordered fold (block id and
+    // length, then the accesses, then the branch, block by block);
+    // a pinned value can.  Changing it invalidates every stored
+    // pinball checksum.
+    SyntheticWorkload wl(spec());
+    EXPECT_EQ(Logger::streamChecksum(wl, 100, 10),
+              8132985435606576386ULL);
+}
+
 TEST(Logger, ChecksumSensitiveToWindow)
 {
     SyntheticWorkload wl(spec());

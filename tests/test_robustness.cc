@@ -230,10 +230,7 @@ TEST(Robustness, WorkloadRejectsOutOfRangeWindow)
     SyntheticWorkload wl(spec);
     class Null : public EventSink
     {
-        void onBlock(const BlockRecord &, const MemAccess *,
-                     std::size_t, const BranchRecord *) override
-        {
-        }
+        void onBatch(const EventBatch &) override {}
     } sink;
     EXPECT_DEATH(wl.run(40, 20, sink), "beyond run");
 }

@@ -171,10 +171,10 @@ TEST(MakeBenchmark, SpecsAreExecutable)
         {
           public:
             void
-            onBlock(const BlockRecord &r, const MemAccess *,
-                    std::size_t, const BranchRecord *) override
+            onBatch(const EventBatch &batch) override
             {
-                instrs += r.instrs;
+                for (const BlockRecord &r : batch.blocks())
+                    instrs += r.instrs;
             }
             ICount instrs = 0;
         } sink;

@@ -230,17 +230,19 @@ class RecordingSink : public EventSink
     };
 
     void
-    onBlock(const BlockRecord &rec, const MemAccess *accs,
-            std::size_t nAccs, const BranchRecord *br) override
+    onBatch(const EventBatch &batch) override
     {
-        Event e;
-        e.rec = rec;
-        e.accs.assign(accs, accs + nAccs);
-        if (br) {
-            e.hasBranch = true;
-            e.br = *br;
+        for (std::size_t i = 0; i < batch.numBlocks(); ++i) {
+            Event e;
+            e.rec = batch.block(i);
+            e.accs.assign(batch.accs(i),
+                          batch.accs(i) + batch.accCount(i));
+            if (const BranchRecord *br = batch.branch(i)) {
+                e.hasBranch = true;
+                e.br = *br;
+            }
+            events.push_back(std::move(e));
         }
-        events.push_back(std::move(e));
     }
 
     std::vector<Event> events;
@@ -366,12 +368,13 @@ TEST(SyntheticWorkload, PhasesUseDisjointBlocks)
             : wl(w), map(m)
         {}
         void
-        onBlock(const BlockRecord &rec, const MemAccess *,
-                std::size_t, const BranchRecord *) override
+        onBatch(const EventBatch &batch) override
         {
-            u64 chunk = icount / wl.chunkLen();
-            map[wl.phaseAt(chunk)].insert(rec.bb);
-            icount += rec.instrs;
+            for (const BlockRecord &rec : batch.blocks()) {
+                u64 chunk = icount / wl.chunkLen();
+                map[wl.phaseAt(chunk)].insert(rec.bb);
+                icount += rec.instrs;
+            }
         }
         SyntheticWorkload &wl;
         std::map<u32, std::set<u32>> &map;
