@@ -31,24 +31,35 @@ struct AblationRow
     double avgMixErr = 0;
 };
 
+/**
+ * One configuration's row.  Its selections come from a graph over
+ * @p cfg on @p baseline's cache, so every configuration shares the
+ * persisted BBV profiles (same slice length) and each selection is
+ * made once per cache; their keys go into the manifest.
+ */
 AblationRow
 evaluate(const std::string &label, const SimPointConfig &cfg,
-         ArtifactGraph &baseline)
+         ArtifactGraph &baseline, obs::RunManifest &manifest)
 {
-    PinPointsPipeline pipe(cfg, baseline.cacheHandle());
+    ArtifactGraph g(
+        ExperimentConfig(baseline.config()).withSimPoint(cfg),
+        baseline.cacheHandle());
+    g.runSuite(kAblationBenches, {ArtifactKind::SimPoints});
     AblationRow row;
     row.label = label;
     double n = 0;
     for (const std::string &name : kAblationBenches) {
-        const BenchmarkSpec &spec = baseline.spec(name);
-        SimPointResult r = pipe.simpoints(spec);
+        manifest.addArtifact(
+            "simpoints/" + name + "@" + label,
+            g.artifactKey(name, ArtifactKind::SimPoints));
+        const SimPointResult &r = g.simpoints(name);
         row.avgPoints += static_cast<double>(r.points.size());
         row.avgPoints90 +=
             static_cast<double>(r.topByWeight(0.9).size());
 
         auto whole = wholeAsAggregate(baseline.wholeCache(name));
         auto agg = aggregateCache(measurePointsCache(
-            spec, r, baseline.config().allcache, 0));
+            g.spec(name), r, baseline.config().allcache, 0));
         double mixErr = 0;
         for (int c = 0; c < 4; ++c)
             mixErr = std::max(mixErr,
@@ -112,7 +123,8 @@ main(int, char **argv)
     }
 
     for (const auto &[label, cfg] : configs) {
-        AblationRow row = evaluate(label, cfg, graph);
+        AblationRow row =
+            evaluate(label, cfg, graph, sink.manifest());
         sink.row({row.label,
                   {fmt(row.avgPoints, 1), fmt(row.avgPoints, 2)},
                   {fmt(row.avgPoints90, 1), fmt(row.avgPoints90, 2)},

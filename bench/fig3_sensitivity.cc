@@ -7,10 +7,11 @@
  * (b) slice in {15, 25, 30, 50, 100}M-equivalent at MaxK = 35.
  *
  * Metrics (vs the full run): ldstmix instruction distribution and
- * allcache miss rates for the Table I hierarchy.  Paper findings:
- * small MaxK distorts the instruction distribution; small slices
- * inflate miss rates of the far caches (cold-cache effect), larger
- * slices pull L3 miss rates back toward the full run.
+ * allcache miss rates for the Table I hierarchy at model scale, the
+ * same hierarchy for the full run and every swept point.  Paper
+ * findings: small MaxK distorts the instruction distribution; small
+ * slices inflate miss rates of the far caches (cold-cache effect),
+ * larger slices pull L3 miss rates back toward the full run.
  */
 
 #include "bench_util.hh"
@@ -27,21 +28,29 @@ struct ConfigRow
     AggregateCacheMetrics agg;
 };
 
+/**
+ * One swept point: the selection comes from a graph over the swept
+ * SimPointConfig on @p graph's cache (salted keys, key lock, one
+ * persisted profile per slice length), replayed on the same scaled
+ * hierarchy as the Full Run row.  The selection's key goes into the
+ * manifest, since the row depends on it.
+ */
 ConfigRow
-runConfig(const BenchmarkSpec &spec, u32 maxK, double sliceM,
-          const HierarchyConfig &caches, ArtifactGraph &graph)
+runConfig(ArtifactGraph &graph, const std::string &name, u32 maxK,
+          double sliceM, obs::RunManifest &manifest)
 {
     SimPointConfig cfg;
     cfg.maxK = maxK;
     cfg.sliceInstrs = scale::sliceForPaperMillions(sliceM);
-    // Share the graph's cache instance: one writability probe and
-    // one counter stream per process.
-    PinPointsPipeline pipe(cfg, graph.cacheHandle());
-    SimPointResult sp = pipe.simpoints(spec);
-    auto points = measurePointsCache(spec, sp, caches, 0);
+    ArtifactGraph g(ExperimentConfig(graph.config()).withSimPoint(cfg),
+                    graph.cacheHandle());
     ConfigRow row;
     row.label = "MaxK=" + std::to_string(maxK) + ", slice=" +
                 fmt(sliceM, 0) + "M";
+    manifest.addArtifact("simpoints/" + name + "@" + row.label,
+                         g.artifactKey(name, ArtifactKind::SimPoints));
+    auto points = measurePointsCache(g.spec(name), g.simpoints(name),
+                                     graph.config().allcache, 0);
     row.agg = aggregateCache(points);
     return row;
 }
@@ -73,8 +82,6 @@ main(int, char **argv)
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
     const std::string name = "623.xalancbmk_s";
-    const BenchmarkSpec &spec = graph.spec(name);
-    const HierarchyConfig caches = tableIConfig();
 
     AggregateCacheMetrics whole =
         wholeAsAggregate(graph.wholeCache(name));
@@ -103,9 +110,9 @@ main(int, char **argv)
     sink.row(cells("Full Run", whole));
     sink.separator();
     for (u32 maxK : scale::kMaxKSweep) {
-        ConfigRow row =
-            runConfig(spec, maxK, scale::kChosenSliceM, caches,
-                      graph);
+        ConfigRow row = runConfig(graph, name, maxK,
+                                  scale::kChosenSliceM,
+                                  sink.manifest());
         sink.row(cells(row.label, row.agg));
     }
     sink.printTable();
@@ -126,9 +133,8 @@ main(int, char **argv)
     emitB("Full Run", whole);
     tb.separator();
     for (double sliceM : scale::kPaperSliceSweepM) {
-        ConfigRow row =
-            runConfig(spec, scale::kChosenMaxK, sliceM, caches,
-                      graph);
+        ConfigRow row = runConfig(graph, name, scale::kChosenMaxK,
+                                  sliceM, sink.manifest());
         emitB(row.label, row.agg);
     }
     tb.print();

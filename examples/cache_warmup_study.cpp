@@ -16,7 +16,6 @@
 
 #include <cstdio>
 
-#include "core/pipeline.hh"
 #include "core/scale.hh"
 #include "core/runs.hh"
 #include "support/table.hh"
@@ -66,8 +65,9 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "505.mcf_r";
     BenchmarkSpec spec = benchmarkByName(name);
 
-    PinPointsPipeline pipe;
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointConfig cfg;
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     std::printf("%s: %zu simulation points\n\n", name.c_str(),
                 sp.points.size());
 

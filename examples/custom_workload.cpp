@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/pipeline.hh"
+#include "core/runs.hh"
 #include "pin/tools/inscount.hh"
 #include "pin/tools/ldstmix.hh"
 #include "pinball/logger.hh"
@@ -72,8 +72,9 @@ main(int argc, char **argv)
     SyntheticWorkload workload(spec);
     Pinball whole = Logger::captureWhole(workload, /*verify=*/true);
 
-    PinPointsPipeline pipeline;
-    SimPointResult points = pipeline.simpoints(spec);
+    SimPointConfig cfg;
+    SimPointResult points =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     Pinball regional = Logger::makeRegional(whole, points);
 
     std::string wholePath = dir + "/toy-encoder.whole.pinball";

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/pipeline.hh"
 #include "core/runs.hh"
 #include "core/scale.hh"
 #include "support/stats_util.hh"
@@ -73,8 +72,8 @@ main(int argc, char **argv)
     for (u32 maxK : maxKs) {
         SimPointConfig cfg;
         cfg.maxK = maxK;
-        PinPointsPipeline pipe(cfg);
-        SimPointResult sp = pipe.simpoints(spec);
+        SimPointResult sp =
+            pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
         auto agg = aggregateCache(
             measurePointsCache(spec, sp, caches, 0));
         reportRow(t,
@@ -86,8 +85,8 @@ main(int argc, char **argv)
     for (double sliceM : {15.0, 30.0, 100.0}) {
         SimPointConfig cfg;
         cfg.sliceInstrs = scale::sliceForPaperMillions(sliceM);
-        PinPointsPipeline pipe(cfg);
-        SimPointResult sp = pipe.simpoints(spec);
+        SimPointResult sp =
+            pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
         auto agg = aggregateCache(
             measurePointsCache(spec, sp, caches, 0));
         reportRow(t,

@@ -4,7 +4,7 @@
  * benchmark in ~60 lines of user code.
  *
  *   1. describe a phase-structured workload (BenchmarkSpec)
- *   2. pick simulation points (PinPointsPipeline)
+ *   2. pick simulation points (profileBbvs + pickSimPoints)
  *   3. replay only the simulation points under analysis tools
  *   4. compare the weighted estimate against the full run
  *
@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "core/pipeline.hh"
 #include "core/scale.hh"
 #include "core/runs.hh"
 #include "support/table.hh"
@@ -44,8 +43,9 @@ main()
     spec.dwellChunks = 200;
 
     // 2. SimPoint selection (MaxK = 35, 30M-equivalent slices).
-    PinPointsPipeline pipeline;
-    SimPointResult points = pipeline.simpoints(spec);
+    SimPointConfig cfg;
+    SimPointResult points =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     std::printf("found %zu simulation points over %llu slices:\n",
                 points.points.size(),
                 static_cast<unsigned long long>(points.totalSlices));

@@ -382,8 +382,7 @@ ArtifactGraph::ArtifactGraph(ExperimentConfig cfg)
 
 ArtifactGraph::ArtifactGraph(
     ExperimentConfig cfg, std::shared_ptr<const ArtifactCache> cache)
-    : cfg(std::move(cfg)), cache(std::move(cache)),
-      pipe(this->cfg.simpoint, this->cache)
+    : cfg(std::move(cfg)), cache(std::move(cache))
 {
     SPLAB_ASSERT(this->cache != nullptr,
                  "artifact graph needs a cache instance (may be "
@@ -471,7 +470,7 @@ ArtifactGraph::computeValue(const std::string &name,
       case ArtifactKind::Spec:
         return benchmarkByName(name);
       case ArtifactKind::BbvProfile:
-        return pipe.profileBbvs(spec(name));
+        return profileBbvs(spec(name), cfg.simpoint.sliceInstrs);
       case ArtifactKind::SimPoints:
         SPLAB_VERBOSE("simpoint selection: ", name);
         return SimpointStrategy(cfg.simpoint).pick(bbvProfile(name));

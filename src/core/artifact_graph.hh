@@ -66,7 +66,11 @@
  * or over other cache handles on the same directory — wait and then
  * load instead of computing it again.  A holder only waits on the
  * locks of its own upstream nodes, so the waits follow DAG edges and
- * cannot cycle.  runSuite() fans (benchmark x target) tasks
+ * cannot cycle.  No other code reads or writes the cache: a sweep
+ * over SimPoint configurations builds one graph per configuration
+ * over one cacheHandle(), so its selections share the salted keys,
+ * the key lock and one persisted BBV profile per slice length.
+ * runSuite() fans (benchmark x target) tasks
  * over the global thread pool in topological kind order, so
  * cross-benchmark parallelism is the default for suite-wide benches
  * — while one benchmark's replays run, another's profile is being
@@ -88,6 +92,7 @@
 #include <variant>
 #include <vector>
 
+#include "artifact_cache.hh"
 #include "costmodel.hh"
 #include "obs/manifest.hh"
 #include "pipeline.hh"
@@ -301,7 +306,9 @@ class ArtifactGraph
   public:
     explicit ArtifactGraph(ExperimentConfig cfg = ExperimentConfig());
 
-    /** Share an externally owned cache (see PinPointsPipeline). */
+    /** Share an externally owned cache: graphs over one handle
+     *  share one writability probe, warn-once state and counter
+     *  stream. */
     ArtifactGraph(ExperimentConfig cfg,
                   std::shared_ptr<const ArtifactCache> cache);
 
@@ -314,11 +321,11 @@ class ArtifactGraph
     ~ArtifactGraph(); // out-of-line: Node is incomplete here
 
     const ExperimentConfig &config() const { return cfg; }
-    const PinPointsPipeline &pipeline() const { return pipe; }
     const ArtifactCache &artifactCache() const { return *cache; }
 
-    /** Shared handle for wiring ad-hoc pipelines to this graph's
-     *  cache instance instead of constructing parallel ones. */
+    /** Shared handle for a sibling graph over another
+     *  configuration (a swept SimPointConfig, say) on this graph's
+     *  cache instance instead of a parallel one. */
     std::shared_ptr<const ArtifactCache> cacheHandle() const
     {
         return cache;
@@ -412,6 +419,8 @@ class ArtifactGraph
     struct Node;
 
     Node &nodeFor(const std::string &name, ArtifactKind kind);
+    /** Single-flight load-or-compute of one node: the only code
+     *  that locks, loads or stores an artifact-cache blob. */
     const ArtifactValue &ensure(const std::string &name,
                                 ArtifactKind kind);
     ArtifactValue computeValue(const std::string &name,
@@ -420,7 +429,6 @@ class ArtifactGraph
 
     ExperimentConfig cfg;
     std::shared_ptr<const ArtifactCache> cache;
-    PinPointsPipeline pipe;
 
     std::mutex registryMtx; ///< guards the node map only
     std::map<std::pair<std::string, u8>, std::unique_ptr<Node>>

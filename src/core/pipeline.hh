@@ -1,77 +1,15 @@
-/**
- * @file
- * The PinPoints pipeline: workload -> whole pinball -> BBV profile
- * -> SimPoint selection -> regional pinball.
- *
- * This is the primary public entry point of the library: give it a
- * benchmark specification and a SimPointConfig, get back weighted
- * simulation points and replayable checkpoints.
- */
-
+// Exists only for suitebench/layers.cc; delete with that call.
 #ifndef SPLAB_CORE_PIPELINE_HH
 #define SPLAB_CORE_PIPELINE_HH
-
-#include <memory>
-
 #include "artifact_cache.hh"
-#include "pinball/pinball.hh"
-#include "simpoint/simpoint.hh"
-#include "workload/benchmark_spec.hh"
-
-namespace splab
+#include "runs.hh"
+namespace splab {
+struct PinPointsPipeline
 {
-
-/** Orchestrates profiling and SimPoint selection, with caching. */
-class PinPointsPipeline
-{
-  public:
-    explicit PinPointsPipeline(
-        SimPointConfig cfg = SimPointConfig(),
-        ArtifactCache cache = ArtifactCache::fromEnv());
-
-    /**
-     * Share an existing cache instance instead of owning one.  The
-     * experiment driver (ArtifactGraph) constructs a
-     * single ArtifactCache and hand it to every component, so there
-     * is one writability probe, one warn-once state and one counter
-     * stream per process — never parallel instances drifting apart.
-     */
-    PinPointsPipeline(SimPointConfig cfg,
-                      std::shared_ptr<const ArtifactCache> cache);
-
-    const SimPointConfig &config() const { return cfg; }
-
-    /** Collect one BBV per slice of the whole execution. */
-    std::vector<FrequencyVector>
-    profileBbvs(const BenchmarkSpec &spec) const;
-
-    /** Full SimPoint selection (BIC-chosen k); disk-cached. */
-    SimPointResult simpoints(const BenchmarkSpec &spec) const;
-
-    /** SimPoint selection with a forced cluster count; disk-cached. */
-    SimPointResult simpointsForcedK(const BenchmarkSpec &spec,
-                                    u32 k) const;
-
-    /** Capture the whole execution as a pinball. */
-    Pinball makeWholePinball(const BenchmarkSpec &spec) const;
-
-    /** Whole pinball -> regional pinball of the BIC selection. */
-    Pinball makeRegionalPinball(const BenchmarkSpec &spec) const;
-
-  private:
-    SimPointResult computeOrLoad(const BenchmarkSpec &spec,
-                                 u32 forcedK) const;
-
-    SimPointConfig cfg;
-    std::shared_ptr<const ArtifactCache> cache;
+    PinPointsPipeline(SimPointConfig c, std::shared_ptr<const ArtifactCache>)
+        : slice(c.sliceInstrs) {}
+    auto profileBbvs(const BenchmarkSpec &s) const { return splab::profileBbvs(s, slice); }
+    ICount slice;
 };
-
-/// @name SimPointResult (de)serialization for the artifact cache
-/// @{
-void serializeSimPoints(ByteWriter &w, const SimPointResult &r);
-SimPointResult deserializeSimPoints(ByteReader &r);
-/// @}
-
 } // namespace splab
-
 #endif // SPLAB_CORE_PIPELINE_HH

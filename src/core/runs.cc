@@ -123,6 +123,18 @@ measureWholeFused(const BenchmarkSpec &spec,
     return r;
 }
 
+std::vector<FrequencyVector>
+profileBbvs(const BenchmarkSpec &spec, ICount sliceInstrs)
+{
+    obs::TraceSpan span("runs.bbv_profile");
+    SyntheticWorkload wl(spec);
+    BbvTool bbv(sliceInstrs);
+    Engine engine;
+    engine.attach(&bbv);
+    engine.runWhole(wl);
+    return bbv.vectors();
+}
+
 std::vector<PointCacheMetrics>
 measurePointsCache(const BenchmarkSpec &spec,
                    const SimPointResult &simpoints,

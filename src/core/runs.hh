@@ -55,6 +55,16 @@ FusedWholeResult measureWholeFused(const BenchmarkSpec &spec,
                                    ICount bbvSliceInstrs = 0);
 
 /**
+ * BBV profile: one traversal of the workload with only a BBV tool
+ * attached, one frequency vector per @p sliceInstrs slice.  The
+ * input of SimPoint selection; pickSimPoints(profileBbvs(spec,
+ * cfg.sliceInstrs), cfg) is the uncached selection of a spec the
+ * artifact graph does not know (a hand-built or resized one).
+ */
+std::vector<FrequencyVector> profileBbvs(const BenchmarkSpec &spec,
+                                         ICount sliceInstrs);
+
+/**
  * Regional Run: replay each simulation point individually under
  * ldstmix + allcache, starting from cold microarchitectural state
  * (plus @p warmupChunks of functional cache warming when nonzero),

@@ -29,8 +29,8 @@ namespace splab
  * lives one level up — ArtifactGraph::runSuite runs one whole-run
  * traversal per benchmark on the thread pool — so a single run needs
  * no cross-thread handoff.  Callers outside runSuite (a bench's
- * whole-run baseline, PinPointsPipeline::simpoints, a test harness
- * thread) get the same serial traversal on their own thread.
+ * whole-run baseline, profileBbvs over a hand-built spec, a test
+ * harness thread) get the same serial traversal on their own thread.
  */
 class Engine : public EventSink
 {

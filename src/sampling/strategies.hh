@@ -34,11 +34,6 @@ class SimpointStrategy : public SamplingStrategy
     SimPointResult
     pick(const std::vector<FrequencyVector> &bbvs) const;
 
-    /** Forced-k variant (sensitivity sweeps; no BIC). */
-    SimPointResult
-    pickForcedK(const std::vector<FrequencyVector> &bbvs,
-                u32 k) const;
-
   private:
     SimPointConfig cfg;
 };

@@ -400,23 +400,60 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
     return out;
 }
 
-SimPointResult
-pickSimPointsForcedK(const std::vector<FrequencyVector> &bbvs,
-                     const SimPointConfig &cfg, u32 k)
+// SimPoint and KSweepEntry carry internal padding (a u32 member
+// followed by an 8-byte one), so they must be serialized field by
+// field: memcpying the whole struct (putVector) would emit the
+// uninitialized padding bytes and break byte-level reproducibility
+// of cached blobs and manifests.
+
+void
+serializeSimPoints(ByteWriter &w, const SimPointResult &r)
 {
-    SPLAB_ASSERT(!bbvs.empty(), "simpoint: no slices");
-    SPLAB_ASSERT(k >= 1, "simpoint: forced k must be >= 1");
+    w.put<u32>(r.chosenK);
+    w.put<u64>(r.totalSlices);
+    w.put<u64>(r.sliceInstrs);
+    w.put<u64>(r.points.size());
+    for (const SimPoint &p : r.points) {
+        w.put<u64>(p.slice);
+        w.put<double>(p.weight);
+        w.put<u32>(p.cluster);
+        w.put<u64>(p.clusterSize);
+        w.put<double>(p.variance);
+    }
+    w.putVector(r.sliceToCluster);
+    w.put<u64>(r.sweep.size());
+    for (const KSweepEntry &e : r.sweep) {
+        w.put<u32>(e.k);
+        w.put<double>(e.bic);
+        w.put<double>(e.distortion);
+        w.put<double>(e.avgClusterVariance);
+    }
+}
 
-    ClusterInputs in = prepareClusterInputs(bbvs, cfg);
-
-    KMeansResult fit =
-        kmeansBestOf(in.sample, k, hashCombine(cfg.seed, k),
-                     cfg.restarts, cfg.maxIters);
-    SimPointResult out = finalize(fit, in.projected, cfg);
-    out.sweep.push_back({fit.k, bicScore(fit, in.sample),
-                         fit.distortion,
-                         fit.avgClusterVariance(in.sample)});
-    return out;
+SimPointResult
+deserializeSimPoints(ByteReader &r)
+{
+    SimPointResult res;
+    res.chosenK = r.get<u32>();
+    res.totalSlices = r.get<u64>();
+    res.sliceInstrs = r.get<u64>();
+    res.points.resize(r.get<u64>());
+    for (SimPoint &p : res.points) {
+        p.slice = r.get<u64>();
+        p.weight = r.get<double>();
+        p.cluster = r.get<u32>();
+        p.clusterSize = r.get<u64>();
+        p.variance = r.get<double>();
+    }
+    res.sliceToCluster = r.getVector<u32>();
+    res.sweep.resize(r.get<u64>());
+    for (KSweepEntry &e : res.sweep) {
+        e.k = r.get<u32>();
+        e.bic = r.get<double>();
+        e.distortion = r.get<double>();
+        e.avgClusterVariance = r.get<double>();
+    }
+    return res;
 }
 
 } // namespace splab

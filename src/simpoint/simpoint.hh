@@ -18,6 +18,7 @@
 #include "bbv.hh"
 #include "bic.hh"
 #include "projection.hh"
+#include "support/serialize.hh"
 
 namespace splab
 {
@@ -109,13 +110,11 @@ struct SimPointResult
 SimPointResult pickSimPoints(const std::vector<FrequencyVector> &bbvs,
                              const SimPointConfig &cfg);
 
-/**
- * Cluster with a forced k (no BIC selection); used for sensitivity
- * studies that sweep k directly.
- */
-SimPointResult pickSimPointsForcedK(
-    const std::vector<FrequencyVector> &bbvs, const SimPointConfig &cfg,
-    u32 k);
+/// @name SimPointResult (de)serialization for the artifact cache
+/// @{
+void serializeSimPoints(ByteWriter &w, const SimPointResult &r);
+SimPointResult deserializeSimPoints(ByteReader &r);
+/// @}
 
 } // namespace splab
 

@@ -286,11 +286,25 @@ TEST(ArtifactGraphScheduling, RunSuiteThreadCountInvariant)
                 graphStats[kv.first] = kv.second;
         counters.push_back(graphStats);
     }
+
+    // The serial driver shape, without runSuite: one thread, each
+    // benchmark walked to completion through the accessors (which is
+    // what graphResultBytes does on a fresh graph) before the next.
+    ThreadPool::setGlobalThreads(1);
+    obs::resetCounters();
+    ArtifactGraph walk(fastConfig(),
+                       std::make_shared<const ArtifactCache>(
+                           ArtifactCache("")));
+    blobs.push_back(graphResultBytes(walk));
+    const u64 walkComputed =
+        obs::counterSnapshot().at("graph.nodes_computed");
     ThreadPool::setGlobalThreads(0);
 
     ASSERT_FALSE(blobs[0].empty());
     EXPECT_EQ(blobs[0], blobs[1]);
     EXPECT_EQ(blobs[0], blobs[2]);
+    EXPECT_EQ(blobs[0], blobs[3]);
+    EXPECT_EQ(walkComputed, kBenches.size() * 8);
 
     // Counters accumulate work performed, never scheduling: the
     // snapshots must match across thread counts too.
@@ -922,6 +936,77 @@ TEST(BbvProfilePersistence, CorruptBlobIsRecomputed)
     EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 0u);
     EXPECT_EQ(counterOr0(stats, "graph.loaded.bbvprofile"),
               kBenches.size());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BbvProfilePersistence, SharedAcrossSimPointConfigs)
+{
+    // A sweep over SimPoint knobs (fig3, ablation_simpoint): one
+    // graph per configuration over one cache handle.
+    std::string dir = testing::TempDir() + "/splab-bbv-configs";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto handle =
+        std::make_shared<const ArtifactCache>(ArtifactCache(dir));
+    const SimPointConfig base = fastConfig().simpoint;
+    std::vector<SimPointConfig> configs(4, base);
+    configs[1].maxK = 4;
+    configs[2].projectionDim = 5;
+    configs[3].restarts = 1;
+
+    auto pass = [&] {
+        std::vector<std::vector<u8>> out;
+        for (const SimPointConfig &c : configs) {
+            ArtifactGraph g(fastConfig().withSimPoint(c), handle);
+            g.runSuite(kBenches, {ArtifactKind::SimPoints});
+            for (const std::string &b : kBenches)
+                out.push_back(
+                    g.ensureSerialized(b, ArtifactKind::SimPoints));
+        }
+        return out;
+    };
+    auto counted = [](const char *name) {
+        return counterOr0(obs::counterSnapshot(), name);
+    };
+
+    // Cold: one profile per benchmark for every configuration, one
+    // selection per (benchmark, configuration).
+    obs::resetCounters();
+    const std::vector<std::vector<u8>> cold = pass();
+    EXPECT_EQ(counted("graph.computed.bbvprofile"), kBenches.size());
+    EXPECT_EQ(counted("graph.loaded.bbvprofile"),
+              kBenches.size() * (configs.size() - 1));
+    EXPECT_EQ(counted("graph.computed.simpoints"),
+              kBenches.size() * configs.size());
+    EXPECT_EQ(profileBlobs(dir).size(), kBenches.size());
+
+    // Warm: every selection loads, without touching its profile.
+    obs::resetCounters();
+    EXPECT_EQ(pass(), cold);
+    EXPECT_EQ(counted("graph.computed.simpoints"), 0u);
+    EXPECT_EQ(counted("graph.loaded.simpoints"),
+              kBenches.size() * configs.size());
+    EXPECT_EQ(counted("graph.computed.bbvprofile"), 0u);
+
+    // The persisted selections are the uncached ones, byte for byte.
+    std::size_t i = 0;
+    for (const SimPointConfig &c : configs)
+        for (const std::string &b : kBenches) {
+            ByteWriter w;
+            serializeSimPoints(
+                w, pickSimPoints(
+                       profileBbvs(benchmarkByName(b), c.sliceInstrs),
+                       c));
+            EXPECT_EQ(cold[i++], w.bytes()) << b;
+        }
+
+    // A slice change keys (and computes) a new profile.
+    obs::resetCounters();
+    ArtifactGraph sliced(
+        fastConfig().withSliceInstrs(2 * base.sliceInstrs), handle);
+    sliced.bbvProfile(kBenches[0]);
+    EXPECT_EQ(counted("graph.computed.bbvprofile"), 1u);
+    EXPECT_EQ(profileBlobs(dir).size(), kBenches.size() + 1);
     std::filesystem::remove_all(dir);
 }
 

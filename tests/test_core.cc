@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and integration tests for the core pipeline: metrics
- * aggregation, the artifact cache, SimPoint pipeline and the run
- * drivers.
+ * aggregation, the artifact cache, uncached SimPoint selection and
+ * the run drivers.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,11 @@
 
 #include "core/costmodel.hh"
 #include "core/artifact_graph.hh"
-#include "core/pipeline.hh"
 #include "core/runs.hh"
 #include "core/scale.hh"
+#include "pinball/logger.hh"
 #include "support/stats_util.hh"
+#include "workload/synthetic.hh"
 
 namespace splab
 {
@@ -172,12 +173,12 @@ TEST(Pipeline, SimPointsFindPhasesOfKnownWorkload)
 {
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
     // Contiguous phases: a single boundary slice, so the clustering
     // must find exactly the two designed phases.
     BenchmarkSpec spec = twoPhaseSpec();
     spec.schedule = ScheduleKind::Contiguous;
-    SimPointResult r = pipe.simpoints(spec);
+    SimPointResult r =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     EXPECT_EQ(r.points.size(), 2u);
     EXPECT_NEAR(r.totalWeight(), 1.0, 1e-9);
     auto sorted = r.byDescendingWeight();
@@ -189,8 +190,8 @@ TEST(Pipeline, SimPointsSerializationRoundTrip)
 {
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult r = pipe.simpoints(twoPhaseSpec(600));
+    SimPointResult r =
+        pickSimPoints(profileBbvs(twoPhaseSpec(600), cfg.sliceInstrs), cfg);
     ByteWriter w;
     serializeSimPoints(w, r);
     ByteReader rd(w.bytes());
@@ -201,34 +202,16 @@ TEST(Pipeline, SimPointsSerializationRoundTrip)
     EXPECT_EQ(s.sweep.size(), r.sweep.size());
 }
 
-TEST(Pipeline, DiskCacheHitsAreIdentical)
-{
-    std::string dir = testing::TempDir() + "/splab_pipe_cache";
-    std::filesystem::remove_all(dir);
-    SimPointConfig cfg;
-    cfg.maxK = 6;
-    BenchmarkSpec spec = twoPhaseSpec(600);
-    PinPointsPipeline pipe(cfg, ArtifactCache(dir));
-    SimPointResult fresh = pipe.simpoints(spec);
-    SimPointResult cached = pipe.simpoints(spec);
-    EXPECT_EQ(fresh.chosenK, cached.chosenK);
-    ASSERT_EQ(fresh.points.size(), cached.points.size());
-    for (std::size_t i = 0; i < fresh.points.size(); ++i) {
-        EXPECT_EQ(fresh.points[i].slice, cached.points[i].slice);
-        EXPECT_DOUBLE_EQ(fresh.points[i].weight,
-                         cached.points[i].weight);
-    }
-    std::filesystem::remove_all(dir);
-}
-
 TEST(Pipeline, RegionalPinballMatchesSelection)
 {
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
     BenchmarkSpec spec = twoPhaseSpec(600);
-    Pinball regional = pipe.makeRegionalPinball(spec);
-    SimPointResult r = pipe.simpoints(spec);
+    SimPointResult r =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
+    SyntheticWorkload wl(spec);
+    Pinball regional =
+        Logger::makeRegional(Logger::captureWhole(wl), r);
     ASSERT_EQ(regional.regions().size(), r.points.size());
     EXPECT_EQ(regional.coveredInstrs(),
               r.points.size() * cfg.sliceInstrs);
@@ -241,8 +224,8 @@ TEST(Runs, RegionalMixTracksWholeRun)
     BenchmarkSpec spec = twoPhaseSpec();
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 
     CacheRunMetrics whole = measureWholeCache(spec, tableIConfig());
     auto points =
@@ -259,8 +242,8 @@ TEST(Runs, WarmupReducesL3MissRateError)
     BenchmarkSpec spec = twoPhaseSpec();
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 
     CacheRunMetrics whole = measureWholeCache(spec, tableIConfig());
     double wholeL3 = whole.l3.missRate();
@@ -280,8 +263,8 @@ TEST(Runs, TimingPointsProduceFiniteCpi)
     BenchmarkSpec spec = twoPhaseSpec(800);
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     auto points =
         measurePointsTiming(spec, sp, tableIIIMachine(), 60);
     AggregateTimingMetrics agg = aggregateTiming(points);

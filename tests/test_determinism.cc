@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/artifact_graph.hh"
-#include "core/pipeline.hh"
 #include "obs/json.hh"
 #include "core/runs.hh"
 #include "pin/tools/ldstmix.hh"
@@ -53,9 +52,10 @@ TEST(Determinism, SimPointSelectionIsReproducible)
     spec.totalChunks = 4000; // keep the test fast
     SimPointConfig cfg;
     cfg.maxK = 10;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult a = pipe.simpoints(spec);
-    SimPointResult b = pipe.simpoints(spec);
+    SimPointResult a =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
+    SimPointResult b =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
         EXPECT_EQ(a.points[i].slice, b.points[i].slice);
@@ -121,8 +121,7 @@ TEST(Determinism, SimPointSelectionThreadCountInvariant)
     spec.totalChunks = 3000;
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    auto bbvs = pipe.profileBbvs(spec);
+    auto bbvs = profileBbvs(spec, cfg.sliceInstrs);
 
     std::vector<std::vector<u8>> blobs;
     for (std::size_t threads : {1u, 2u, 8u}) {
@@ -138,29 +137,32 @@ TEST(Determinism, SimPointSelectionThreadCountInvariant)
 TEST(Determinism, RegionalReplayThreadCountInvariant)
 {
     // Per-point cache and timing metrics must not depend on how the
-    // regional replays were scheduled across threads.
+    // regional replays were scheduled across threads, cold (no
+    // warm-up) or with a warm-up.
     BenchmarkSpec spec = benchmarkByName("557.xz_r");
     spec.totalChunks = 2000;
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 
-    std::vector<std::vector<u8>> cacheBlobs, timingBlobs;
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        ThreadPool::setGlobalThreads(threads);
-        cacheBlobs.push_back(cachePointBytes(
-            measurePointsCache(spec, sp, tableIConfig(), 2)));
-        timingBlobs.push_back(timingPointBytes(
-            measurePointsTiming(spec, sp, tableIIIMachine(), 2)));
+    for (u64 warmup : {0u, 2u}) {
+        std::vector<std::vector<u8>> cacheBlobs, timingBlobs;
+        for (std::size_t threads : {1u, 2u, 8u}) {
+            ThreadPool::setGlobalThreads(threads);
+            cacheBlobs.push_back(cachePointBytes(measurePointsCache(
+                spec, sp, tableIConfig(), warmup)));
+            timingBlobs.push_back(timingPointBytes(measurePointsTiming(
+                spec, sp, tableIIIMachine(), warmup)));
+        }
+        ThreadPool::setGlobalThreads(0);
+        ASSERT_FALSE(cacheBlobs[0].empty()) << warmup;
+        EXPECT_EQ(cacheBlobs[0], cacheBlobs[1]) << warmup;
+        EXPECT_EQ(cacheBlobs[0], cacheBlobs[2]) << warmup;
+        ASSERT_FALSE(timingBlobs[0].empty()) << warmup;
+        EXPECT_EQ(timingBlobs[0], timingBlobs[1]) << warmup;
+        EXPECT_EQ(timingBlobs[0], timingBlobs[2]) << warmup;
     }
-    ThreadPool::setGlobalThreads(0);
-    ASSERT_FALSE(cacheBlobs[0].empty());
-    EXPECT_EQ(cacheBlobs[0], cacheBlobs[1]);
-    EXPECT_EQ(cacheBlobs[0], cacheBlobs[2]);
-    ASSERT_FALSE(timingBlobs[0].empty());
-    EXPECT_EQ(timingBlobs[0], timingBlobs[1]);
-    EXPECT_EQ(timingBlobs[0], timingBlobs[2]);
 }
 
 /** Whole-run cache metrics as comparable bytes, excluding wall

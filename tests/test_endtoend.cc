@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/artifact_graph.hh"
-#include "core/pipeline.hh"
 #include "core/runs.hh"
 #include "core/scale.hh"
 #include "perf/native.hh"
@@ -66,8 +65,8 @@ class EndToEnd : public testing::Test
         spec = new BenchmarkSpec(miniSpec());
         SimPointConfig cfg;
         cfg.maxK = 12;
-        PinPointsPipeline pipe(cfg, ArtifactCache(""));
-        sp = new SimPointResult(pipe.simpoints(*spec));
+        sp = new SimPointResult(
+            pickSimPoints(profileBbvs(*spec, cfg.sliceInstrs), cfg));
         whole = new CacheRunMetrics(
             measureWholeCache(*spec, miniCaches()));
         cold = new std::vector<PointCacheMetrics>(

@@ -20,7 +20,6 @@
 #include <cstring>
 #include <limits>
 
-#include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "simpoint/simpoint.hh"
 #include "support/env.hh"

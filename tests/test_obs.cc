@@ -11,7 +11,6 @@
 #include <filesystem>
 
 #include "core/artifact_graph.hh"
-#include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
@@ -198,8 +197,7 @@ TEST(ObsCounters, DeterministicAcrossThreadCounts)
     spec.totalChunks = 1200;
     SimPointConfig cfg;
     cfg.maxK = 4;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    auto bbvs = pipe.profileBbvs(spec);
+    auto bbvs = profileBbvs(spec, cfg.sliceInstrs);
 
     std::map<std::string, u64> snapshots[3];
     std::string manifests[3];

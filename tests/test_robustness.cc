@@ -11,7 +11,6 @@
 
 #include "cache/hierarchy.hh"
 #include "core/metrics.hh"
-#include "core/pipeline.hh"
 #include "pinball/logger.hh"
 #include "pinball/replayer.hh"
 #include "simpoint/simpoint.hh"

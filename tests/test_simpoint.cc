@@ -263,33 +263,20 @@ TEST(SimPointSelect, RepresentativeBelongsToItsCluster)
         EXPECT_EQ(r.sliceToCluster[p.slice], p.cluster);
 }
 
-TEST(SimPointSelect, ForcedKHonored)
-{
-    auto bbvs = phasedBbvs({0.5, 0.3, 0.2}, 400, 9);
-    SimPointConfig cfg;
-    for (u32 k : {1u, 2u, 5u}) {
-        SimPointResult r = pickSimPointsForcedK(bbvs, cfg, k);
-        EXPECT_LE(r.points.size(), k);
-        EXPECT_GE(r.points.size(), 1u);
-        EXPECT_NEAR(r.totalWeight(), 1.0, 1e-9);
-    }
-}
-
 TEST(SimPointSelect, VarianceDropsWithMoreClusters)
 {
-    // Fig. 4's monotone trend: forcing fewer clusters inflates the
-    // within-cluster variance.
+    // Fig. 4's monotone trend: fewer clusters inflate the
+    // within-cluster variance.  The sweep's entry for k is the
+    // best-of-restarts fit at that k, as Fig. 4 reads it.
     auto bbvs = phasedBbvs({0.3, 0.3, 0.2, 0.1, 0.1}, 600, 21, 0.1);
     SimPointConfig cfg;
-    double v2 = 0.0, v5 = 0.0;
-    {
-        SimPointResult r = pickSimPointsForcedK(bbvs, cfg, 2);
-        v2 = r.sweep.back().avgClusterVariance;
-    }
-    {
-        SimPointResult r = pickSimPointsForcedK(bbvs, cfg, 5);
-        v5 = r.sweep.back().avgClusterVariance;
-    }
+    cfg.maxK = 5;
+    SimPointResult r = pickSimPoints(bbvs, cfg);
+    ASSERT_EQ(r.sweep.size(), 5u);
+    ASSERT_EQ(r.sweep[1].k, 2u);
+    ASSERT_EQ(r.sweep[4].k, 5u);
+    double v2 = r.sweep[1].avgClusterVariance;
+    double v5 = r.sweep[4].avgClusterVariance;
     EXPECT_GT(v2, v5 * 2.0);
 }
 
