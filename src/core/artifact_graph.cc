@@ -105,6 +105,16 @@ kindInfo(ArtifactKind k)
         {"regionalpinball", "graph.regional_pinball",
          0x7270696e00000002ULL, false, false,
          {ArtifactKind::Spec, ArtifactKind::Regions}},
+        // One replay per region for all three per-point runs.
+        // Memory-resident, like wholefused under
+        // SPLAB_FUSED_PERSIST=0: the three projections persist
+        // their own blobs, so a warm run never replays.
+        {"pointsfused", "graph.points_fused", 0x7066757300000001ULL,
+         false, false, {ArtifactKind::RegionalPinball}},
+        // The three per-point runs project pointsfused (see
+        // computeValue).  Their values are byte-equal to a replay
+        // under their own tools alone, so deps, slices and salts
+        // did not move.
         {"pointscold", "graph.points_cache_cold",
          0x70636f6c00000001ULL, true, false,
          {ArtifactKind::RegionalPinball}},
@@ -238,6 +248,13 @@ serializeArtifact(ByteWriter &w, const ArtifactValue &v)
             p.serialize(w);
         }
         void
+        operator()(const PointsFusedMetrics &m)
+        {
+            w.putVector(m.cold);
+            w.putVector(m.warm);
+            w.putVector(m.timing);
+        }
+        void
         operator()(const std::vector<PointCacheMetrics> &pts)
         {
             w.putVector(pts);
@@ -285,6 +302,13 @@ deserializeArtifact(ArtifactKind k, ByteReader &r)
         return r.get<TimingRunMetrics>();
       case ArtifactKind::RegionalPinball:
         return Pinball::deserialize(r);
+      case ArtifactKind::PointsFused: {
+        PointsFusedMetrics m;
+        m.cold = r.getVector<PointCacheMetrics>();
+        m.warm = r.getVector<PointCacheMetrics>();
+        m.timing = r.getVector<PointTimingMetrics>();
+        return m;
+      }
       case ArtifactKind::PointsCacheCold:
       case ArtifactKind::PointsCacheWarm:
         return r.getVector<PointCacheMetrics>();
@@ -431,6 +455,11 @@ ArtifactGraph::configSliceHash(ArtifactKind kind) const
       case ArtifactKind::RegionalPinball:
         // Pure function of (spec, simpoints); no config of its own.
         return 0;
+      case ArtifactKind::PointsFused:
+        // The union of its three projections' slices.
+        return hashCombine(hashCombine(cfg.allcache.contentHash(),
+                                       cfg.machine.contentHash()),
+                           cfg.warmupChunks);
       case ArtifactKind::WholeCache:
       case ArtifactKind::PointsCacheCold:
         return cfg.allcache.contentHash();
@@ -508,14 +537,15 @@ ArtifactGraph::computeValue(const std::string &name,
         Pinball whole = Logger::captureWhole(wl);
         return Logger::makeRegional(whole, regions(name));
       }
+      case ArtifactKind::PointsFused:
+        SPLAB_INFORM("regional replays (cold, warmup, timing): ",
+                     name);
+        return measurePointsFused(regionalPinball(name), cfg.allcache,
+                                  cfg.machine, cfg.warmupChunks);
       case ArtifactKind::PointsCacheCold:
-        SPLAB_INFORM("regional cache replays (cold): ", name);
-        return measurePointsCache(regionalPinball(name),
-                                  cfg.allcache, 0);
+        return pointsFused(name).cold;
       case ArtifactKind::PointsCacheWarm:
-        SPLAB_INFORM("regional cache replays (warmup): ", name);
-        return measurePointsCache(regionalPinball(name),
-                                  cfg.allcache, cfg.warmupChunks);
+        return pointsFused(name).warm;
       case ArtifactKind::Native: {
         // Projection of the fused pass's timing view (same
         // cfg.machine) through the hardware-effects model: no
@@ -533,9 +563,7 @@ ArtifactGraph::computeValue(const std::string &name,
             .observe(t, spec(name).contentHash());
       }
       case ArtifactKind::PointsTiming:
-        SPLAB_INFORM("regional timing replays: ", name);
-        return measurePointsTiming(regionalPinball(name),
-                                   cfg.machine, cfg.warmupChunks);
+        return pointsFused(name).timing;
     }
     SPLAB_FATAL("unknown artifact kind ",
                 static_cast<int>(static_cast<u8>(kind)));
@@ -696,6 +724,13 @@ ArtifactGraph::regionalPinball(const std::string &name)
 {
     return std::get<Pinball>(
         ensure(name, ArtifactKind::RegionalPinball));
+}
+
+const PointsFusedMetrics &
+ArtifactGraph::pointsFused(const std::string &name)
+{
+    return std::get<PointsFusedMetrics>(
+        ensure(name, ArtifactKind::PointsFused));
 }
 
 const std::vector<PointCacheMetrics> &

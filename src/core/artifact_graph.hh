@@ -3,13 +3,13 @@
  * The artifact graph: the experiment core as a typed,
  * content-addressed stage DAG.
  *
- * Every figure/table bench needs some subset of twelve artifact
+ * Every figure/table bench needs some subset of thirteen artifact
  * kinds per benchmark — executable spec, BBV profile, SimPoint
  * selection, the strategy-selected region set, fused whole-run
  * measurement, whole-run cache metrics, whole-run timing, the
- * regional pinball, cold/warm per-point cache replays, native perf
- * counters, per-point timing replays.  Each kind is a declared node
- * with:
+ * regional pinball, fused per-point replays, cold/warm per-point
+ * cache replays, native perf counters, per-point timing replays.
+ * Each kind is a declared node with:
  *
  *  - typed dependencies on upstream kinds (a static DAG),
  *  - a compute function (pure given its inputs and the config),
@@ -39,7 +39,15 @@
  * keep the original narrow slices: an allcache change still leaves
  * WholeTiming's key (and cached blob) untouched.  Native is a
  * projection too: NativeMachine::observe over the WholeTiming view,
- * so its deps stay {Spec} and its slice cfg.machine.  Regions is the
+ * so its deps stay {Spec} and its slice cfg.machine.  The per-point
+ * runs follow the same rule: PointsCacheCold, PointsCacheWarm and
+ * PointsTiming are computed by projecting the memory-resident
+ * PointsFused node (one replay per region feeds all three tool
+ * stacks), but each keeps its deps {RegionalPinball}, its own slice
+ * (allcache; allcache + warmupChunks; machine + warmupChunks), its
+ * salt and its persisted bytes, so a cached projection never needs
+ * the fused node and a machine change leaves the cold and warm
+ * cache blobs valid.  Regions is the
  * same shape: its value depends only on the BBV profile and the
  * active SamplingStrategy's knobs (strategy-salted via
  * SamplingConfig::activeHash), so its deps are {BbvProfile} even
@@ -245,13 +253,14 @@ enum class ArtifactKind : u8
     WholeCache,      ///< Whole Run under ldstmix + allcache
     WholeTiming,     ///< Whole Run under the timing model
     RegionalPinball, ///< shared simulation-point pinball capture
+    PointsFused,     ///< one replay per region: all three point runs
     PointsCacheCold, ///< per-point cold cache replays
     PointsCacheWarm, ///< per-point replays with functional warm-up
     Native,          ///< native-hardware perf counters
     PointsTiming,    ///< per-point timing replays
 };
 
-constexpr std::size_t kNumArtifactKinds = 12;
+constexpr std::size_t kNumArtifactKinds = 13;
 
 /** Stable artifact-kind name ("simpoints", "points_cache_cold"). */
 const char *artifactKindName(ArtifactKind k);
@@ -281,6 +290,7 @@ using ArtifactValue =
                  CacheRunMetrics,                  // WholeCache
                  TimingRunMetrics,                 // WholeTiming
                  Pinball,                          // RegionalPinball
+                 PointsFusedMetrics,               // PointsFused
                  std::vector<PointCacheMetrics>,   // PointsCache*
                  PerfCounters,                     // Native
                  std::vector<PointTimingMetrics>>; // PointsTiming
@@ -356,6 +366,11 @@ class ArtifactGraph
 
     /** Regional pinball (capture shared by all per-point replays). */
     const Pinball &regionalPinball(const std::string &name);
+
+    /** All three per-point runs from one replay per region;
+     *  PointsCacheCold, PointsCacheWarm and PointsTiming are
+     *  projections of this node. */
+    const PointsFusedMetrics &pointsFused(const std::string &name);
 
     /** Per-point cold replays (Regional / Reduced Regional). */
     const std::vector<PointCacheMetrics> &

@@ -98,6 +98,19 @@ struct PointTimingMetrics
 static_assert(std::is_trivially_copyable_v<PointTimingMetrics>);
 
 /**
+ * All three per-point runs of one regional pinball, from one replay
+ * per region: cold and warmed cache metrics and warmed timing
+ * metrics.  PointsCacheCold / PointsCacheWarm / PointsTiming
+ * artifacts are projections of this.
+ */
+struct PointsFusedMetrics
+{
+    std::vector<PointCacheMetrics> cold;
+    std::vector<PointCacheMetrics> warm;
+    std::vector<PointTimingMetrics> timing;
+};
+
+/**
  * Weighted aggregate over a set of simulation points, as the paper
  * prescribes: per-instruction-normalized statistics are combined by
  * cluster weight (renormalized over the included points), and raw

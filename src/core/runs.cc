@@ -1,6 +1,7 @@
 #include "runs.hh"
 
 #include <chrono>
+#include <optional>
 
 #include "obs/counters.hh"
 #include "obs/trace.hh"
@@ -64,6 +65,118 @@ harvestTiming(const IntervalCoreTool &core, double wallSeconds)
     m.memAccesses = t.memAccesses;
     m.wallSeconds = wallSeconds;
     return m;
+}
+
+/**
+ * The per-point runs one replayPoints() call computes: a tool is
+ * attached when its config is set.
+ */
+struct PointReplays
+{
+    const HierarchyConfig *cold = nullptr; ///< never-warmed hierarchy
+    const HierarchyConfig *warm = nullptr; ///< warmed hierarchy
+    const MachineConfig *machine = nullptr; ///< warmed timing core
+    /** Experiment-wide warm-up before each region, in chunks. */
+    u64 warmupChunks = 0;
+};
+
+/**
+ * The one per-point replay loop.  Per region, one Replayer plays the
+ * warm-up chunks into the warm hierarchy and the timing core (both
+ * in warm-up mode), then plays the region once to every requested
+ * tool.  Tools are passive observers of one deterministic stream,
+ * so each run's metrics equal those of a replay with that tool
+ * alone; only wallSeconds (the shared per-point wall time) differs.
+ * The vectors of runs not requested stay empty.
+ */
+PointsFusedMetrics
+replayPoints(const Pinball &regional, const PointReplays &runs)
+{
+    // Each regional pinball replays in a fresh process: cold
+    // microarchitectural state unless explicitly warmed.  Replays
+    // are mutually independent, so they fan out across the pool —
+    // every task owns its replayer, workload and tool stack, and
+    // results land in index-addressed slots.
+    const std::size_t n = regional.regions().size();
+    PointsFusedMetrics out;
+    if (runs.cold)
+        out.cold.resize(n);
+    if (runs.warm)
+        out.warm.resize(n);
+    if (runs.machine)
+        out.timing.resize(n);
+    static obs::Counter &points =
+        obs::counter("runs.points_replayed",
+                     "simulation points replayed (cache + timing)");
+    parallelFor(n, [&](std::size_t i) {
+        obs::TraceSpan pointSpan("runs.replay_point");
+        points.add();
+        auto tp = std::chrono::steady_clock::now();
+        const RegionDesc &region = regional.regions()[i];
+        Replayer replayer(regional);
+        std::optional<AllCacheTool> cold, warm;
+        std::optional<IntervalCoreTool> core;
+        if (runs.cold)
+            cold.emplace(*runs.cold);
+        if (runs.warm)
+            warm.emplace(*runs.warm);
+        if (runs.machine)
+            core.emplace(*runs.machine);
+        LdStMixTool mix;
+        BranchProfileTool branches;
+        Engine engine;
+
+        // A strategy's per-region warm-up prescription (e.g. SMARTS
+        // wunit/allwarm) overrides the experiment-wide parameter —
+        // but only for warm runs: warmupChunks == 0 stays truly cold.
+        u64 warmup = runs.warmupChunks > 0 && region.warmupChunks > 0
+                         ? region.warmupChunks
+                         : runs.warmupChunks;
+        if (warmup > 0 && (warm || core)) {
+            if (warm) {
+                warm->setWarmup(true);
+                engine.attach(&*warm);
+            }
+            if (core) {
+                core->setWarmup(true);
+                engine.attach(&*core);
+            }
+            replayer.replayWarmup(i, warmup, engine);
+            if (warm)
+                warm->setWarmup(false);
+            if (core)
+                core->setWarmup(false);
+            engine.clearTools();
+        }
+
+        // The region plays once to every tool; the cold and warm
+        // hierarchies see the same region stream, so they share the
+        // ldstmix and branch-profile views.
+        if (cold)
+            engine.attach(&*cold);
+        if (warm)
+            engine.attach(&*warm);
+        if (cold || warm) {
+            engine.attach(&mix);
+            engine.attach(&branches);
+        }
+        if (core)
+            engine.attach(&*core);
+        ICount instrs = replayer.replayRegion(i, engine);
+
+        double wall = secondsSince(tp);
+        if (cold)
+            out.cold[i] = {region.weight,
+                           harvestCache(*cold, mix, branches, instrs,
+                                        wall)};
+        if (warm)
+            out.warm[i] = {region.weight,
+                           harvestCache(*warm, mix, branches, instrs,
+                                        wall)};
+        if (core)
+            out.timing[i] = {region.weight, harvestTiming(*core, wall)};
+    });
+    return out;
 }
 
 } // namespace
@@ -151,53 +264,11 @@ measurePointsCache(const Pinball &regional,
                    const HierarchyConfig &caches, u64 warmupChunks)
 {
     obs::TraceSpan span("runs.points_cache");
-
-    // Each regional pinball replays in a fresh process: cold caches
-    // unless explicitly warmed.  Replays are mutually independent,
-    // so they fan out across the pool — every task owns its
-    // replayer, workload and tool stack, and results land in
-    // index-addressed slots.
-    std::vector<PointCacheMetrics> out(regional.regions().size());
-    static obs::Counter &points =
-        obs::counter("runs.points_replayed",
-                     "simulation points replayed (cache + timing)");
-    parallelFor(regional.regions().size(), [&](std::size_t i) {
-        obs::TraceSpan pointSpan("runs.replay_point");
-        points.add();
-        auto tp = std::chrono::steady_clock::now();
-        Replayer replayer(regional);
-        AllCacheTool cache(caches);
-        LdStMixTool mix;
-        BranchProfileTool branches;
-        Engine engine;
-
-        // A strategy's per-region warm-up prescription (e.g. SMARTS
-        // wunit/allwarm) overrides the experiment-wide parameter —
-        // but only for warm runs: warmupChunks == 0 stays truly cold.
-        u64 regionWarmup = regional.regions()[i].warmupChunks;
-        u64 warm = warmupChunks > 0 && regionWarmup > 0
-                       ? regionWarmup
-                       : warmupChunks;
-        if (warm > 0) {
-            cache.setWarmup(true);
-            engine.attach(&cache);
-            replayer.replayWarmup(i, warm, engine);
-            cache.setWarmup(false);
-            engine.clearTools();
-        }
-
-        engine.attach(&cache);
-        engine.attach(&mix);
-        engine.attach(&branches);
-        ICount instrs = replayer.replayRegion(i, engine);
-
-        PointCacheMetrics pm;
-        pm.weight = regional.regions()[i].weight;
-        pm.m = harvestCache(cache, mix, branches, instrs,
-                            secondsSince(tp));
-        out[i] = pm;
-    });
-    return out;
+    // A warm-up of zero chunks leaves the warmed hierarchy cold.
+    PointReplays runs;
+    runs.warm = &caches;
+    runs.warmupChunks = warmupChunks;
+    return replayPoints(regional, runs).warm;
 }
 
 TimingRunMetrics
@@ -230,41 +301,24 @@ measurePointsTiming(const Pinball &regional,
                     const MachineConfig &machine, u64 warmupChunks)
 {
     obs::TraceSpan span("runs.points_timing");
+    PointReplays runs;
+    runs.machine = &machine;
+    runs.warmupChunks = warmupChunks;
+    return replayPoints(regional, runs).timing;
+}
 
-    // Cold core per point; see measurePointsCache for the
-    // parallel-replay invariants.
-    std::vector<PointTimingMetrics> out(regional.regions().size());
-    static obs::Counter &points =
-        obs::counter("runs.points_replayed",
-                     "simulation points replayed (cache + timing)");
-    parallelFor(regional.regions().size(), [&](std::size_t i) {
-        obs::TraceSpan pointSpan("runs.replay_point");
-        points.add();
-        auto tp = std::chrono::steady_clock::now();
-        Replayer replayer(regional);
-        IntervalCoreTool core(machine);
-        Engine engine;
-        engine.attach(&core);
-
-        // Same per-region override as measurePointsCache.
-        u64 regionWarmup = regional.regions()[i].warmupChunks;
-        u64 warm = warmupChunks > 0 && regionWarmup > 0
-                       ? regionWarmup
-                       : warmupChunks;
-        if (warm > 0) {
-            core.setWarmup(true);
-            replayer.replayWarmup(i, warm, engine);
-            core.setWarmup(false);
-        }
-
-        replayer.replayRegion(i, engine);
-
-        PointTimingMetrics pm;
-        pm.weight = regional.regions()[i].weight;
-        pm.m = harvestTiming(core, secondsSince(tp));
-        out[i] = pm;
-    });
-    return out;
+PointsFusedMetrics
+measurePointsFused(const Pinball &regional,
+                   const HierarchyConfig &caches,
+                   const MachineConfig &machine, u64 warmupChunks)
+{
+    obs::TraceSpan span("runs.points_fused");
+    PointReplays runs;
+    runs.cold = &caches;
+    runs.warm = &caches;
+    runs.machine = &machine;
+    runs.warmupChunks = warmupChunks;
+    return replayPoints(regional, runs);
 }
 
 } // namespace splab

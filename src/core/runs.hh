@@ -68,7 +68,9 @@ std::vector<FrequencyVector> profileBbvs(const BenchmarkSpec &spec,
  * Regional Run: replay each simulation point individually under
  * ldstmix + allcache, starting from cold microarchitectural state
  * (plus @p warmupChunks of functional cache warming when nonzero),
- * exactly as the paper replays each Regional Pinball.
+ * exactly as the paper replays each Regional Pinball.  A region's
+ * own warm-up prescription (SMARTS, say) replaces a nonzero
+ * @p warmupChunks.
  *
  * @return per-point metrics with SimPoint weights attached; feed to
  *         aggregateCache() for Regional / Reduced Regional numbers.
@@ -103,6 +105,21 @@ std::vector<PointTimingMetrics> measurePointsTiming(
 std::vector<PointTimingMetrics> measurePointsTiming(
     const Pinball &regional, const MachineConfig &machine,
     u64 warmupChunks = 0);
+
+/**
+ * Fused Regional Runs: the cold cache, warmed cache and warmed
+ * timing runs of every region from one replay per region.  The
+ * warm-up chunks play into the warmed hierarchy and the timing core
+ * only; the region then plays once to all three tool stacks.  Equal
+ * byte for byte to measurePointsCache(regional, caches, 0),
+ * measurePointsCache(regional, caches, warmupChunks) and
+ * measurePointsTiming(regional, machine, warmupChunks), except that
+ * every wallSeconds field records the one fused per-point wall time.
+ */
+PointsFusedMetrics measurePointsFused(const Pinball &regional,
+                                      const HierarchyConfig &caches,
+                                      const MachineConfig &machine,
+                                      u64 warmupChunks);
 
 } // namespace splab
 

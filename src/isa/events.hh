@@ -12,6 +12,7 @@
 #define SPLAB_ISA_EVENTS_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "instr.hh"
@@ -195,11 +196,12 @@ class EventBatch
     {
         return blockRecs;
     }
-    /** Flattened access pool; block i owns [offsets()[i],
-     *  offsets()[i+1]). */
-    const std::vector<MemAccess> &accessPool() const
+    /** Flattened access pool, offsets().back() entries; block i
+     *  owns [offsets()[i], offsets()[i+1]).  The arena's reserved
+     *  slack past the last block is not part of it. */
+    std::span<const MemAccess> accessPool() const
     {
-        return accPool;
+        return {accPool.data(), accUsed};
     }
     /** numBlocks() + 1 prefix offsets into accessPool(). */
     const std::vector<u32> &offsets() const { return accOff; }

@@ -112,6 +112,32 @@ class Rng
         return uniform() < p;
     }
 
+    /**
+     * The integer form of chance(p): chanceBelow(chanceThreshold(p))
+     * draws the same value and returns the same result as chance(p)
+     * for every double p.  uniform() is x * 2^-53 for the integer
+     * x = next() >> 11 < 2^53, and x * 2^-53 < p holds exactly when
+     * x < ceil(p * 2^53) (the product is exact: a power-of-two
+     * scaling).  NaN and p <= 0 never pass, so their threshold is 0;
+     * p >= 1 always passes, so its threshold is 2^53.
+     */
+    static u64
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return u64{1} << 53;
+        return static_cast<u64>(std::ceil(std::ldexp(p, 53)));
+    }
+
+    /** Bernoulli trial against a chanceThreshold(). */
+    bool
+    chanceBelow(u64 threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Geometric-ish burst length in [1, cap]. */
     u64
     burst(double mean, u64 cap)

@@ -37,14 +37,87 @@ namespace
 {
 
 /**
+ * Pass 1 of fillBlock: the kind of every access, its locality flag
+ * (one draw of loc.rng each, in stream order) and, for the local
+ * ones, its stack slot.  Every access gets the slot the cursor points
+ * at and the cursor advances past it only when the access is local,
+ * so the loop has no data-dependent branch; pass 2 overwrites the
+ * non-local accesses.
+ *
+ * @return the number of non-local accesses, whose indices are
+ *         written to @p remote in stream order.
+ */
+std::size_t
+drawLocality(u32 reads, u32 writes, LocalityStream &loc,
+             MemAccess *out, u16 *remote)
+{
+    constexpr u64 kSlotMask = LocalityStream::kStackBytes - 1;
+    const std::size_t n = std::size_t{reads} + writes;
+    const u64 threshold = loc.threshold;
+    u64 cursor = loc.stackCursor;
+    std::size_t m = 0;
+    u32 r = 0, w = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Deterministic round-robin proportional to the two counts.
+        bool doRead = (w >= writes) |
+                      ((r < reads) & (static_cast<u64>(r) * writes <=
+                                      static_cast<u64>(w) * reads));
+        bool local = loc.rng.chanceBelow(threshold);
+        MemAccess &a = out[i];
+        a.addr = loc.stackBase + (cursor & kSlotMask);
+        a.size = 8;
+        a.isWrite = !doRead;
+        cursor += static_cast<u64>(local) << 3;
+        remote[m] = static_cast<u16>(i);
+        m += !local;
+        r += doRead;
+        w += !doRead;
+    }
+    loc.stackCursor = cursor;
+    return m;
+}
+
+/**
+ * fillBlock for kernel class @p Kernel, which derives from this
+ * template and is final: pass 2's nextRead()/nextWrite() calls bind
+ * statically and inline, one virtual call per block instead of one
+ * per access.
+ */
+template <class Kernel>
+class FillKernel : public AddressKernel
+{
+  public:
+    FillKernel(const KernelConfig &c, u64 s) : AddressKernel(c, s) {}
+
+    void
+    fillBlock(u32 reads, u32 writes, LocalityStream &loc,
+              MemAccess *out) final
+    {
+        SPLAB_ASSERT(std::size_t{reads} + writes <= remote.size(),
+                     "block emits too many accesses");
+        std::size_t m = drawLocality(reads, writes, loc, out,
+                                     remote.data());
+        Kernel &k = static_cast<Kernel &>(*this);
+        for (std::size_t j = 0; j < m; ++j) {
+            MemAccess &a = out[remote[j]];
+            a.addr = a.isWrite ? k.nextWrite() : k.nextRead();
+        }
+    }
+
+  private:
+    /** Pass 1's non-local indices, rewritten for every block. */
+    std::array<u16, kMaxBlockAccesses> remote{};
+};
+
+/**
  * Unit-stride streaming.  Reads and writes advance separate cursors;
  * consecutive chunks of the same phase continue through the working
  * set so data is re-touched once per sweep.
  */
-class StreamKernel : public AddressKernel
+class StreamKernel final : public FillKernel<StreamKernel>
 {
   public:
-    using AddressKernel::AddressKernel;
+    using FillKernel::FillKernel;
 
     void
     beginChunk(u64 chunk) override
@@ -79,10 +152,10 @@ class StreamKernel : public AddressKernel
 };
 
 /** Fixed-stride walk: one access per line/column step. */
-class StridedKernel : public AddressKernel
+class StridedKernel final : public FillKernel<StridedKernel>
 {
   public:
-    using AddressKernel::AddressKernel;
+    using FillKernel::FillKernel;
 
     void
     beginChunk(u64 chunk) override
@@ -119,15 +192,15 @@ class StridedKernel : public AddressKernel
  * tree traversal): every access depends on the previous one and the
  * whole working set is eventually visited.
  */
-class PointerChaseKernel : public AddressKernel
+class PointerChaseKernel final : public FillKernel<PointerChaseKernel>
 {
   public:
     PointerChaseKernel(const KernelConfig &c, u64 s)
-        : AddressKernel(c, s)
+        : FillKernel(c, s)
     {
-        slots = (mask + 1) / kLine;
-        if (slots < 2)
-            slots = 2;
+        // A power of two (mask + 1 is one and at least 4096), so
+        // the walk wraps with a mask.
+        slotMask = (mask + 1) / kLine - 1;
     }
 
     void
@@ -136,14 +209,14 @@ class PointerChaseKernel : public AddressKernel
         // Continue the global walk: the chain position is a pure
         // function of the chunk index, as if the traversal had been
         // running since the phase began.
-        pos = mix64(hashCombine(seed, chunk)) % slots;
+        pos = mix64(hashCombine(seed, chunk)) & slotMask;
     }
 
     Addr
     nextRead() override
     {
         // Full-period LCG (m power of two: c odd, a % 4 == 1).
-        pos = (pos * 5 + 12345) % slots;
+        pos = (pos * 5 + 12345) & slotMask;
         return cfg.base + pos * kLine;
     }
 
@@ -156,7 +229,7 @@ class PointerChaseKernel : public AddressKernel
 
   private:
     static constexpr u64 kLine = 64;
-    u64 slots = 2;
+    u64 slotMask = 1;
     u64 pos = 0;
 };
 
@@ -166,11 +239,11 @@ class PointerChaseKernel : public AddressKernel
  * so it is resident in a warm cache and cold after a checkpoint);
  * the rest streams through the cold region.
  */
-class ZipfHotColdKernel : public AddressKernel
+class ZipfHotColdKernel final : public FillKernel<ZipfHotColdKernel>
 {
   public:
     ZipfHotColdKernel(const KernelConfig &c, u64 s)
-        : AddressKernel(c, s), rng(s)
+        : FillKernel(c, s), rng(s)
     {
         hotMask = 4096 - 1;
         u64 hotBytes = static_cast<u64>(
@@ -221,11 +294,13 @@ class ZipfHotColdKernel : public AddressKernel
  * writes to the centre row of a result grid in the upper half of the
  * working set.
  */
-class StencilKernel : public AddressKernel
+class StencilKernel final : public FillKernel<StencilKernel>
 {
   public:
-    StencilKernel(const KernelConfig &c, u64 s) : AddressKernel(c, s)
+    StencilKernel(const KernelConfig &c, u64 s) : FillKernel(c, s)
     {
+        // A power of two, so every "mod half" below is a mask (exact
+        // for the wrapped unsigned sums too: half divides 2^64).
         half = (mask + 1) >> 1;
         // Row length: sqrt-ish of the grid, line aligned.
         row = 1024;
@@ -236,7 +311,7 @@ class StencilKernel : public AddressKernel
     void
     beginChunk(u64 chunk) override
     {
-        col = (chunk * 512 * 8) % half;
+        col = (chunk * 512 * 8) & (half - 1);
         neighbour = 0;
     }
 
@@ -249,15 +324,15 @@ class StencilKernel : public AddressKernel
         neighbour = (neighbour + 1) % 3;
         u64 a = (col + static_cast<u64>(
                      static_cast<i64>(row) * r + static_cast<i64>(half)))
-                % half;
-        col = (col + (neighbour == 0 ? 8 : 0)) % half;
+                & (half - 1);
+        col = (col + (neighbour == 0 ? 8 : 0)) & (half - 1);
         return cfg.base + a;
     }
 
     Addr
     nextWrite() override
     {
-        return cfg.base + half + col % half;
+        return cfg.base + half + (col & (half - 1));
     }
 
   private:
@@ -272,11 +347,11 @@ class StencilKernel : public AddressKernel
  * operations, then move to the next tile.  Models blocked dense
  * linear algebra (very cache friendly).
  */
-class BlockedKernel : public AddressKernel
+class BlockedKernel final : public FillKernel<BlockedKernel>
 {
   public:
     BlockedKernel(const KernelConfig &c, u64 s)
-        : AddressKernel(c, s), rng(s)
+        : FillKernel(c, s), rng(s)
     {
         tileMask = cfg.tileBytes ? cfg.tileBytes - 1 : 4095;
         // Tile size must be a power of two within the working set.
@@ -314,11 +389,11 @@ class BlockedKernel : public AddressKernel
 };
 
 /** Uniform random over the whole working set (worst locality). */
-class RandomUniformKernel : public AddressKernel
+class RandomUniformKernel final : public FillKernel<RandomUniformKernel>
 {
   public:
     RandomUniformKernel(const KernelConfig &c, u64 s)
-        : AddressKernel(c, s), rng(s)
+        : FillKernel(c, s), rng(s)
     {}
 
     void

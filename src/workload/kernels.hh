@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "isa/events.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -55,10 +56,31 @@ struct KernelConfig
 };
 
 /**
+ * The per-chunk locality state a block fill draws from besides its
+ * kernel: which accesses hit the phase's stack/locals region, and
+ * where in that region they land.
+ */
+struct LocalityStream
+{
+    /** Locality flags only: no other draw consumes this stream, so
+     *  the instruction stream is bit-identical whether or not
+     *  addresses are generated. */
+    Rng rng;
+    /** Rng::chanceThreshold(localFraction): an access is local when
+     *  rng.chanceBelow(threshold). */
+    u64 threshold = 0;
+    Addr stackBase = 0;  ///< stack/locals region (L1-resident)
+    u64 stackCursor = 0; ///< rotating cursor within the region
+
+    /** Bytes of the per-phase stack/locals region. */
+    static constexpr u64 kStackBytes = 8 * 1024;
+};
+
+/**
  * Generates the address stream of one phase.
  *
  * Usage: beginChunk(chunk) once per execution chunk, then any
- * interleaving of nextRead()/nextWrite().
+ * interleaving of nextRead()/nextWrite()/fillBlock().
  */
 class AddressKernel
 {
@@ -73,6 +95,27 @@ class AddressKernel
 
     /** Address of the next write access. */
     virtual Addr nextWrite() = 0;
+
+    /**
+     * Fill one block's @p reads + @p writes accesses into @p out,
+     * reads and writes interleaved round-robin in proportion to
+     * their counts.  Access i is local (the next stack/locals slot
+     * of @p loc) when loc.rng.chanceBelow(loc.threshold), and
+     * otherwise takes the kernel's next read or write address.
+     *
+     * Equal bit for bit to drawing each access's flag and then
+     * calling nextRead()/nextWrite() for it, in stream order: the
+     * flags come from loc.rng alone and the kernel never reads it,
+     * so all flags are drawn first (with the stack slots, no
+     * branches), then the kernel fills the non-local accesses in
+     * order with inlined calls.  @p out holds at least
+     * reads + writes slots.
+     */
+    virtual void fillBlock(u32 reads, u32 writes, LocalityStream &loc,
+                           MemAccess *out) = 0;
+
+    /** Most accesses one fillBlock() call may fill. */
+    static constexpr std::size_t kMaxBlockAccesses = 1024;
 
     const KernelConfig &config() const { return cfg; }
 

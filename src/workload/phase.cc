@@ -28,7 +28,9 @@ PhaseModel::PhaseModel(const PhaseSpec &spec, u64 seed, u32 phaseIndex,
     kc.tileBytes = phaseSpec.tileBytes;
     kernel = makeKernel(kc, hashCombine(this->seed, 0xfeedULL));
     // The stack/locals region sits far above the heap segment.
-    stackBase = dataBase + (1ULL << 32);
+    locality.stackBase = dataBase + (1ULL << 32);
+    locality.threshold =
+        Rng::chanceThreshold(phaseSpec.localFraction);
 
     buildBlocks(pcBase);
 }
@@ -129,10 +131,10 @@ void
 PhaseModel::beginChunk(u64 chunk)
 {
     rng = Rng(seed, chunk, 0xe7e7ULL);
-    memRng = Rng(seed, chunk, 0x3e3eULL);
+    locality.rng = Rng(seed, chunk, 0x3e3eULL);
+    locality.stackCursor = 0;
     kernel->beginChunk(chunk);
     rebuildChunkCdf(chunk);
-    stackCursor = 0;
     // Branch direction runs restart lazily (kRunUninit) so the
     // first execution in a chunk lands mid-run, not at a run break.
     brDir.assign(phaseSpec.numBlocks, 0);
@@ -210,30 +212,8 @@ PhaseModel::emit(const StaticBlock &block, u32 maxInstrs,
     if (genAddresses) {
         u32 reads = mix[1] + mix[3];
         u32 writes = mix[2] + mix[3];
-        SPLAB_ASSERT(reads + writes <= kMaxAccessesPerBlock,
-                     "block emits too many accesses");
-        // Interleave reads and writes in a deterministic round-robin
-        // proportional to their counts.
-        u32 r = 0, w = 0;
-        while (r < reads || w < writes) {
-            bool doRead =
-                w >= writes ||
-                (r < reads &&
-                 static_cast<u64>(r) * writes <=
-                     static_cast<u64>(w) * reads);
-            MemAccess &a = accs[nAccs++];
-            bool local = memRng.chance(phaseSpec.localFraction);
-            if (doRead) {
-                a.addr = local ? nextLocal() : kernel->nextRead();
-                a.isWrite = false;
-                ++r;
-            } else {
-                a.addr = local ? nextLocal() : kernel->nextWrite();
-                a.isWrite = true;
-                ++w;
-            }
-            a.size = 8;
-        }
+        kernel->fillBlock(reads, writes, locality, accs);
+        nAccs = std::size_t{reads} + writes;
     }
 
     hasBranch = rec.endsInBranch;

@@ -112,7 +112,8 @@ class PhaseModel
      * @param maxInstrs    truncation limit (chunk budget)
      * @param genAddresses generate concrete memory addresses
      * @param rec          [out] dynamic block record
-     * @param accs         [out] buffer for memory accesses
+     * @param accs         [out] buffer for memory accesses, at least
+     *                     AddressKernel::kMaxBlockAccesses slots
      * @param nAccs        [out] number of accesses written
      * @param br           [out] branch record (valid if hasBranch)
      * @param hasBranch    [out] block ended in a branch
@@ -121,24 +122,12 @@ class PhaseModel
               bool genAddresses, BlockRecord &rec, MemAccess *accs,
               std::size_t &nAccs, BranchRecord &br, bool &hasBranch);
 
-    /** Maximum memory accesses any single block can emit. */
-    static constexpr std::size_t kMaxAccessesPerBlock = 1024;
-
     /** Sentinel: branch run state not yet drawn for this chunk. */
     static constexpr u32 kRunUninit = 0xffffffffu;
 
   private:
     void buildBlocks(Addr pcBase);
     void rebuildChunkCdf(u64 chunk);
-
-    /** Next stack/locals address (rotating within kStackBytes). */
-    Addr
-    nextLocal()
-    {
-        Addr a = stackBase + (stackCursor & (kStackBytes - 1));
-        stackCursor += 8;
-        return a;
-    }
 
     PhaseSpec phaseSpec;
     u64 seed;
@@ -159,16 +148,10 @@ class PhaseModel
 
     std::unique_ptr<AddressKernel> kernel;
     Rng rng;    ///< control-stream randomness (lengths, branches)
-    /** Separate stream for address decisions so the instruction
-     *  stream is bit-identical whether or not addresses are
-     *  generated (profiling vs measurement runs). */
-    Rng memRng;
-
-    Addr stackBase = 0;   ///< stack/locals region (L1-resident)
-    u64 stackCursor = 0;  ///< rotating cursor within the region
-
-    /** Bytes of the per-phase stack/locals region. */
-    static constexpr u64 kStackBytes = 8 * 1024;
+    /** Address-locality stream and stack region, separate from rng
+     *  so the instruction stream is bit-identical whether or not
+     *  addresses are generated (profiling vs measurement runs). */
+    LocalityStream locality;
 };
 
 } // namespace splab

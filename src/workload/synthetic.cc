@@ -95,7 +95,7 @@ SyntheticWorkload::run(u64 firstChunk, u64 numChunks, EventSink &sink,
         while (budget > 0) {
             const StaticBlock &blk = phase.pickBlock();
             MemAccess *accBuf =
-                batch.reserveAccs(PhaseModel::kMaxAccessesPerBlock);
+                batch.reserveAccs(AddressKernel::kMaxBlockAccesses);
             std::size_t nAccs = 0;
             bool hasBranch = false;
             phase.emit(blk, static_cast<u32>(budget), genAddresses,

@@ -192,9 +192,9 @@ main(int argc, char **argv)
                           kv.second.asU64(),
                       name + " differs between SPLAB_THREADS=1 and 4");
             }
-        // computed + loaded for each of the 12 artifact kinds
+        // computed + loaded for each of the 13 artifact kinds
         // (kNumArtifactKinds; this checker does not link the core).
-        check(perKind == 2 * 12,
+        check(perKind == 2 * 13,
               "manifest lacks the per-kind graph counters");
     }
 

@@ -21,6 +21,7 @@
 #include "core/artifact_graph.hh"
 #include "obs/counters.hh"
 #include "perf/native.hh"
+#include "support/env.hh"
 #include "support/thread_pool.hh"
 #include "workload/synthetic.hh"
 
@@ -62,6 +63,21 @@ TEST(ArtifactKeys, StableAcrossGraphInstances)
         EXPECT_EQ(keyOf(fastConfig(), kind), keyOf(fastConfig(), kind))
             << artifactKindName(kind);
     }
+}
+
+TEST(ArtifactKeys, PointReplayKeysPinned)
+{
+    // The per-point runs became projections of the fused point
+    // replay without moving their keys (or their cached blobs).
+    // The spec, and so every key, depends on the workload scale,
+    // which this file fixes at 0.05 (kScaleSet).
+    ASSERT_EQ(workloadScale(), 0.05);
+    EXPECT_EQ(keyOf(fastConfig(), ArtifactKind::PointsCacheCold),
+              9780315379197207805ULL);
+    EXPECT_EQ(keyOf(fastConfig(), ArtifactKind::PointsCacheWarm),
+              10249133951621255657ULL);
+    EXPECT_EQ(keyOf(fastConfig(), ArtifactKind::PointsTiming),
+              14831231806976354006ULL);
 }
 
 TEST(ArtifactKeys, WarmupChunksKeysOnlyWarmedReplays)
@@ -304,16 +320,16 @@ TEST(ArtifactGraphScheduling, RunSuiteThreadCountInvariant)
     EXPECT_EQ(blobs[0], blobs[1]);
     EXPECT_EQ(blobs[0], blobs[2]);
     EXPECT_EQ(blobs[0], blobs[3]);
-    EXPECT_EQ(walkComputed, kBenches.size() * 8);
+    EXPECT_EQ(walkComputed, kBenches.size() * 9);
 
     // Counters accumulate work performed, never scheduling: the
     // snapshots must match across thread counts too.
     EXPECT_EQ(counters[0], counters[1]);
     EXPECT_EQ(counters[0], counters[2]);
     // spec, bbv, sp, regions, fused, whole-cache projection,
-    // regional pinball, cold replays
+    // regional pinball, fused point replays, cold projection
     EXPECT_EQ(counters[0].at("graph.nodes_computed"),
-              kBenches.size() * 8);
+              kBenches.size() * 9);
     EXPECT_EQ(counters[0].at("graph.tasks_scheduled"),
               kBenches.size() * targets.size());
 }

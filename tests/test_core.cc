@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -15,7 +16,9 @@
 #include "core/runs.hh"
 #include "core/scale.hh"
 #include "pinball/logger.hh"
+#include "support/serialize.hh"
 #include "support/stats_util.hh"
+#include "support/thread_pool.hh"
 #include "workload/synthetic.hh"
 
 namespace splab
@@ -272,6 +275,83 @@ TEST(Runs, TimingPointsProduceFiniteCpi)
     EXPECT_LT(agg.cpi, 20.0);
     EXPECT_EQ(agg.executedInstrs,
               points.size() * cfg.sliceInstrs);
+}
+
+/** Serialized per-point metrics with the wall time masked. */
+template <typename Point>
+std::vector<u8>
+maskedBytes(std::vector<Point> pts)
+{
+    for (Point &p : pts)
+        p.m.wallSeconds = 0;
+    ByteWriter w;
+    w.putVector(pts);
+    return w.bytes();
+}
+
+TEST(Runs, FusedReplayEqualsSeparateReplays)
+{
+    struct Case
+    {
+        const char *bench;
+        const char *strategy;
+        u64 warmupChunks;
+    };
+    const Case cases[] = {
+        // The first region starts at chunk 790: its warm-up is
+        // clipped at chunk 0.
+        {"623.xalancbmk_s", "simpoint", 1000},
+        // SMARTS prescribes each region's warm-up, which replaces
+        // the experiment-wide 120 chunks.
+        {"520.omnetpp_r", "smarts", 120},
+        // No warm-up: the warmed runs are cold too.
+        {"620.omnetpp_s", "simpoint", 0},
+    };
+    for (const Case &c : cases) {
+        ExperimentConfig cfg = ExperimentConfig::paperDefaults()
+                                   .withMaxK(6)
+                                   .withStrategy(c.strategy)
+                                   .withWarmupChunks(c.warmupChunks);
+        ArtifactGraph g(cfg, std::make_shared<const ArtifactCache>(
+                                 ArtifactCache("")));
+        const Pinball &regional = g.regionalPinball(c.bench);
+        ASSERT_FALSE(regional.regions().empty()) << c.bench;
+        u64 firstChunk = regional.regions().front().firstChunk;
+        u64 prescribed = 0;
+        for (const RegionDesc &r : regional.regions()) {
+            firstChunk = std::min(firstChunk, r.firstChunk);
+            prescribed += r.warmupChunks > 0 &&
+                          r.warmupChunks != c.warmupChunks;
+        }
+        if (c.warmupChunks == 1000) {
+            EXPECT_LT(firstChunk, c.warmupChunks) << c.bench;
+        }
+        if (std::string(c.strategy) == "smarts") {
+            EXPECT_GT(prescribed, 0u) << c.bench;
+        }
+
+        for (std::size_t threads : {1u, 4u}) {
+            ThreadPool::setGlobalThreads(threads);
+            PointsFusedMetrics fused = measurePointsFused(
+                regional, cfg.allcache, cfg.machine, c.warmupChunks);
+            EXPECT_EQ(maskedBytes(fused.cold),
+                      maskedBytes(
+                          measurePointsCache(regional, cfg.allcache, 0)))
+                << c.bench << " threads " << threads;
+            EXPECT_EQ(maskedBytes(fused.warm),
+                      maskedBytes(measurePointsCache(
+                          regional, cfg.allcache, c.warmupChunks)))
+                << c.bench << " threads " << threads;
+            EXPECT_EQ(maskedBytes(fused.timing),
+                      maskedBytes(measurePointsTiming(
+                          regional, cfg.machine, c.warmupChunks)))
+                << c.bench << " threads " << threads;
+            // The graph's projections are measurePointsFused's values.
+            EXPECT_EQ(maskedBytes(g.pointsCacheWarm(c.bench)),
+                      maskedBytes(fused.warm));
+        }
+    }
+    ThreadPool::setGlobalThreads(0);
 }
 
 TEST(ReduceToQuantile, KeepsHeaviest)

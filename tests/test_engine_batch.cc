@@ -530,9 +530,9 @@ class InvariantSink : public EventSink
         ASSERT_EQ(batch.branchValid().size(), n);
         ASSERT_EQ(batch.blocks().size(), n);
         EXPECT_EQ(batch.offsets().front(), 0u);
-        // The pool may retain high-water capacity; the offsets only
-        // ever address the used prefix.
-        EXPECT_LE(batch.offsets().back(), batch.accessPool().size());
+        // The pool view is exactly the used prefix: the arena's
+        // reserved slack is not exposed.
+        EXPECT_EQ(batch.offsets().back(), batch.accessPool().size());
 
         ICount instrSum = 0;
         std::size_t accSum = 0;

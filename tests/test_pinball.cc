@@ -177,6 +177,37 @@ TEST(Logger, ChecksumPinned)
               8132985435606576386ULL);
 }
 
+TEST(Logger, ChecksumPinnedPerKernelKind)
+{
+    // One single-phase workload per address kernel: pins each
+    // kernel's part of the generated stream (addresses, locality
+    // mix, read/write interleaving) the way ChecksumPinned pins the
+    // fold.
+    const u64 pinned[kNumKernelKinds] = {
+        12037504942769927890ULL, // stream
+        7289711519153254329ULL,  // strided
+        5570501479073192999ULL,  // pointer-chase
+        11695934649099120760ULL, // zipf-hot-cold
+        17626661927976558803ULL, // stencil
+        2914456770770788930ULL,  // blocked
+        3783160621959279766ULL,  // random-uniform
+    };
+    for (u8 k = 0; k < kNumKernelKinds; ++k) {
+        BenchmarkSpec s;
+        s.name = "one-phase";
+        s.seed = 2024;
+        s.totalChunks = 64;
+        s.chunkLen = 1000;
+        PhaseSpec p;
+        p.kernel = static_cast<KernelKind>(k);
+        p.workingSetBytes = 256 << 10;
+        s.phases = {p};
+        SyntheticWorkload wl(s);
+        EXPECT_EQ(Logger::streamChecksum(wl, 0, 64), pinned[k])
+            << kernelKindName(p.kernel);
+    }
+}
+
 TEST(Logger, ChecksumSensitiveToWindow)
 {
     SyntheticWorkload wl(spec());

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <cstdlib>
 #include <set>
+#include <vector>
 
 #include "support/env.hh"
 #include "support/rng.hh"
@@ -90,6 +93,42 @@ TEST(Rng, ChanceExtremes)
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(r.chance(0.0));
         EXPECT_TRUE(r.chance(1.0));
+    }
+}
+
+TEST(Rng, ChanceThresholdIsExact)
+{
+    // chanceBelow(chanceThreshold(p)) must draw and decide exactly as
+    // chance(p), including at the boundary p == x * 2^-53 of the
+    // drawn x, where only a strict "<" gets the answer right.
+    std::vector<double> ps = {0.0,
+                              -0.0,
+                              -0.5,
+                              1.0,
+                              1.5,
+                              std::nan(""),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::denorm_min(),
+                              std::ldexp(1.0, -53),
+                              std::nextafter(1.0, 0.0),
+                              0.6,
+                              1.0 / 3.0};
+    Rng probe(77);
+    for (int i = 0; i < 64; ++i) {
+        // Boundary values of the draws the checks below will see.
+        double x = static_cast<double>(probe.next() >> 11);
+        ps.push_back(std::ldexp(x, -53));
+        ps.push_back(std::nextafter(std::ldexp(x, -53), 0.0));
+        ps.push_back(std::nextafter(std::ldexp(x, -53), 1.0));
+    }
+    for (double p : ps) {
+        Rng a(77), b(77);
+        u64 t = Rng::chanceThreshold(p);
+        EXPECT_LE(t, u64{1} << 53) << p;
+        for (int i = 0; i < 64; ++i)
+            EXPECT_EQ(a.chance(p), b.chanceBelow(t)) << p << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "streams diverged at " << p;
     }
 }
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "support/rng.hh"
 #include "support/serialize.hh"
@@ -127,6 +129,96 @@ TEST(Kernels, ZipfConcentratesInHotSet)
             ++hot;
     }
     EXPECT_GT(static_cast<double>(hot) / static_cast<double>(n), 0.8);
+}
+
+/**
+ * The per-access fill that AddressKernel::fillBlock replaced, kept as
+ * its oracle: for each access in stream order, one locality draw
+ * and then either the next stack slot or one virtual
+ * nextRead()/nextWrite() call.
+ */
+void
+referenceFill(AddressKernel &kernel, Rng &memRng, double localFraction,
+              Addr stackBase, u64 &stackCursor, u32 reads, u32 writes,
+              MemAccess *out)
+{
+    auto nextLocal = [&] {
+        Addr a = stackBase +
+                 (stackCursor & (LocalityStream::kStackBytes - 1));
+        stackCursor += 8;
+        return a;
+    };
+    std::size_t n = 0;
+    u32 r = 0, w = 0;
+    while (r < reads || w < writes) {
+        bool doRead = w >= writes ||
+                      (r < reads && static_cast<u64>(r) * writes <=
+                                        static_cast<u64>(w) * reads);
+        MemAccess &a = out[n++];
+        bool local = memRng.chance(localFraction);
+        if (doRead) {
+            a.addr = local ? nextLocal() : kernel.nextRead();
+            a.isWrite = false;
+            ++r;
+        } else {
+            a.addr = local ? nextLocal() : kernel.nextWrite();
+            a.isWrite = true;
+            ++w;
+        }
+        a.size = 8;
+    }
+}
+
+TEST(Kernels, FillBlockMatchesPerAccessReference)
+{
+    const double fractions[] = {0.0, 0.6, 1.0, -0.5, 1.5,
+                                std::nan("")};
+    for (u8 k = 0; k < kNumKernelKinds; ++k) {
+        KernelConfig c = kernelConfig(static_cast<KernelKind>(k));
+        for (double f : fractions) {
+            auto ref = makeKernel(c, 11);
+            auto fast = makeKernel(c, 11);
+            LocalityStream loc;
+            loc.threshold = Rng::chanceThreshold(f);
+            loc.stackBase = 0x7f0000000000ULL;
+            Rng refRng;
+            u64 refCursor = 0;
+            Rng shapes(k, 0x5eedULL);
+            for (u64 chunk : {0ULL, 3ULL, 977ULL}) {
+                ref->beginChunk(chunk);
+                fast->beginChunk(chunk);
+                refRng = loc.rng = Rng(42, chunk);
+                refCursor = loc.stackCursor = 0;
+                for (int block = 0; block < 150; ++block) {
+                    // Mostly small blocks, some empty or read- or
+                    // write-only ones, and the largest allowed.
+                    u32 reads = static_cast<u32>(shapes.below(40));
+                    u32 writes = static_cast<u32>(shapes.below(24));
+                    if (block % 50 == 7) {
+                        reads = 700;
+                        writes = static_cast<u32>(
+                            AddressKernel::kMaxBlockAccesses - 700);
+                    }
+                    std::size_t n = std::size_t{reads} + writes;
+                    std::vector<MemAccess> want(n), got(n);
+                    referenceFill(*ref, refRng, f, loc.stackBase,
+                                  refCursor, reads, writes,
+                                  want.data());
+                    fast->fillBlock(reads, writes, loc, got.data());
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ASSERT_EQ(got[i].addr, want[i].addr)
+                            << kernelKindName(c.kind) << " f=" << f
+                            << " chunk " << chunk << " block "
+                            << block << " access " << i;
+                        ASSERT_EQ(got[i].isWrite, want[i].isWrite);
+                        ASSERT_EQ(got[i].size, want[i].size);
+                    }
+                }
+                EXPECT_EQ(loc.stackCursor, refCursor);
+                EXPECT_EQ(loc.rng.next(), refRng.next());
+            }
+        }
+    }
 }
 
 TEST(Schedule, ContiguousCoversInOrder)
