@@ -15,6 +15,10 @@
  * the paper-style tables, "<binary>.csv" and a "BENCH_kmeans.json"
  * baseline for perf tracking, which also records the core count,
  * the pool size, SPLAB_SCALE and the tile-kernel build that ran.
+ * The run manifest ("<binary>.manifest.json", unless
+ * SPLAB_MANIFEST=0) carries the configuration, the scale, the tile
+ * kernel and the check verdict, with the core count and pool size
+ * in its timing section.
  */
 
 #include <chrono>
@@ -290,6 +294,17 @@ main(int, char **argv)
         std::fclose(f);
         std::printf("wrote %s\n", jsonPath.c_str());
     }
+
+    obs::RunManifest mani(bench::toolName(argv[0]));
+    mani.recordEnv("SPLAB_SCALE");
+    cfg.describe(mani);
+    mani.setConfig("kmeans.scale", workloadScale());
+    mani.setConfig("kmeans.tile_kernel", kernel);
+    mani.setConfig("kmeans.identical", identical);
+    mani.setTimingNote("kmeans.nproc", nproc);
+    mani.setTimingNote("kmeans.pool_threads",
+                       static_cast<double>(poolThreads));
+    bench::emitObservability(argv[0], mani);
 
     if (!identical) {
         std::printf("[FAIL] accelerated clustering differs from the "

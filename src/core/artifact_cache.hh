@@ -13,42 +13,29 @@
  * detected up front, warned about once, and degrades the cache to
  * disabled instead of silently failing every store.
  *
- * Cache hygiene (the part that matters at fleet scale):
+ * Every artifact is one checksummed blob file, named by its key and
+ * published through a temp file + atomic rename, so a reader sees
+ * the old blob or the new one, never a torn one.  There is no index
+ * and no eviction: a hit is one file read that writes nothing, and
+ * the way to evict is to delete the directory.
  *
- *  - A persistent index ("index.bin": per-blob size, logical
- *    last-use stamp and shared-blob references) is maintained
- *    incrementally on every load/store, so size accounting and
- *    eviction decisions never scan the directory.  A missing or
- *    corrupt index is rebuilt from one directory scan (last-use
- *    stamps reset, shared references conservatively unknown).
- *    Cross-process index mutations serialize through an flock'd
- *    read-modify-write with an atomic tmp+rename publish.
- *  - When SPLAB_CACHE_MAX_BYTES (or the maxBytes constructor
- *    argument) is non-zero, stores that push the resident bytes
- *    (artifact blobs + shared sub-blobs) over the budget evict
- *    least-recently-used artifacts until the budget holds.
  *  - Shared sub-blobs ("shared-<hash>.bin", see storeShared) are
- *    ref-counted through the index: evicting an artifact releases
- *    its references, and a sub-blob file is reclaimed only when the
- *    last artifact referencing it goes — never while a surviving
- *    ref blob still points at it.
- *  - Hit/miss/eviction/byte counters ("artifact_cache.*") register
- *    eagerly at construction so every run manifest carries the full
- *    family even when a count is zero.
+ *    named by their content hash alone, so artifacts that embed
+ *    identical byte ranges store them once.
+ *  - Hit/miss/byte counters ("artifact_cache.*") register eagerly at
+ *    construction so every run manifest carries the full family
+ *    even when a count is zero.
  *  - Cross-process single-flight: lockArtifact() takes an exclusive
  *    flock on "locks/<family>-<hex>.lock", so processes (or cache
  *    handles) sharing one directory compute each artifact once — the
  *    holder loads, computes on a miss and stores before releasing;
  *    a waiter then loads the published blob.  Lock files are empty
- *    and live in a subdirectory, so they are never indexed or
- *    evicted.  Lock order is always key lock, then index lock.
+ *    and live in a subdirectory apart from the blobs.
  */
 
 #ifndef SPLAB_CORE_ARTIFACT_CACHE_HH
 #define SPLAB_CORE_ARTIFACT_CACHE_HH
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -83,14 +70,6 @@ struct CacheOutcome
     ByteReader *operator->() { return &*blob; }
 };
 
-/** Index-derived occupancy snapshot (advisory across processes). */
-struct CacheUsage
-{
-    u64 artifacts = 0;     ///< indexed artifact blobs
-    u64 sharedBlobs = 0;   ///< indexed shared sub-blobs
-    u64 residentBytes = 0; ///< artifact + shared payload bytes
-};
-
 /**
  * Scoped exclusive flock on one file.  Advisory, so only
  * ArtifactCache users contend.  A file that cannot be opened yields
@@ -116,23 +95,10 @@ class FileLock
 class ArtifactCache
 {
   public:
-    /**
-     * @param dir cache directory; empty disables the cache.
-     * @param maxBytes eviction budget; 0 = unbounded.
-     */
-    explicit ArtifactCache(std::string dir, u64 maxBytes = 0);
-
-    /** Cache honouring $SPLAB_CACHE and $SPLAB_CACHE_MAX_BYTES. */
-    static ArtifactCache fromEnv();
-
-    ArtifactCache(ArtifactCache &&) noexcept;
-    ArtifactCache &operator=(ArtifactCache &&) noexcept;
-    ~ArtifactCache();
+    /** @param dir cache directory; empty disables the cache. */
+    explicit ArtifactCache(std::string dir);
 
     bool enabled() const { return !root.empty(); }
-
-    /** Eviction budget in bytes (0 = unbounded). */
-    u64 maxBytes() const { return budget; }
 
     /** Cache directory ("" when disabled). */
     const std::string &dir() const { return root; }
@@ -148,13 +114,9 @@ class ArtifactCache
     /** Store a blob (no-op when disabled).  The file is published
      *  through a temp file + atomic rename, so a concurrent load in
      *  any process sees the old blob or the new one, never a torn
-     *  one.  @p sharedRefs lists the content hashes of the shared
-     *  sub-blobs a ref blob points at (empty for inline artifacts);
-     *  the index ref-counts them so eviction can reclaim a sub-blob
-     *  exactly when its last referencing artifact goes. */
+     *  one. */
     void store(const std::string &kind, u64 key,
-               const ByteWriter &blob,
-               const std::vector<u64> &sharedRefs = {}) const;
+               const ByteWriter &blob) const;
 
     /**
      * Store @p size bytes as a content-addressed *shared sub-blob*
@@ -174,9 +136,6 @@ class ArtifactCache
     /** Look up the shared sub-blob with content hash @p contentHash;
      *  outcome semantics identical to load(). */
     CacheOutcome loadShared(u64 contentHash) const;
-
-    /** Occupancy according to the in-memory index view. */
-    CacheUsage usage() const;
 
     /**
      * Exclusive lock on artifact (@p family, @p key), shared with
@@ -218,9 +177,6 @@ class ArtifactCache
     static constexpr u64 kVersionSalt = 0x53504c41422d7634ULL;
 
   private:
-    struct IndexState; // index + mutex; lives behind a unique_ptr
-                       // so the cache stays movable
-
     /** "<kind>-<hex>": the file stem of a blob and of its lock. */
     std::string stem(const std::string &kind, u64 key) const;
     std::string path(const std::string &kind, u64 key) const;
@@ -230,23 +186,7 @@ class ArtifactCache
      *  and bump the hit/miss/corrupt/disabled counters. */
     CacheOutcome readBlob(const std::string &p) const;
 
-    /** Run @p apply on the index under the in-process mutex and the
-     *  cross-process file lock: reload the on-disk index (disk is
-     *  authoritative), apply, evict down to the budget (sparing
-     *  @p protect), publish atomically.  No-op when disabled. */
-    void indexMutate(const std::function<void(IndexState &)> &apply,
-                     const std::string &protect = "") const;
-    void indexLoadLocked(IndexState &st) const;
-    void indexSaveLocked(const IndexState &st) const;
-    void indexRebuildLocked(IndexState &st) const;
-
-    /** Evict LRU artifacts (sparing @p protect) until the resident
-     *  bytes fit the budget.  Caller holds both locks. */
-    void evictLocked(IndexState &st, const std::string &protect) const;
-
     std::string root;
-    u64 budget = 0;
-    std::unique_ptr<IndexState> idx;
 };
 
 } // namespace splab

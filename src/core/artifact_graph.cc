@@ -400,7 +400,7 @@ struct ArtifactGraph::Node
 ArtifactGraph::ArtifactGraph(ExperimentConfig cfg)
     : ArtifactGraph(std::move(cfg),
                     std::make_shared<const ArtifactCache>(
-                        ArtifactCache::fromEnv()))
+                        ArtifactCache(artifactCacheDir())))
 {
 }
 

@@ -80,18 +80,6 @@ artifactCacheDir()
     return envString("SPLAB_CACHE", "splab_cache");
 }
 
-u64
-cacheMaxBytes()
-{
-    long v = envLong("SPLAB_CACHE_MAX_BYTES", 0);
-    if (v < 0) {
-        SPLAB_WARN("SPLAB_CACHE_MAX_BYTES must be >= 0; "
-                   "treating as unbounded");
-        return 0;
-    }
-    return static_cast<u64>(v);
-}
-
 bool
 fusedPersistEnabled()
 {

@@ -7,7 +7,8 @@
  *                    (default 1.0; use e.g. 0.1 for a quick smoke run)
  *  - SPLAB_CACHE   : directory for the on-disk artifact cache
  *                    (default "splab_cache" under the CWD; empty
- *                    string disables caching)
+ *                    string disables caching).  The cache never
+ *                    evicts: delete the directory to reclaim it.
  *  - SPLAB_THREADS : worker threads for the parallel stages (k-sweep,
  *                    k-means, regional replays); 0 or unset = all
  *                    hardware threads.  Changes wall time only —
@@ -40,13 +41,6 @@
  *                    farther under conservative bound arithmetic, so
  *                    assignments, distortion and centroid bytes are
  *                    bit-identical either way.
- *  - SPLAB_CACHE_MAX_BYTES: size budget for the on-disk artifact
- *                    cache.  When the resident bytes (artifact blobs
- *                    plus shared sub-blobs) exceed the budget after
- *                    a store, least-recently-used artifacts are
- *                    evicted; shared sub-blobs are ref-counted and
- *                    reclaimed only when their last referencing
- *                    artifact goes.  0 or unset = unbounded.
  */
 
 #ifndef SPLAB_SUPPORT_ENV_HH
@@ -77,10 +71,6 @@ double workloadScale();
 
 /** Artifact cache directory (SPLAB_CACHE); empty = disabled. */
 std::string artifactCacheDir();
-
-/** Artifact-cache size budget in bytes (SPLAB_CACHE_MAX_BYTES);
- *  0 = unbounded.  Re-read per call so tests can toggle it. */
-u64 cacheMaxBytes();
 
 /** Whether the fused whole-run artifact is persisted to the disk
  *  cache (SPLAB_FUSED_PERSIST; default on). */

@@ -406,12 +406,8 @@ TEST(ArtifactGraphCache, ColdThenWarmRunsAreByteIdentical)
 }
 
 /**
- * Raw bytes of every *blob* file in @p dir, keyed by filename.  The
- * cache's bookkeeping ("index.bin", "index.lock" and the "locks/"
- * directory of empty key-lock files) is skipped: the index records
- * scheduling-dependent last-use stamps, so only the
- * content-addressed blobs are comparable across runs and thread
- * counts.
+ * Raw bytes of every regular file in @p dir, keyed by filename: the
+ * blobs.  The "locks/" directory of empty key-lock files is skipped.
  */
 std::map<std::string, std::vector<char>>
 dirContents(const std::string &dir)
@@ -419,7 +415,7 @@ dirContents(const std::string &dir)
     std::map<std::string, std::vector<char>> out;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         std::string name = e.path().filename().string();
-        if (name.rfind("index.", 0) == 0 || !e.is_regular_file())
+        if (!e.is_regular_file())
             continue;
         std::ifstream f(e.path(), std::ios::binary);
         out[name] = {std::istreambuf_iterator<char>(f),

@@ -283,7 +283,7 @@ TEST(ObsManifest, SchemaRoundTrips)
 
 TEST(ObsManifest, CarriesArtifactCacheCounterFamily)
 {
-    // Constructing a cache registers the full hygiene counter family
+    // Constructing a cache registers the full counter family
     // eagerly, so every run manifest's deterministic section carries
     // the counts (zeros included) — cross-run diffs and the service
     // smoke test key off them.
@@ -298,11 +298,9 @@ TEST(ObsManifest, CarriesArtifactCacheCounterFamily)
     ASSERT_NE(counters, nullptr);
     for (const char *name :
          {"artifact_cache.hits", "artifact_cache.misses",
-          "artifact_cache.corrupt", "artifact_cache.evictions",
-          "artifact_cache.bytes_read", "artifact_cache.bytes_written",
-          "artifact_cache.bytes_evicted",
-          "artifact_cache.blob_share_hits",
-          "artifact_cache.shared_blobs_reclaimed"})
+          "artifact_cache.corrupt", "artifact_cache.bytes_read",
+          "artifact_cache.bytes_written",
+          "artifact_cache.blob_share_hits"})
         EXPECT_NE(counters->find(name), nullptr) << name;
 }
 
@@ -324,12 +322,10 @@ TEST(ObsCache, OutcomeDistinguishesHitMissCorruptDisabled)
     EXPECT_EQ(hit->get<u64>(), 0xfeedULL);
 
     // Truncate the stored blob: the checksum no longer validates and
-    // the lookup must say Corrupt, not Hit or Miss.  Skip the
-    // cache's index files — only the artifact blob is the target.
+    // the lookup must say Corrupt, not Hit or Miss.  The blob is the
+    // only file in the directory.
     std::size_t corrupted = 0;
     for (const auto &ent : std::filesystem::directory_iterator(dir)) {
-        if (ent.path().filename().string().rfind("index.", 0) == 0)
-            continue;
         std::filesystem::resize_file(ent.path(), 3);
         ++corrupted;
     }

@@ -307,8 +307,8 @@ TEST(StatsUtil, Pearson)
 
 TEST(Env, NumbersMustSpanTheWholeValue)
 {
-    // A numeric prefix is not a number: "512M" must not become a
-    // 512-byte cache budget.  Rejected values fall back.
+    // A numeric prefix is not a number: "512M" must not be read as
+    // 512.  Rejected values fall back.
     const char *var = "SPLAB_TEST_ENV_NUMBER";
     auto longOf = [&](const char *v) {
         setenv(var, v, 1);
