@@ -1,18 +1,18 @@
 /**
  * @file
  * Clustering microbench: the accelerated k-means (SPLAB_KMEANS_ACCEL:
- * Hamerly-style bounds in the Lloyd iterations, the lane-parallel
- * tile kernel for full scans and k-means++ seeding, half-distance
- * pruning in the whole-run assignment) against the brute-force
- * scalar path, on the paper-default BIC k-sweep over real
+ * the lane-parallel block kernel for every nearest-centroid
+ * assignment, the tile kernel for k-means++ seeding, and Lloyd's
+ * first assignment taken from the seeding scan) against the scalar
+ * path, on the paper-default BIC k-sweep and finalize over real
  * per-benchmark BBV profiles.
  *
  * Always runs in check mode: every comparison byte-compares the
  * serialized SimPointResult (assignments, centroid doubles, sweep
  * diagnostics) of both paths and the bench exits nonzero on any
  * mismatch — the acceleration contract is exact equality, not
- * approximation.  Wall times and the pruned-distance fraction go to
- * the paper-style tables, "<binary>.csv" and a "BENCH_kmeans.json"
+ * approximation.  Wall times and distance counts go to the
+ * paper-style table, "<binary>.csv" and a "BENCH_kmeans.json"
  * baseline for perf tracking, which also records the core count,
  * the pool size, SPLAB_SCALE and the tile-kernel build that ran.
  * The run manifest ("<binary>.manifest.json", unless
@@ -34,7 +34,6 @@
 #include "obs/counters.hh"
 #include "simpoint/simpoint.hh"
 #include "support/env.hh"
-#include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/thread_pool.hh"
 #include "workload/suite.hh"
@@ -54,31 +53,14 @@ wallSeconds(const std::function<void()> &fn)
         .count();
 }
 
-/** Deltas of the kmeans.* distance-kernel counters across @p fn. */
-struct KernelWork
-{
-    u64 computed = 0;
-    u64 pruned = 0;
-    u64 fallbacks = 0;
-
-    void
-    merge(const KernelWork &o)
-    {
-        computed += o.computed;
-        pruned += o.pruned;
-        fallbacks += o.fallbacks;
-    }
-};
-
-KernelWork
-kernelWork(const std::function<void()> &fn)
+/** Delta of the kmeans.distances_computed counter across @p fn. */
+u64
+distancesComputed(const std::function<void()> &fn)
 {
     obs::Counter &c = obs::counter("kmeans.distances_computed");
-    obs::Counter &p = obs::counter("kmeans.distances_pruned");
-    obs::Counter &f = obs::counter("kmeans.bound_fallbacks");
-    u64 c0 = c.value(), p0 = p.value(), f0 = f.value();
+    u64 c0 = c.value();
     fn();
-    return {c.value() - c0, p.value() - p0, f.value() - f0};
+    return c.value() - c0;
 }
 
 std::vector<u8>
@@ -108,22 +90,21 @@ main(int, char **argv)
     const unsigned nproc = std::thread::hardware_concurrency();
     const std::size_t poolThreads = ThreadPool::global().threads();
     const char *kernel = activeTileKernel().name;
-    bench::banner("k-means: bounds and tile kernel",
-                  "BIC k-sweep (k = 1.." +
+    bench::banner("k-means: block kernel",
+                  "SimPoint selection (BIC k-sweep, k = 1.." +
                       std::to_string(cfg.simpoint.maxK) +
-                      ") vs brute-force nearest-centroid scans");
+                      ", and finalize) vs the scalar scans");
     std::printf("nproc %u, pool threads %zu, tile kernel %s\n\n",
                 nproc, poolThreads, kernel);
 
     CsvWriter csv;
-    csv.header({"section", "bench", "slices", "brute_sec",
-                "accel_sec", "speedup", "pruned_frac", "identical"});
+    csv.header({"bench", "slices", "brute_sec", "accel_sec",
+                "speedup", "identical"});
 
-    // ---- Part 1: full SimPoint selection, both paths ----
     // The paper's whole methodology per benchmark: sub-sampled BIC
     // k-sweep, restarts, merge pass, whole-run slice assignment.
     double bruteSec = 0.0, accelSec = 0.0;
-    KernelWork bruteWork, accelWork;
+    u64 bruteWork = 0, accelWork = 0;
     u64 totalSlices = 0;
     for (const std::string &name : benches) {
         BenchmarkSpec spec = benchmarkByName(name);
@@ -132,15 +113,13 @@ main(int, char **argv)
 
         SimPointResult brute, accel;
         setenv("SPLAB_KMEANS_ACCEL", "0", 1);
-        KernelWork bw;
         double bs = wallSeconds([&] {
-            bw = kernelWork(
+            bruteWork += distancesComputed(
                 [&] { brute = pickSimPoints(bbvs, cfg.simpoint); });
         });
         setenv("SPLAB_KMEANS_ACCEL", "1", 1);
-        KernelWork aw;
         double as = wallSeconds([&] {
-            aw = kernelWork(
+            accelWork += distancesComputed(
                 [&] { accel = pickSimPoints(bbvs, cfg.simpoint); });
         });
 
@@ -151,109 +130,25 @@ main(int, char **argv)
         identical = identical && same;
         bruteSec += bs;
         accelSec += as;
-        bruteWork.merge(bw);
-        accelWork.merge(aw);
-        double frac =
-            aw.computed + aw.pruned > 0
-                ? static_cast<double>(aw.pruned) /
-                      static_cast<double>(aw.computed + aw.pruned)
-                : 0.0;
-        csv.row({"sweep", name, std::to_string(bbvs.size()),
-                 fmt(bs, 4), fmt(as, 4),
-                 fmt(as > 0.0 ? bs / as : 0.0, 3), fmt(frac, 4),
+        csv.row({name, std::to_string(bbvs.size()), fmt(bs, 4),
+                 fmt(as, 4), fmt(as > 0.0 ? bs / as : 0.0, 3),
                  same ? "1" : "0"});
     }
-    double sweepSpeedup = accelSec > 0.0 ? bruteSec / accelSec : 0.0;
-    double prunedFrac =
-        accelWork.computed + accelWork.pruned > 0
-            ? static_cast<double>(accelWork.pruned) /
-                  static_cast<double>(accelWork.computed +
-                                      accelWork.pruned)
-            : 0.0;
+    double speedup = accelSec > 0.0 ? bruteSec / accelSec : 0.0;
 
-    TableWriter sweepTable(
+    TableWriter table(
         "SimPoint selection, " + std::to_string(benches.size()) +
         " benchmarks (BIC k-sweep, maxK = " +
         std::to_string(cfg.simpoint.maxK) + ", " +
         std::to_string(totalSlices) + " slices)");
-    sweepTable.header({"scan", "wall (s)", "distances", "pruned",
-                       "speedup", "identical"});
-    sweepTable.row({"brute force", fmt(bruteSec, 3),
-                    fmtCount(bruteWork.computed), "-", fmtX(1.0, 2),
-                    "-"});
-    sweepTable.row({"accelerated", fmt(accelSec, 3),
-                    fmtCount(accelWork.computed),
-                    fmtPct(prunedFrac), fmtX(sweepSpeedup, 2),
-                    identical ? "yes" : "NO"});
-    sweepTable.print();
-
-    // ---- Part 2: fixed-centroid whole-run assignment ----
-    // The finalize-pass kernel in isolation: assign every projected
-    // slice of every benchmark to its nearest of maxK centroids,
-    // with and without the half-distance table.
-    double assignBruteSec = 0.0, assignAccelSec = 0.0;
-    bool assignSame = true;
-    const int assignReps = 5;
-    for (const std::string &name : benches) {
-        BenchmarkSpec spec = benchmarkByName(name);
-        auto bbvs = profileBbvs(spec, cfg.simpoint.sliceInstrs);
-        RandomProjection proj(
-            cfg.simpoint.projectionDim,
-            hashCombine(cfg.simpoint.seed, 0x9e37ULL));
-        DenseMatrix pts = proj.projectAllNormalized(bbvs);
-        setenv("SPLAB_KMEANS_ACCEL", "1", 1);
-        KMeansResult fit = kmeansFit(
-            pts, cfg.simpoint.maxK, cfg.simpoint.seed,
-            cfg.simpoint.maxIters);
-
-        std::vector<u32> bruteAssign(pts.rows()),
-            accelAssign(pts.rows());
-        std::vector<double> bruteD2(pts.rows()),
-            accelD2(pts.rows());
-        DistanceKernelStats st;
-        NearestCentroids bruteScan(fit.centroids, false);
-        NearestCentroids accelScan(fit.centroids, true, &st);
-        double bs = wallSeconds([&] {
-            for (int r = 0; r < assignReps; ++r)
-                for (std::size_t i = 0; i < pts.rows(); ++i)
-                    bruteAssign[i] = bruteScan.nearest(
-                        pts.row(i), bruteD2[i], st);
-        });
-        double as = wallSeconds([&] {
-            for (int r = 0; r < assignReps; ++r)
-                for (std::size_t i = 0; i < pts.rows(); ++i)
-                    accelAssign[i] = accelScan.nearest(
-                        pts.row(i), accelD2[i], st);
-        });
-        bool same =
-            bruteAssign == accelAssign && bruteD2 == accelD2;
-        if (!same)
-            std::printf("[FAIL] pruned assignment != brute on %s\n",
-                        name.c_str());
-        assignSame = assignSame && same;
-        assignBruteSec += bs;
-        assignAccelSec += as;
-        csv.row({"assign", name, std::to_string(pts.rows()),
-                 fmt(bs, 4), fmt(as, 4),
-                 fmt(as > 0.0 ? bs / as : 0.0, 3), "",
-                 same ? "1" : "0"});
-    }
-    identical = identical && assignSame;
-    double assignSpeedup =
-        assignAccelSec > 0.0 ? assignBruteSec / assignAccelSec : 0.0;
-
-    TableWriter assignTable(
-        "Whole-run slice assignment, " +
-        std::to_string(benches.size()) + " benchmarks (k = " +
-        std::to_string(cfg.simpoint.maxK) + ", x" +
-        std::to_string(assignReps) + " reps)");
-    assignTable.header({"scan", "wall (s)", "speedup", "identical"});
-    assignTable.row({"brute force", fmt(assignBruteSec, 3),
-                     fmtX(1.0, 2), "-"});
-    assignTable.row({"tri-inequality", fmt(assignAccelSec, 3),
-                     fmtX(assignSpeedup, 2),
-                     assignSame ? "yes" : "NO"});
-    assignTable.print();
+    table.header({"scan", "wall (s)", "distances", "speedup",
+                  "identical"});
+    table.row({"scalar", fmt(bruteSec, 3), fmtCount(bruteWork),
+               fmtX(1.0, 2), "-"});
+    table.row({std::string("block kernel (") + kernel + ")",
+               fmt(accelSec, 3), fmtCount(accelWork),
+               fmtX(speedup, 2), identical ? "yes" : "NO"});
+    table.print();
 
     if (accelOld)
         setenv("SPLAB_KMEANS_ACCEL", accelOld, 1);
@@ -277,20 +172,14 @@ main(int, char **argv)
             "\"sweep_brute_sec\":%.4f,\"sweep_accel_sec\":%.4f,"
             "\"sweep_speedup\":%.3f,"
             "\"brute_distances\":%llu,\"accel_distances\":%llu,"
-            "\"accel_pruned\":%llu,\"accel_fallbacks\":%llu,"
-            "\"pruned_fraction\":%.4f,"
-            "\"assign_brute_sec\":%.4f,\"assign_accel_sec\":%.4f,"
-            "\"assign_speedup\":%.3f,\"identical\":%s}\n",
+            "\"identical\":%s}\n",
             nproc, poolThreads, workloadScale(), kernel,
             benches.size(), cfg.simpoint.maxK,
             static_cast<unsigned long long>(totalSlices), bruteSec,
-            accelSec, sweepSpeedup,
-            static_cast<unsigned long long>(bruteWork.computed),
-            static_cast<unsigned long long>(accelWork.computed),
-            static_cast<unsigned long long>(accelWork.pruned),
-            static_cast<unsigned long long>(accelWork.fallbacks),
-            prunedFrac, assignBruteSec, assignAccelSec,
-            assignSpeedup, identical ? "true" : "false");
+            accelSec, speedup,
+            static_cast<unsigned long long>(bruteWork),
+            static_cast<unsigned long long>(accelWork),
+            identical ? "true" : "false");
         std::fclose(f);
         std::printf("wrote %s\n", jsonPath.c_str());
     }

@@ -1,7 +1,6 @@
 #include "kmeans.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -64,9 +63,11 @@ DistanceTile::assign(const DenseMatrix &m)
 namespace
 {
 
+constexpr double kMaxD = std::numeric_limits<double>::max();
+
 /**
- * The tile kernel, written once over a GCC vector type V of L
- * doubles.  A block of rows keeps one accumulator per vector G, so
+ * The tile distance kernel, written once over a GCC vector type V of
+ * L doubles.  A block of rows keeps one accumulator per vector G, so
  * the adds of different rows overlap instead of waiting on each
  * other as the scalar loop's do.  The per-vector steps are unrolled
  * by a fold expression: constant indices let the compiler keep the
@@ -115,8 +116,8 @@ tileDistances(const double *row, const DistanceTile &tile,
 {
     constexpr std::size_t L = sizeof(V) / sizeof(double);
     constexpr std::size_t B = DistanceTile::kBlockRows;
-    static_assert(DistanceTile::kLanePad % L == 0,
-                  "tail blocks must hold whole vectors");
+    constexpr std::size_t P = DistanceTile::kLanePad;
+    static_assert(P % L == 0, "tail blocks must hold whole vectors");
     const std::size_t dim = tile.cols();
     const std::size_t n = tile.rows();
     const double *blk = tile.data();
@@ -124,26 +125,124 @@ tileDistances(const double *row, const DistanceTile &tile,
     for (; r + B <= n; r += B, blk += B * dim)
         blockDistances<V>(row, blk, dim, out + r, B,
                           std::make_index_sequence<B / L>());
-    switch (tile.tailLanes()) {
-    case 4:
+    if (tile.tailLanes() == P)
         blockDistances<V>(row, blk, dim, out + r, n - r,
-                          std::make_index_sequence<4 / L>());
-        break;
-    case 8:
+                          std::make_index_sequence<P / L>());
+    else if (r < n)
         blockDistances<V>(row, blk, dim, out + r, n - r,
-                          std::make_index_sequence<8 / L>());
-        break;
-    case 12:
-        blockDistances<V>(row, blk, dim, out + r, n - r,
-                          std::make_index_sequence<12 / L>());
-        break;
-    case 16:
-        blockDistances<V>(row, blk, dim, out + r, n - r,
-                          std::make_index_sequence<16 / L>());
-        break;
-    default:
-        break;
+                          std::make_index_sequence<B / L>());
+}
+
+/**
+ * One step of the nearest-centroid kernel: centroids c0, c0 + 1, ...
+ * scored against a block of NG vectors of points.  Accumulator I
+ * holds centroid I / NG against vector I % NG, so one fold over I
+ * runs every (centroid, vector) pair, and its index order is
+ * centroid-major: each lane meets the centroids in ascending index
+ * order, and the strict `<` keeps the lowest index on a tie, exactly
+ * as the scalar scan does.  The winner's index travels as a double
+ * (exact for any centroid count) so the select stays one blend.
+ */
+template <typename V, std::size_t NG, std::size_t... I>
+[[gnu::always_inline]] inline void
+scoreCentroids(const double *blk, std::size_t dim, const double *cent,
+               u32 c0, V *best, V *idx, std::index_sequence<I...>)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    V acc[sizeof...(I)] = {};
+    for (std::size_t d = 0; d < dim; ++d) {
+        const double *col = blk + d * NG * L;
+        (
+            [&] {
+                V p;
+                std::memcpy(&p, col + I % NG * L, sizeof p);
+                V t = p - cent[I / NG * dim + d];
+                acc[I] += t * t;
+            }(),
+            ...);
     }
+    (
+        [&] {
+            constexpr std::size_t g = I % NG;
+            const auto closer = acc[I] < best[g];
+            best[g] = closer ? acc[I] : best[g];
+            idx[g] = closer ? V{} + static_cast<double>(c0 + I / NG)
+                            : idx[g];
+        }(),
+        ...);
+}
+
+/** Accumulators the nearest-centroid kernel keeps in flight: a block
+ *  of NG vectors scores kInFlight / NG centroids at a time. */
+constexpr std::size_t kInFlight = 8;
+
+/** The brute scan's winner and distance for each of the first nOut
+ *  points of one block of NG vectors. */
+template <typename V, std::size_t... G>
+[[gnu::always_inline]] inline void
+blockNearest(const double *blk, std::size_t dim,
+             const DenseMatrix &cents, u32 *idxOut, double *distOut,
+             std::size_t nOut, std::index_sequence<G...>)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    constexpr std::size_t NG = sizeof...(G);
+    constexpr std::size_t W = NG * L;
+    constexpr u32 C = kInFlight / NG;
+    V best[NG] = {(static_cast<void>(G), V{} + kMaxD)...};
+    V idx[NG] = {};
+    const u32 k = static_cast<u32>(cents.rows());
+    u32 c = 0;
+    for (; c + C <= k; c += C)
+        scoreCentroids<V, NG>(blk, dim, cents.row(c), c, best, idx,
+                              std::make_index_sequence<C * NG>());
+    for (; c < k; ++c)
+        scoreCentroids<V, NG>(blk, dim, cents.row(c), c, best, idx,
+                              std::make_index_sequence<NG>());
+    // Only the first nOut lanes are points; the rest are padding.
+    double bestLanes[W], idxLanes[W];
+    (
+        [&] {
+            std::memcpy(bestLanes + G * L, &best[G], sizeof(V));
+            std::memcpy(idxLanes + G * L, &idx[G], sizeof(V));
+        }(),
+        ...);
+    for (std::size_t j = 0; j < nOut; ++j) {
+        distOut[j] = bestLanes[j];
+        idxOut[j] = static_cast<u32>(idxLanes[j]);
+    }
+}
+
+/** Nearest centroids of tile rows [begin, end), in blocks of
+ *  kBlockRows and, at the tile's end, one narrower tail block. */
+template <typename V>
+[[gnu::always_inline]] inline void
+tileNearest(const DistanceTile &tile, std::size_t begin,
+            std::size_t end, const DenseMatrix &cents, u32 *idx,
+            double *dist)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    constexpr std::size_t B = DistanceTile::kBlockRows;
+    constexpr std::size_t P = DistanceTile::kLanePad;
+    static_assert(B / L <= kInFlight, "a block must fit in flight");
+    static_assert(P % L == 0, "tail blocks must hold whole vectors");
+    const std::size_t dim = tile.cols();
+    const double *blk = tile.data() + begin * dim;
+    std::size_t r = begin;
+    for (; r + B <= end; r += B, blk += B * dim)
+        blockNearest<V>(blk, dim, cents, idx + (r - begin),
+                        dist + (r - begin), B,
+                        std::make_index_sequence<B / L>());
+    if (r == end)
+        return;
+    // A partial block is the tile's last one.
+    if (tile.tailLanes() == P)
+        blockNearest<V>(blk, dim, cents, idx + (r - begin),
+                        dist + (r - begin), end - r,
+                        std::make_index_sequence<P / L>());
+    else
+        blockNearest<V>(blk, dim, cents, idx + (r - begin),
+                        dist + (r - begin), end - r,
+                        std::make_index_sequence<B / L>());
 }
 
 typedef double Lanes2 __attribute__((vector_size(16)));
@@ -155,19 +254,52 @@ tileDistancesBase(const double *row, const DistanceTile &tile,
     tileDistances<Lanes2>(row, tile, out);
 }
 
+void
+tileNearestBase(const DistanceTile &tile, std::size_t begin,
+                std::size_t end, const DenseMatrix &cents, u32 *idx,
+                double *dist)
+{
+    tileNearest<Lanes2>(tile, begin, end, cents, idx, dist);
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 constexpr const char *kBaseName = "sse2";
 
 typedef double Lanes4 __attribute__((vector_size(32)));
+typedef double Lanes8 __attribute__((vector_size(64)));
 
-// AVX2 only: "fma" (or arch=x86-64-v3) would let the compiler fuse
-// t * t into the add, which rounds once instead of twice and breaks
-// the equality with squaredDistance.
+// The file is built with -ffp-contract=off: AVX-512F carries fused
+// multiply-adds, and fusing t * t into the add rounds once instead of
+// twice, which breaks the equality with squaredDistance.  The AVX2
+// builds leave out "fma" for the same reason.
 __attribute__((target("avx2"))) void
 tileDistancesAvx2(const double *row, const DistanceTile &tile,
                   double *out)
 {
     tileDistances<Lanes4>(row, tile, out);
+}
+
+__attribute__((target("avx2"))) void
+tileNearestAvx2(const DistanceTile &tile, std::size_t begin,
+                std::size_t end, const DenseMatrix &cents, u32 *idx,
+                double *dist)
+{
+    tileNearest<Lanes4>(tile, begin, end, cents, idx, dist);
+}
+
+__attribute__((target("avx512f"))) void
+tileDistancesAvx512(const double *row, const DistanceTile &tile,
+                    double *out)
+{
+    tileDistances<Lanes8>(row, tile, out);
+}
+
+__attribute__((target("avx512f"))) void
+tileNearestAvx512(const DistanceTile &tile, std::size_t begin,
+                  std::size_t end, const DenseMatrix &cents, u32 *idx,
+                  double *dist)
+{
+    tileNearest<Lanes8>(tile, begin, end, cents, idx, dist);
 }
 #else
 constexpr const char *kBaseName = "generic";
@@ -178,10 +310,14 @@ constexpr const char *kBaseName = "generic";
 std::vector<TileKernel>
 supportedTileKernels()
 {
-    std::vector<TileKernel> builds = {{kBaseName, tileDistancesBase}};
+    std::vector<TileKernel> builds = {
+        {kBaseName, tileDistancesBase, tileNearestBase}};
 #if defined(__x86_64__) || defined(__i386__)
     if (__builtin_cpu_supports("avx2"))
-        builds.push_back({"avx2", tileDistancesAvx2});
+        builds.push_back({"avx2", tileDistancesAvx2, tileNearestAvx2});
+    if (__builtin_cpu_supports("avx512f"))
+        builds.push_back(
+            {"avx512", tileDistancesAvx512, tileNearestAvx512});
 #endif
     return builds;
 }
@@ -191,6 +327,40 @@ activeTileKernel()
 {
     static const TileKernel picked = supportedTileKernels().back();
     return picked;
+}
+
+void
+assignNearest(const DenseMatrix &points, const DistanceTile *tile,
+              const DenseMatrix &cents, std::size_t begin,
+              std::size_t end, u32 *idx, double *dist)
+{
+    if (tile) {
+        SPLAB_ASSERT(tile->rows() == points.rows() &&
+                         tile->cols() == cents.cols(),
+                     "kmeans: tile does not match the points");
+        SPLAB_ASSERT(begin % DistanceTile::kBlockRows == 0 &&
+                         (end % DistanceTile::kBlockRows == 0 ||
+                          end == tile->rows()),
+                     "kmeans: range splits a tile block");
+        activeTileKernel().nearest(*tile, begin, end, cents, idx,
+                                   dist);
+        return;
+    }
+    const std::size_t dim = points.cols();
+    const u32 k = static_cast<u32>(cents.rows());
+    for (std::size_t i = begin; i < end; ++i) {
+        double best = kMaxD;
+        u32 bestC = 0;
+        for (u32 c = 0; c < k; ++c) {
+            double d = squaredDistance(points.row(i), cents.row(c), dim);
+            if (d < best) {
+                best = d;
+                bestC = c;
+            }
+        }
+        idx[i - begin] = bestC;
+        dist[i - begin] = best;
+    }
 }
 
 double
@@ -216,126 +386,24 @@ KMeansResult::avgClusterVariance(const DenseMatrix &points) const
 }
 
 void
-accountDistanceKernel(const DistanceKernelStats &s)
+accountDistances(u64 computed)
 {
-    static obs::Counter &computed =
+    static obs::Counter &counter =
         obs::counter("kmeans.distances_computed",
                      "exact distance evaluations in the clustering "
                      "kernels");
-    static obs::Counter &pruned =
-        obs::counter("kmeans.distances_pruned",
-                     "candidate distances skipped via "
-                     "triangle-inequality bounds");
-    static obs::Counter &fallbacks =
-        obs::counter("kmeans.bound_fallbacks",
-                     "inconclusive point bounds that fell back to a "
-                     "full centroid scan");
-    computed.add(s.computed);
-    pruned.add(s.pruned);
-    fallbacks.add(s.fallbacks);
+    counter.add(computed);
 }
 
 namespace
 {
 
-constexpr double kMaxD = std::numeric_limits<double>::max();
-
-/**
- * Conservative bound margins.  The rule that makes pruning *safe*
- * rather than approximate: every stored lower bound is deflated by
- * kDistShrink, every upper bound inflated by kDistGrow, and every
- * pruning test demands one further margin factor plus an absolute
- * slack in its favor.  The relative margin (1e-6)
- * exceeds the distance kernel's worst-case relative rounding error
- * (~1e-13 at these dimensionalities) by seven orders of magnitude,
- * so a passed test is a *proof* about the computed (not just the
- * true) distances; the absolute slack keeps denormal-range
- * arithmetic, where relative-error reasoning breaks down, from ever
- * licensing a skip.  The cost is a sliver of pruning power on
- * near-ties — which must fall back to the exact scan anyway to
- * reproduce brute-force tie-breaking bit-for-bit.
- */
-constexpr double kBoundMargin = 1e-6;
-constexpr double kDistGrow = 1.0 + kBoundMargin;
-constexpr double kDistShrink = 1.0 - kBoundMargin;
-constexpr double kAbsSlackDist = 1e-140;
-
-/** Conservative lower bound on the runner-up distance from a scan's
- *  second-best computed squared distance.  second2 stays kMaxD when
- *  k == 1 (vacuously valid: there is no other centroid) and can be
- *  +inf when a distance overflowed (clamping to kMaxD stays valid:
- *  an overflowed computed distance proves the true one exceeds
- *  sqrt(DBL_MAX)). */
-double
-lowerBoundFromSecond(double second2)
-{
-    return std::sqrt(std::min(second2, kMaxD)) * kDistShrink;
-}
-
-/**
- * Index-order strict-`<` argmin over the k squared distances in
- * @p dist: the brute scan's winner and its distance, plus the exact
- * second-best (kMaxD when k == 1) for the runner-up bound.
- */
-void
-argminTwo(const double *dist, u32 k, double &best, u32 &bestC,
-          double &second2)
-{
-    best = kMaxD;
-    second2 = kMaxD;
-    bestC = 0;
-    for (u32 c = 0; c < k; ++c) {
-        const double d = dist[c];
-        if (d < best) {
-            second2 = best;
-            best = d;
-            bestC = c;
-        } else if (d < second2) {
-            second2 = d;
-        }
-    }
-}
-
-/**
- * For every centroid, a conservative lower bound on half the
- * distance to its nearest other centroid (+inf when k == 1), from
- * tile scans of @p tile (the same centroids).  The rounded map
- * d2 -> 0.5 * sqrt(d2) * kDistShrink is monotone, so it is applied
- * once, to the smallest squared distance.  A non-finite distance
- * collapses the bound to 0: lower bounds may only shrink when the
- * arithmetic gives out.
- */
-void
-halfSeparations(const DenseMatrix &cents, const DistanceTile &tile,
-                const TileKernel &kernel, std::vector<double> &sLow,
-                DistanceKernelStats &st)
-{
-    const u32 k = static_cast<u32>(cents.rows());
-    sLow.assign(k, std::numeric_limits<double>::infinity());
-    if (k < 2)
-        return;
-    std::vector<double> dist(k);
-    for (u32 a = 0; a < k; ++a) {
-        kernel.distances(cents.row(a), tile, dist.data());
-        st.computed += k;
-        double m = kMaxD;
-        bool finite = true;
-        for (u32 b = 0; b < k; ++b) {
-            if (b == a)
-                continue;
-            if (!std::isfinite(dist[b]))
-                finite = false;
-            else if (dist[b] < m)
-                m = dist[b];
-        }
-        sLow[a] = finite ? 0.5 * std::sqrt(m) * kDistShrink : 0.0;
-    }
-}
-
 /** Points per assignment-pass chunk.  A pure constant: the chunk
  *  decomposition (and hence the floating-point reduction order) must
  *  never depend on the thread count. */
 constexpr std::size_t kAssignChunk = 256;
+static_assert(kAssignChunk % DistanceTile::kBlockRows == 0,
+              "a chunk never splits a tile block");
 
 /** Per-chunk partials of one Lloyd assignment pass. */
 struct AssignAccum
@@ -344,22 +412,24 @@ struct AssignAccum
     std::vector<u64> counts;  ///< k populations
     double distortion = 0.0;
     bool changed = false;
-    DistanceKernelStats stats;
-    std::vector<double> dist; ///< one point's k centroid distances
 };
 
 /**
  * k-means++ initial centroid selection (sequential: each draw
  * conditions on the previous centroid).  d2[i] tracks the exact
- * squared distance from point i to its closest placed centroid.
- * With @p accel, each new centroid is scored against a tile of the
- * points; the kernel returns the same doubles as squaredDistance,
- * and d2, the running total and every RNG draw are updated in index
- * order, so the picks are bit-identical to the scalar pass.
+ * squared distance from point i to its closest placed centroid and
+ * near[i] that centroid, under the brute scan's rule: centroids in
+ * index order, strict `<`, from (0, DBL_MAX).  With @p tile, each
+ * new centroid is scored against the tile by the kernel, which
+ * returns squaredDistance's doubles; d2, the running total and every
+ * RNG draw are updated in index order, so the picks are
+ * bit-identical to the scalar pass.  The tile path also scores the
+ * last centroid, after which (near, d2) is Lloyd's first assignment.
  */
 DenseMatrix
-seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
-              DistanceKernelStats &st)
+seedCentroids(const DenseMatrix &points, const DistanceTile *tile,
+              u32 k, Rng &rng, std::vector<u32> &near,
+              std::vector<double> &d2, u64 &computed)
 {
     const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
@@ -367,28 +437,29 @@ seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
     u32 placed = 0;
     centroids.setRow(placed++, points.row(rng.below(n)));
 
-    std::vector<double> d2(n, kMaxD);
-    std::vector<double> dist;
-    DistanceTile tile;
+    near.assign(n, 0);
+    d2.assign(n, kMaxD);
+    std::vector<double> dist(tile ? n : 0);
     const TileKernel &kernel = activeTileKernel();
-    if (accel && k > 1) {
-        tile.assign(points);
-        dist.resize(n);
-    }
-    while (placed < k) {
+    const u32 passes = tile ? k : k - 1;
+    for (u32 c = 0; c < passes; ++c) {
+        const double *last = centroids.row(c);
+        if (tile)
+            kernel.distances(last, *tile, dist.data());
         double total = 0.0;
-        const double *last = centroids.row(placed - 1);
-        if (accel)
-            kernel.distances(last, tile, dist.data());
         for (std::size_t i = 0; i < n; ++i) {
-            double d = accel ? dist[i]
-                             : squaredDistance(points.row(i), last,
-                                               dim);
-            if (d < d2[i])
+            double d = tile ? dist[i]
+                            : squaredDistance(points.row(i), last,
+                                              dim);
+            if (d < d2[i]) {
                 d2[i] = d;
+                near[i] = c;
+            }
             total += d2[i];
         }
-        st.computed += n;
+        computed += n;
+        if (placed == k)
+            break;
         if (total <= 0.0) {
             // All remaining points coincide with a centroid; pad
             // with duplicates (clusters will come back empty).
@@ -412,66 +483,9 @@ seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
 
 } // namespace
 
-NearestCentroids::NearestCentroids(const DenseMatrix &centroids,
-                                   bool accel,
-                                   DistanceKernelStats *stats)
-    : cents(centroids), k(static_cast<u32>(centroids.rows())),
-      usePruning(accel && centroids.rows() >= 2)
-{
-    if (!usePruning)
-        return;
-    const std::size_t dim = cents.cols();
-    halfLow.assign(static_cast<std::size_t>(k) * k, 0.0);
-    for (u32 a = 0; a < k; ++a) {
-        for (u32 b = a + 1; b < k; ++b) {
-            double d2 = squaredDistance(cents.row(a), cents.row(b),
-                                        dim);
-            if (stats)
-                ++stats->computed;
-            // An overflowed distance collapses to 0 — that entry
-            // then never licenses a skip (lower bounds may only
-            // shrink when arithmetic gives out).
-            double h = std::isfinite(d2)
-                           ? 0.5 * std::sqrt(d2) * kDistShrink
-                           : 0.0;
-            halfLow[static_cast<std::size_t>(a) * k + b] = h;
-            halfLow[static_cast<std::size_t>(b) * k + a] = h;
-        }
-    }
-}
-
-u32
-NearestCentroids::nearest(const double *p, double &bestD2,
-                          DistanceKernelStats &stats) const
-{
-    const std::size_t dim = cents.cols();
-    double best = kMaxD;
-    u32 bestC = 0;
-    double ubNow = 0.0;
-    for (u32 c = 0; c < k; ++c) {
-        // Skip when half the distance from the current best centroid
-        // to c provably exceeds the distance to the current best: by
-        // the triangle inequality c is then strictly farther, so the
-        // brute scan's strict-< could not have selected it.
-        if (usePruning && best < kMaxD &&
-            halfLowAt(bestC, c) > ubNow + kAbsSlackDist) {
-            ++stats.pruned;
-            continue;
-        }
-        double d = squaredDistance(p, cents.row(c), dim);
-        ++stats.computed;
-        if (d < best) {
-            best = d;
-            bestC = c;
-            ubNow = std::sqrt(best) * kDistGrow;
-        }
-    }
-    bestD2 = best;
-    return bestC;
-}
-
 KMeansResult
-kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
+kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
+          u64 seed, int maxIters)
 {
     obs::TraceSpan span("kmeans.fit");
     static obs::Counter &fits =
@@ -487,122 +501,61 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
 
     const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
-    const bool accel = kmeansAccelEnabled();
-    DistanceKernelStats stats;
+    // The scalar path never touches the tile: it stays the reference.
+    const DistanceTile *blocks = kmeansAccelEnabled() ? &tile : nullptr;
+    u64 computed = 0;
 
     Rng rng(seed, 0x63a5ULL);
     KMeansResult res;
     res.k = k;
-    res.centroids = seedCentroids(points, k, rng, accel, stats);
+    std::vector<u32> seedIdx;
+    std::vector<double> seedDist;
+    res.centroids =
+        seedCentroids(points, blocks, k, rng, seedIdx, seedDist,
+                      computed);
     res.assignment.assign(n, 0);
     res.clusterSize.assign(k, 0);
 
     std::vector<double> sums(k * dim, 0.0);
 
-    // Hamerly bound state (accel only).  lb[i] under-estimates the
-    // distance from point i to every centroid other than its
-    // assigned one; it decays by the largest centroid drift between
-    // iterations.  The matching upper bound needs no storage: the
-    // exact distance to the incumbent is recomputed every iteration
-    // anyway (the distortion bytes require it), which is the
-    // tightest upper bound there is.
-    std::vector<double> lb;
-    DenseMatrix prevCents;
-    double maxDrift = 0.0, maxDrift2 = 0.0;
-    u32 maxDriftC = 0;
-    if (accel) {
-        lb.assign(n, 0.0);
-        prevCents.reset(k, dim);
-    }
-
-    // Full scans (first iteration, bound fallbacks) score a point
-    // against every centroid at once through the tile kernel; the
-    // brute path keeps the scalar kernel.
-    DistanceTile centTile;
-    const TileKernel &kernel = activeTileKernel();
-    std::vector<double> sLow;
-
     for (int iter = 0; iter < maxIters; ++iter) {
-        // The Hamerly gate reads each centroid's half-distance to
-        // its nearest neighbour.
-        if (accel) {
-            centTile.assign(res.centroids);
-            if (iter > 0)
-                halfSeparations(res.centroids, centTile, kernel, sLow,
-                                stats);
-        }
+        // The tile path's seeding already made the first assignment.
+        const bool seeded = blocks && iter == 0;
 
         // Assignment pass: each chunk accumulates private partial
-        // sums; res.assignment and lb are written index-wise, so
-        // chunks never contend.
+        // sums; res.assignment is written index-wise, so chunks never
+        // contend.
         auto accums = parallelChunkApply<AssignAccum>(
             n, kAssignChunk,
             [&](AssignAccum &a, const ChunkRange &r) {
                 a.sums.assign(k * dim, 0.0);
                 a.counts.assign(k, 0);
-                a.dist.resize(k);
-                // Every centroid's exact distance, then the index-
-                // order winner and runner-up.
-                auto fullScan = [&](const double *p, double &best,
-                                    u32 &bestC, double &second2) {
-                    if (accel)
-                        kernel.distances(p, centTile, a.dist.data());
-                    else
-                        for (u32 c = 0; c < k; ++c)
-                            a.dist[c] = squaredDistance(
-                                p, res.centroids.row(c), dim);
-                    a.stats.computed += k;
-                    argminTwo(a.dist.data(), k, best, bestC, second2);
-                };
+                u32 chunkIdx[kAssignChunk];
+                double chunkDist[kAssignChunk];
+                const u32 *idx = seedIdx.data() + r.begin;
+                const double *dist = seedDist.data() + r.begin;
+                if (!seeded) {
+                    assignNearest(points, blocks, res.centroids,
+                                  r.begin, r.end, chunkIdx, chunkDist);
+                    idx = chunkIdx;
+                    dist = chunkDist;
+                }
                 for (std::size_t i = r.begin; i < r.end; ++i) {
-                    const double *p = points.row(i);
-                    double best;
-                    u32 bestC;
-                    double second2;
-                    if (accel && iter > 0) {
-                        const u32 prev = res.assignment[i];
-                        // Decay the carried runner-up bound by the
-                        // largest drift among the *other* centroids,
-                        // then compute the exact incumbent distance.
-                        double l =
-                            lb[i] - (maxDriftC == prev ? maxDrift2
-                                                       : maxDrift);
-                        l = l <= 0.0 ? 0.0 : l * kDistShrink;
-                        double d2a = squaredDistance(
-                            p, res.centroids.row(prev), dim);
-                        ++a.stats.computed;
-                        double ubT = std::sqrt(d2a) * kDistGrow;
-                        double z = std::max(l, sLow[prev]);
-                        if (ubT * kDistGrow + kAbsSlackDist < z) {
-                            // Every other centroid is provably
-                            // strictly farther: keep the incumbent.
-                            best = d2a;
-                            bestC = prev;
-                            a.stats.pruned += k - 1;
-                            lb[i] = l;
-                        } else {
-                            ++a.stats.fallbacks;
-                            fullScan(p, best, bestC, second2);
-                            lb[i] = lowerBoundFromSecond(second2);
-                        }
-                    } else {
-                        // First iteration (no carried bounds yet) or
-                        // the brute path.
-                        fullScan(p, best, bestC, second2);
-                        if (accel)
-                            lb[i] = lowerBoundFromSecond(second2);
-                    }
-                    if (res.assignment[i] != bestC) {
-                        res.assignment[i] = bestC;
+                    const u32 c = idx[i - r.begin];
+                    if (res.assignment[i] != c) {
+                        res.assignment[i] = c;
                         a.changed = true;
                     }
-                    a.distortion += best;
-                    ++a.counts[bestC];
-                    double *s = a.sums.data() + bestC * dim;
+                    a.distortion += dist[i - r.begin];
+                    ++a.counts[c];
+                    const double *p = points.row(i);
+                    double *s = a.sums.data() + c * dim;
                     for (std::size_t d = 0; d < dim; ++d)
                         s[d] += p[d];
                 }
             });
+        if (!seeded)
+            computed += n * k;
 
         // Reduce in chunk order — fixed regardless of thread count.
         bool changed = false;
@@ -612,17 +565,12 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
         for (const AssignAccum &a : accums) {
             res.distortion += a.distortion;
             changed = changed || a.changed;
-            stats.merge(a.stats);
             for (u32 c = 0; c < k; ++c)
                 res.clusterSize[c] += a.counts[c];
             for (std::size_t j = 0; j < sums.size(); ++j)
                 sums[j] += a.sums[j];
         }
 
-        // Double-buffer the centroids so the drift (old -> new) can
-        // be measured after the update; every row is rewritten below.
-        if (accel)
-            prevCents.swap(res.centroids);
         for (u32 c = 0; c < k; ++c) {
             if (res.clusterSize[c] == 0) {
                 // Re-seed an empty cluster at a random point.
@@ -636,24 +584,6 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
                 cent[d] =
                     s[d] / static_cast<double>(res.clusterSize[c]);
         }
-        if (accel) {
-            maxDrift = maxDrift2 = 0.0;
-            maxDriftC = 0;
-            for (u32 c = 0; c < k; ++c) {
-                double dd2 = squaredDistance(prevCents.row(c),
-                                             res.centroids.row(c),
-                                             dim);
-                ++stats.computed;
-                double dr = std::sqrt(dd2) * kDistGrow;
-                if (dr > maxDrift) {
-                    maxDrift2 = maxDrift;
-                    maxDrift = dr;
-                    maxDriftC = c;
-                } else if (dr > maxDrift2) {
-                    maxDrift2 = dr;
-                }
-            }
-        }
 
         res.iterations = iter + 1;
         if (!changed) {
@@ -662,18 +592,18 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
         }
     }
     iters.add(res.iterations);
-    accountDistanceKernel(stats);
+    accountDistances(computed);
     return res;
 }
 
 KMeansResult
-kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
-             int restarts, int maxIters)
+kmeansBestOf(const DenseMatrix &points, const DistanceTile &tile,
+             u32 k, u64 seed, int restarts, int maxIters)
 {
     SPLAB_ASSERT(restarts >= 1, "kmeans: restarts must be >= 1");
     auto fits = parallelMap<KMeansResult>(
         static_cast<std::size_t>(restarts), [&](std::size_t r) {
-            return kmeansFit(points, k, hashCombine(seed, r),
+            return kmeansFit(points, tile, k, hashCombine(seed, r),
                              maxIters);
         });
     // Index-order reduction: the earliest restart wins ties, exactly
@@ -683,6 +613,23 @@ kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
         if (fits[r].distortion < fits[best].distortion)
             best = r;
     return std::move(fits[best]);
+}
+
+KMeansResult
+kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
+{
+    DistanceTile tile;
+    tile.assign(points);
+    return kmeansFit(points, tile, k, seed, maxIters);
+}
+
+KMeansResult
+kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed, int restarts,
+             int maxIters)
+{
+    DistanceTile tile;
+    tile.assign(points);
+    return kmeansBestOf(points, tile, k, seed, restarts, maxIters);
 }
 
 } // namespace splab

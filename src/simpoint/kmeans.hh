@@ -9,29 +9,21 @@
  * the global thread pool; per-chunk partial sums are reduced in
  * fixed chunk order, so fits are bit-identical at any SPLAB_THREADS.
  *
- * Triangle-inequality acceleration (SPLAB_KMEANS_ACCEL, default on):
- * Lloyd iterations keep one Hamerly-style lower bound per point on
- * the distance to its second-closest centroid, decayed each
- * iteration by the largest drift of any other centroid; the upper
- * bound is the incumbent's exact distance, recomputed every
- * iteration, so none is stored.  Points whose bounds are
- * inconclusive, the first iteration and the k-means++ seeding are
- * scored against a transposed tile of rows by a lane-parallel kernel
- * (DistanceTile) that reproduces squaredDistance's operation
- * sequence in every lane.  The whole-run slice assignment prunes
- * candidates through inter-centroid half-distances
- * (NearestCentroids).  The contract is *exact equality*, not
- * approximation: a centroid is skipped only when conservative bound
- * arithmetic (lower bounds deflated, upper bounds inflated by a
- * relative margin that dwarfs the distance kernel's rounding error)
- * proves the brute-force scan's strict-`<` comparison could not
- * have selected it, and every evaluated distance is the same double
- * the scalar kernel returns.  Assignments, tie-breaks, distortion,
- * and centroid bytes are therefore bit-identical to the brute-force
- * path at any SPLAB_THREADS, and cached artifact bytes never move
- * (no version-salt bump).  Work is tallied in the deterministic
- * counters kmeans.distances_computed / kmeans.distances_pruned /
- * kmeans.bound_fallbacks.
+ * Block-kernel acceleration (SPLAB_KMEANS_ACCEL, default on): the
+ * points are stored once as a transposed tile (DistanceTile) and
+ * every nearest-centroid assignment -- each Lloyd pass after the
+ * first and the whole-run slice assignment -- scores a block of 16
+ * points against the centroids at once (TileKernel::nearest).
+ * Lloyd's first assignment is no scan at all: the k-means++ seeding
+ * already scored every placed centroid against every point, so it
+ * keeps the running argmin and adds one pass for the last centroid.
+ * The contract is *exact equality*: every lane repeats the scalar
+ * squaredDistance sequence and the scalar scan's index-order
+ * strict-`<` argmin, so assignments, tie-breaks, distortion and
+ * centroid bytes are bit-identical to the scalar path at any
+ * SPLAB_THREADS, and cached artifact bytes never move (no
+ * version-salt bump).  The deterministic counter
+ * kmeans.distances_computed tallies the work.
  */
 
 #ifndef SPLAB_SIMPOINT_KMEANS_HH
@@ -70,17 +62,18 @@ double squaredDistance(const std::vector<double> &a,
                        const std::vector<double> &b);
 
 /**
- * Rows of a matrix stored transposed for the tile distance kernel.
- * Rows are grouped in blocks of kBlockRows; inside a block each
- * column is a run of lanes, one per row.  The last block is only as
- * wide as its rows rounded up to kLanePad lanes.  Padding lanes are
- * zero; the kernel computes them but never writes them out.
+ * Rows of a matrix stored transposed for the tile kernels.  Rows are
+ * grouped in blocks of kBlockRows; inside a block each column is a
+ * run of lanes, one per row.  The last block is only as wide as its
+ * rows rounded up to kLanePad lanes, so it holds whole AVX-512
+ * vectors.  Padding lanes are zero; the kernels compute them but
+ * never write them out.
  */
 class DistanceTile
 {
   public:
     static constexpr std::size_t kBlockRows = 16;
-    static constexpr std::size_t kLanePad = 4;
+    static constexpr std::size_t kLanePad = 8;
 
     /** Rebuild from every row of @p m. */
     void assign(const DenseMatrix &m);
@@ -108,19 +101,32 @@ class DistanceTile
 };
 
 /**
- * One build of the tile distance kernel.  distances() writes
- * out[r] = squaredDistance(row, tile row r) for r < tile.rows(),
- * bit for bit, and nothing past out[tile.rows() - 1].  Each lane
- * runs the scalar kernel's sequence (t = a[d] - b[d]; s += t * t,
- * d ascending, s from +0.0) with no fused multiply-add, so the lane
- * width never changes a result.  Swapping the operands only negates
- * t, so out[r] also equals squaredDistance(tile row r, row).
+ * One build of the tile kernels.  Each lane runs the scalar kernel's
+ * sequence (t = a[d] - b[d]; s += t * t, d ascending, s from +0.0)
+ * with no fused multiply-add, so the lane width never changes a
+ * result.  Swapping the operands only negates t, so either operand
+ * order gives squaredDistance's bits.
+ *
+ * distances() writes out[r] = squaredDistance(row, tile row r) for
+ * r < tile.rows() and nothing past out[tile.rows() - 1].
+ *
+ * nearest() scores tile rows [begin, end) against every row of
+ * @p cents and writes, for row begin + j, the brute scan's winner
+ * idx[j] and its distance dist[j].  The brute scan starts from
+ * (0, DBL_MAX) and takes a centroid only when its distance is
+ * strictly smaller, so the lowest index wins a tie and a point whose
+ * distances all overflow keeps (0, DBL_MAX).  @p begin is a multiple
+ * of kBlockRows; @p end is one too, or tile.rows().  Nothing is
+ * written past idx[end - begin - 1] or dist[end - begin - 1].
  */
 struct TileKernel
 {
-    const char *name; ///< "sse2", "avx2" or "generic"
+    const char *name; ///< "sse2", "avx2", "avx512" or "generic"
     void (*distances)(const double *row, const DistanceTile &tile,
                       double *out);
+    void (*nearest)(const DistanceTile &tile, std::size_t begin,
+                    std::size_t end, const DenseMatrix &cents,
+                    u32 *idx, double *dist);
 };
 
 /** Every kernel build this host can run, baseline first. */
@@ -130,94 +136,51 @@ std::vector<TileKernel> supportedTileKernels();
 const TileKernel &activeTileKernel();
 
 /**
- * Tally of nearest-centroid kernel work.  Deterministic: every field
- * is a pure function of the data and the bound state, never of
- * scheduling, so totals are identical at any SPLAB_THREADS.
+ * Nearest centroid of rows [begin, end) of @p points under the brute
+ * scan's rule (see TileKernel::nearest), written to idx[j] and
+ * dist[j] for row begin + j.  With @p tile (the tile of @p points)
+ * the active block kernel runs; without, the scalar scan, which is
+ * the reference the kernels are tested against.
  */
-struct DistanceKernelStats
-{
-    u64 computed = 0;  ///< exact squaredDistance evaluations
-    u64 pruned = 0;    ///< candidate distances skipped via bounds
-    u64 fallbacks = 0; ///< inconclusive point bounds -> full scan
+void assignNearest(const DenseMatrix &points, const DistanceTile *tile,
+                   const DenseMatrix &cents, std::size_t begin,
+                   std::size_t end, u32 *idx, double *dist);
 
-    void
-    merge(const DistanceKernelStats &o)
-    {
-        computed += o.computed;
-        pruned += o.pruned;
-        fallbacks += o.fallbacks;
-    }
-};
-
-/** Flush @p s into the kmeans.distances_computed /
- *  kmeans.distances_pruned / kmeans.bound_fallbacks counters. */
-void accountDistanceKernel(const DistanceKernelStats &s);
-
-/**
- * Pruned nearest-centroid search over a FIXED centroid set (the
- * whole-run slice assignment of SimPoint finalize).  Construction
- * precomputes conservative lower bounds on half the inter-centroid
- * distances; nearest() then skips a candidate c only when half the
- * distance from the current best centroid to c provably exceeds the
- * distance to the current best — by the triangle inequality c is
- * then strictly farther, so the brute-force strict-`<` scan could
- * not have picked it.  Results (index and exact squared distance)
- * are bit-identical to the brute scan whether pruning is enabled or
- * not.
- */
-class NearestCentroids
-{
-  public:
-    /** @param centroids fixed centroid rows (must outlive this)
-     *  @param accel     false = plain brute scans (no table)
-     *  @param stats     when non-null, receives the table build's
-     *                   distance evaluations */
-    NearestCentroids(const DenseMatrix &centroids, bool accel,
-                     DistanceKernelStats *stats = nullptr);
-
-    /** Nearest centroid of @p p (dim = centroids.cols()) under the
-     *  brute scan's index-order strict-`<` semantics.  @p bestD2
-     *  receives the exact squared distance to the winner. */
-    u32 nearest(const double *p, double &bestD2,
-                DistanceKernelStats &stats) const;
-
-    bool pruning() const { return usePruning; }
-
-    /** Conservative lower bound on half the distance from centroid
-     *  @p a to centroid @p b (distance space, not squared). */
-    double
-    halfLowAt(u32 a, u32 b) const
-    {
-        return halfLow[a * k + b];
-    }
-
-  private:
-    const DenseMatrix &cents;
-    u32 k = 0;
-    std::vector<double> halfLow; ///< k*k half-distance lower bounds
-    bool usePruning = false;
-};
+/** Add @p computed exact distance evaluations to the
+ *  kmeans.distances_computed counter. */
+void accountDistances(u64 computed);
 
 /**
  * Fit k-means to @p points.
  *
  * @param points   dense row-major point matrix
+ * @param tile     the tile of @p points, for the block kernels; the
+ *                 scalar path (SPLAB_KMEANS_ACCEL=0) ignores it
  * @param k        number of clusters (clamped to points.rows())
  * @param seed     seeding determinism
  * @param maxIters Lloyd iteration cap
  */
-KMeansResult kmeansFit(const DenseMatrix &points, u32 k, u64 seed,
+KMeansResult kmeansFit(const DenseMatrix &points,
+                       const DistanceTile &tile, u32 k, u64 seed,
                        int maxIters = 40);
 
 /**
  * Best of @p restarts fits (lowest distortion, earliest restart on
- * ties), varying the seed.  Restarts run in parallel.
+ * ties), varying the seed.  Restarts run in parallel and share
+ * @p tile.
  */
-KMeansResult kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
+KMeansResult kmeansBestOf(const DenseMatrix &points,
+                          const DistanceTile &tile, u32 k, u64 seed,
                           int restarts, int maxIters = 40);
 
-/// @name Row-vector conveniences (tests, benches, external callers)
+/// @name Conveniences that build the tile (tests, benches)
 /// @{
+
+KMeansResult kmeansFit(const DenseMatrix &points, u32 k, u64 seed,
+                       int maxIters = 40);
+
+KMeansResult kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
+                          int restarts, int maxIters = 40);
 
 inline KMeansResult
 kmeansFit(const std::vector<std::vector<double>> &points, u32 k,

@@ -75,6 +75,8 @@ namespace
 /** Slices per finalize-pass chunk; a pure constant so the reduction
  *  order never depends on the thread count. */
 constexpr std::size_t kSliceChunk = 1024;
+static_assert(kSliceChunk % DistanceTile::kBlockRows == 0,
+              "a chunk never splits a tile block");
 
 /**
  * Strided deterministic sub-sample of [0, n): strictly increasing
@@ -116,6 +118,7 @@ struct ClusterInputs
 {
     DenseMatrix projected; ///< one row per slice
     DenseMatrix sample;    ///< strided sub-sample of the rows
+    DistanceTile tile;     ///< the sample, for every fit of the sweep
 };
 
 /**
@@ -136,6 +139,7 @@ prepareClusterInputs(const std::vector<FrequencyVector> &bbvs,
     in.sample.reset(sampleIdx.size(), in.projected.cols());
     for (std::size_t i = 0; i < sampleIdx.size(); ++i)
         in.sample.setRow(i, in.projected.row(sampleIdx[i]));
+    in.tile.assign(in.sample);
     return in;
 }
 
@@ -164,39 +168,36 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
     const std::size_t dim = allProjected.cols();
 
     // Pass 1: assign every slice (not just the sample) to its
-    // nearest k-means centroid.  The centroids are fixed here, so
-    // the scan goes through the pruned NearestCentroids kernel
-    // (results bit-identical to the brute scan; see kmeans.hh).
-    // Chunks accumulate private population counts and per-cluster
-    // distance lists; the chunk-order reduction below concatenates
-    // the lists in slice order, exactly as a serial scan would.
+    // nearest k-means centroid, through the block kernel of the
+    // Lloyd passes (results bit-identical to the scalar scan; see
+    // kmeans.hh).  Chunks accumulate private population counts and
+    // per-cluster distance lists; the chunk-order reduction below
+    // concatenates the lists in slice order, exactly as a serial
+    // scan would.
     struct Pass1Accum
     {
         std::vector<u64> population;
         std::vector<std::vector<double>> distances;
-        DistanceKernelStats stats;
     };
-    DistanceKernelStats pass1Stats;
-    NearestCentroids nearest(fit.centroids, kmeansAccelEnabled(),
-                             &pass1Stats);
+    DistanceTile tile;
+    tile.assign(allProjected);
+    const DistanceTile *blocks = kmeansAccelEnabled() ? &tile : nullptr;
     std::vector<u32> rawAssign(n, 0);
     auto pass1 = parallelChunkApply<Pass1Accum>(
         n, kSliceChunk, [&](Pass1Accum &a, const ChunkRange &r) {
             a.population.assign(fit.k, 0);
             a.distances.assign(fit.k, {});
+            double dist[kSliceChunk];
+            assignNearest(allProjected, blocks, fit.centroids, r.begin,
+                          r.end, rawAssign.data() + r.begin, dist);
             for (std::size_t i = r.begin; i < r.end; ++i) {
-                double best = 0.0;
-                u32 bestC = nearest.nearest(allProjected.row(i),
-                                            best, a.stats);
-                rawAssign[i] = bestC;
-                ++a.population[bestC];
-                a.distances[bestC].push_back(best);
+                ++a.population[rawAssign[i]];
+                a.distances[rawAssign[i]].push_back(dist[i - r.begin]);
             }
         });
     std::vector<u64> population(fit.k, 0);
     std::vector<std::vector<double>> distances(fit.k);
     for (const Pass1Accum &a : pass1) {
-        pass1Stats.merge(a.stats);
         for (u32 c = 0; c < fit.k; ++c) {
             population[c] += a.population[c];
             distances[c].insert(distances[c].end(),
@@ -204,7 +205,7 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
                                 a.distances[c].end());
         }
     }
-    accountDistanceKernel(pass1Stats);
+    accountDistances(static_cast<u64>(n) * fit.k);
 
     // Merge clusters whose centroids overlap within their own
     // spread (see SimPointConfig::mergeThreshold).  Spread is the
@@ -369,7 +370,8 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
 
     // The BIC model-selection sweep: every k is an independent fit
     // seeded by hashCombine(seed, k), so the sweep fans out across
-    // the pool and results are collected by index.
+    // the pool and results are collected by index.  All fits share
+    // the sample's tile.
     struct SweepFit
     {
         KMeansResult fit;
@@ -379,8 +381,9 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
     auto sweep = parallelMap<SweepFit>(maxK, [&](std::size_t ki) {
         u32 k = static_cast<u32>(ki) + 1;
         SweepFit s;
-        s.fit = kmeansBestOf(in.sample, k, hashCombine(cfg.seed, k),
-                             cfg.restarts, cfg.maxIters);
+        s.fit = kmeansBestOf(in.sample, in.tile, k,
+                             hashCombine(cfg.seed, k), cfg.restarts,
+                             cfg.maxIters);
         s.entry = {k, bicScore(s.fit, in.sample), s.fit.distortion,
                    s.fit.avgClusterVariance(in.sample)};
         return s;

@@ -31,16 +31,14 @@
  *                    of the batch accumulate kernels (see
  *                    isa/accumulate.hh).  Default on; scalar and
  *                    SIMD results are bit-identical.
- *  - SPLAB_KMEANS_ACCEL: 0 = force brute-force nearest-centroid
+ *  - SPLAB_KMEANS_ACCEL: 0 = force the scalar nearest-centroid
  *                    scans in the clustering stack (see
- *                    simpoint/kmeans.hh).  Default on: Lloyd
- *                    iterations keep Hamerly-style distance bounds
- *                    and the whole-run slice assignment prunes via
- *                    inter-centroid half-distances.  Skips happen
- *                    only when a centroid is provably strictly
- *                    farther under conservative bound arithmetic, so
- *                    assignments, distortion and centroid bytes are
- *                    bit-identical either way.
+ *                    simpoint/kmeans.hh).  Default on: every
+ *                    assignment runs through the lane-parallel block
+ *                    kernel and Lloyd's first assignment comes from
+ *                    the k-means++ seeding scan.  Assignments,
+ *                    distortion and centroid bytes are bit-identical
+ *                    either way.
  */
 
 #ifndef SPLAB_SUPPORT_ENV_HH
@@ -93,8 +91,8 @@ bool simdKernelsEnabled();
  *  goes with that line in the next benchmark change. */
 bool toolLanesEnabled();
 
-/** Whether the triangle-inequality-pruned clustering kernels may be
- *  used (SPLAB_KMEANS_ACCEL; default on).  Re-read per fit so tests
+/** Whether the clustering block kernels may be used
+ *  (SPLAB_KMEANS_ACCEL; default on).  Re-read per fit so tests
  *  can toggle it within one process. */
 bool kmeansAccelEnabled();
 

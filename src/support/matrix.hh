@@ -79,17 +79,6 @@ class DenseMatrix
         buf.assign(rows * cols, 0.0);
     }
 
-    /** O(1) buffer exchange with @p other.  The k-means drift
-     *  bookkeeping double-buffers previous/current centroids with
-     *  this instead of copying every iteration. */
-    void
-    swap(DenseMatrix &other)
-    {
-        std::swap(nRows, other.nRows);
-        std::swap(nCols, other.nCols);
-        buf.swap(other.buf);
-    }
-
     /** Build from equally-sized row vectors. */
     static DenseMatrix
     fromRows(const std::vector<std::vector<double>> &rows)

@@ -1,17 +1,17 @@
 /**
  * @file
- * Tests for the accelerated clustering kernels: triangle-inequality
- * bounds and the lane-parallel tile distance kernel.
+ * Tests for the accelerated clustering kernels: the lane-parallel
+ * tile distance kernel, the nearest-centroid block kernel, and
+ * Lloyd's first assignment taken from the k-means++ seeding scan.
  *
  * The acceleration contract is *exact equality*, not approximation:
- * with SPLAB_KMEANS_ACCEL on, every fit, nearest-centroid scan and
- * whole-pipeline SimPoint selection must be bit-identical to the
- * brute-force path at any SPLAB_THREADS, and every build of the tile
- * kernel must return squaredDistance's doubles — so these tests
- * compare doubles with memcmp, not EXPECT_NEAR.  The work tallies
- * (kmeans.distances_computed / distances_pruned / bound_fallbacks)
- * are deterministic counters and are asserted to be thread-count
- * invariant as well.
+ * with SPLAB_KMEANS_ACCEL on, every fit and whole-pipeline SimPoint
+ * selection must be bit-identical to the scalar path at any
+ * SPLAB_THREADS, and every build of the kernels must return the
+ * scalar scan's indices and doubles — so these tests compare doubles
+ * with memcmp, not EXPECT_NEAR.  The work tally
+ * (kmeans.distances_computed) is a deterministic counter and is
+ * asserted to be exact and thread-count invariant as well.
  */
 
 #include <gtest/gtest.h>
@@ -97,25 +97,16 @@ gaussianBlobs(u32 clusters, u32 perCluster, double spread, u64 seed,
     return pts;
 }
 
-struct KernelDeltas
-{
-    u64 computed = 0;
-    u64 pruned = 0;
-    u64 fallbacks = 0;
-};
-
-/** Counter deltas of the kmeans.* distance-kernel family across
- *  @p body (the counters are process-global and monotonic). */
+/** Delta of the kmeans.distances_computed counter across @p body
+ *  (the counter is process-global and monotonic). */
 template <typename Fn>
-KernelDeltas
-kernelDeltas(Fn &&body)
+u64
+distancesComputed(Fn &&body)
 {
     obs::Counter &c = obs::counter("kmeans.distances_computed");
-    obs::Counter &p = obs::counter("kmeans.distances_pruned");
-    obs::Counter &f = obs::counter("kmeans.bound_fallbacks");
-    u64 c0 = c.value(), p0 = p.value(), f0 = f.value();
+    u64 c0 = c.value();
     body();
-    return {c.value() - c0, p.value() - p0, f.value() - f0};
+    return c.value() - c0;
 }
 
 TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
@@ -165,92 +156,102 @@ TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
     // Worst case for tie-breaking: many exactly coincident points
     // and a symmetric grid where several centroids end up exactly
     // equidistant from a point.  The brute scan resolves every tie
-    // by lowest index; pruning must never change that.
-    std::vector<std::vector<double>> pts;
+    // by lowest index; the block kernel and the seeded first
+    // assignment must never change that.  All-equal points make the
+    // k-means++ total 0, so the seeding pads with duplicate
+    // centroids; k = 1 has no seeding draw at all.
+    std::vector<std::vector<double>> grid;
     for (int rep = 0; rep < 20; ++rep)
         for (double x : {-1.0, 0.0, 1.0})
             for (double y : {-1.0, 0.0, 1.0})
-                pts.push_back({x, y});
-    for (u32 k : {2u, 3u, 4u, 9u}) {
+                grid.push_back({x, y});
+    const std::vector<std::vector<double>> same(50, {0.5, -2.0, 3.0});
+    const std::vector<
+        std::pair<const std::vector<std::vector<double>> *, u32>>
+        cases = {{&grid, 2},  {&grid, 3}, {&grid, 4}, {&grid, 9},
+                 {&grid, 1},  {&same, 1}, {&same, 2}, {&same, 5},
+                 {&same, 20}};
+    for (const auto &[pts, k] : cases) {
         KMeansResult brute, accel;
         {
             AccelGuard off(false);
-            brute = kmeansFit(pts, k, 1);
+            brute = kmeansFit(*pts, k, 1);
         }
         {
             AccelGuard on(true);
-            accel = kmeansFit(pts, k, 1);
+            accel = kmeansFit(*pts, k, 1);
         }
-        SCOPED_TRACE("k=" + std::to_string(k));
+        SCOPED_TRACE("n=" + std::to_string(pts->size()) +
+                     " k=" + std::to_string(k));
         expectBitIdentical(brute, accel);
     }
 }
 
-TEST(KMeansAccel, PruningEngagesAndSavesWork)
+TEST(KMeansAccel, SeededFirstPassSavesWork)
 {
+    // The seeding scan already scored k - 1 centroids against every
+    // point; the accelerated fit scores the last one there too and
+    // skips Lloyd's first scan, so it computes exactly n * (k - 1)
+    // fewer distances than the scalar fit (the fits are
+    // bit-identical, so they run the same iterations).
     auto pts = gaussianBlobs(8, 100, 0.1, 29);
-    KernelDeltas brute, accel;
+    const u32 k = 16;
+    u64 brute, accel;
     {
         AccelGuard off(false);
-        brute = kernelDeltas([&] { kmeansFit(pts, 16, 5); });
+        brute = distancesComputed([&] { kmeansFit(pts, k, 5); });
     }
     {
         AccelGuard on(true);
-        accel = kernelDeltas([&] { kmeansFit(pts, 16, 5); });
+        accel = distancesComputed([&] { kmeansFit(pts, k, 5); });
     }
-    // Brute force never prunes and never consults bounds.
-    EXPECT_EQ(brute.pruned, 0u);
-    EXPECT_EQ(brute.fallbacks, 0u);
-    // The accelerated fit must actually skip work, and skip more
-    // than its bound-maintenance overhead costs.
-    EXPECT_GT(accel.pruned, 0u);
-    EXPECT_LT(accel.computed, brute.computed);
+    EXPECT_LT(accel, brute);
+    EXPECT_EQ(brute - accel, pts.size() * (k - 1));
 }
 
 TEST(KMeansAccel, KnobReReadPerFit)
 {
     // The env knob is consulted per fit, so one process can compare
-    // both paths without re-exec.
+    // both paths without re-exec: the two paths' distance counts
+    // differ by the seeded first pass.
     auto pts = gaussianBlobs(4, 50, 0.2, 37);
+    u64 off, on;
     {
-        AccelGuard off(false);
-        KernelDeltas d = kernelDeltas([&] { kmeansFit(pts, 8, 2); });
-        EXPECT_EQ(d.pruned, 0u);
+        AccelGuard guard(false);
+        off = distancesComputed([&] { kmeansFit(pts, 8, 2); });
     }
     {
-        AccelGuard on(true);
-        KernelDeltas d = kernelDeltas([&] { kmeansFit(pts, 8, 2); });
-        EXPECT_GT(d.pruned, 0u);
+        AccelGuard guard(true);
+        on = distancesComputed([&] { kmeansFit(pts, 8, 2); });
     }
+    EXPECT_EQ(off - on, pts.size() * 7);
 }
 
 TEST(KMeansAccel, CountersThreadCountInvariant)
 {
-    // The work tallies are pure functions of the data and the bound
-    // state — never of scheduling — so they are part of the
-    // deterministic manifest section.  Assert the deltas (and the
-    // fit bytes) are identical at 1, 2 and 8 threads.
+    // The work tally is a pure function of the data -- never of
+    // scheduling -- so it is part of the deterministic manifest
+    // section.  Assert the deltas (and the fit bytes) are identical
+    // at 1, 2 and 8 threads.
     auto pts = gaussianBlobs(5, 120, 0.3, 43);
     AccelGuard on(true);
     KMeansResult ref;
-    KernelDeltas refDeltas;
+    u64 refComputed = 0;
     bool first = true;
     for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadsGuard tg(threads);
         KMeansResult r;
-        KernelDeltas d =
-            kernelDeltas([&] { r = kmeansFit(pts, 10, 9); });
+        u64 computed =
+            distancesComputed([&] { r = kmeansFit(pts, 10, 9); });
         if (first) {
             ref = r;
-            refDeltas = d;
+            refComputed = computed;
             first = false;
             continue;
         }
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectBitIdentical(ref, r);
-        EXPECT_EQ(d.computed, refDeltas.computed);
-        EXPECT_EQ(d.pruned, refDeltas.pruned);
-        EXPECT_EQ(d.fallbacks, refDeltas.fallbacks);
+        EXPECT_EQ(computed, refComputed);
     }
 }
 
@@ -319,47 +320,104 @@ TEST(TileKernel, EveryBuildMatchesScalarDistanceBitForBit)
     }
 }
 
-TEST(NearestCentroids, MatchesBruteScanExactly)
+TEST(TileKernel, EveryBuildNearestMatchesScalarArgminBitForBit)
 {
-    Rng rng(51);
-    DenseMatrix cents(12, 6);
-    for (std::size_t r = 0; r < cents.rows(); ++r)
-        for (std::size_t c = 0; c < cents.cols(); ++c)
-            cents.at(r, c) = rng.uniform(-5.0, 5.0);
+    const std::vector<TileKernel> builds = supportedTileKernels();
+    ASSERT_FALSE(builds.empty());
 
-    DistanceKernelStats stats;
-    NearestCentroids pruned(cents, true, &stats);
-    NearestCentroids brute(cents, false);
-    EXPECT_TRUE(pruned.pruning());
-    EXPECT_FALSE(brute.pruning());
-
-    for (int trial = 0; trial < 200; ++trial) {
-        std::vector<double> p(6);
-        for (auto &x : p)
-            x = rng.uniform(-6.0, 6.0);
-        DistanceKernelStats sp, sb;
-        double dPruned = 0.0, dBrute = 0.0;
-        u32 cPruned = pruned.nearest(p.data(), dPruned, sp);
-        u32 cBrute = brute.nearest(p.data(), dBrute, sb);
-        EXPECT_EQ(cPruned, cBrute);
-        EXPECT_EQ(std::memcmp(&dPruned, &dBrute, sizeof(double)), 0);
-        // The brute scan computes every candidate.
-        EXPECT_EQ(sb.computed, cents.rows());
-        EXPECT_EQ(sp.computed + sp.pruned, cents.rows());
+    // The special values of the distance test: signed zeros,
+    // subnormals, 1e154 (whose squared differences overflow, so a
+    // point can have no finite distance at all) and ordinary values.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double sub = std::numeric_limits<double>::min() / 8.0;
+    const std::vector<double> special = {
+        0.0,  -0.0,   tiny,   -tiny, sub,   -sub,  3.0 * sub,
+        1e154, -1e154, 1.0,   -1.0,  0.5,   -2.25, 1e-160};
+    Rng rng(89);
+    auto value = [&] {
+        if (rng.below(3) == 0)
+            return special[rng.below(special.size())];
+        return rng.uniform(-8.0, 8.0);
+    };
+    constexpr std::size_t kMaxK = 37;
+    const std::size_t block = DistanceTile::kBlockRows;
+    const double distSentinel = -12345.0;
+    const u32 idxSentinel = 0xdeadbeef;
+    for (std::size_t dim : {1u, 2u, 3u, 5u, 8u, 15u, 16u, 17u, 31u}) {
+        // One centroid set per dim; every third row repeats an
+        // earlier one, so exact ties must go to the lower index.
+        DenseMatrix cents(kMaxK, dim);
+        for (std::size_t c = 0; c < kMaxK; ++c) {
+            if (c > 0 && rng.below(3) == 0) {
+                cents.setRow(c, cents.row(rng.below(c)));
+                continue;
+            }
+            for (std::size_t d = 0; d < dim; ++d)
+                cents.at(c, d) = value();
+        }
+        for (std::size_t count = 1; count <= 37; ++count) {
+            DenseMatrix points(count, dim);
+            for (std::size_t r = 0; r < count; ++r) {
+                // Some points sit exactly on a centroid.
+                if (rng.below(4) == 0) {
+                    points.setRow(r, cents.row(rng.below(kMaxK)));
+                    continue;
+                }
+                for (std::size_t d = 0; d < dim; ++d)
+                    points.at(r, d) = value();
+            }
+            DistanceTile tile;
+            tile.assign(points);
+            for (std::size_t k = 1; k <= kMaxK; ++k) {
+                DenseMatrix kc(k, dim);
+                for (std::size_t c = 0; c < k; ++c)
+                    kc.setRow(c, cents.row(c));
+                // The scalar brute scan: (0, DBL_MAX), strict <.
+                std::vector<u32> wantIdx(count, 0);
+                std::vector<double> wantDist(
+                    count, std::numeric_limits<double>::max());
+                for (std::size_t r = 0; r < count; ++r)
+                    for (u32 c = 0; c < k; ++c) {
+                        double d = squaredDistance(points.row(r),
+                                                   kc.row(c), dim);
+                        if (d < wantDist[r]) {
+                            wantDist[r] = d;
+                            wantIdx[r] = c;
+                        }
+                    }
+                for (const TileKernel &kernel : builds) {
+                    // Every range from a block boundary to the end.
+                    for (std::size_t begin = 0; begin < count;
+                         begin += block) {
+                        SCOPED_TRACE(std::string(kernel.name) +
+                                     " dim=" + std::to_string(dim) +
+                                     " count=" + std::to_string(count) +
+                                     " k=" + std::to_string(k) +
+                                     " begin=" + std::to_string(begin));
+                        const std::size_t n = count - begin;
+                        std::vector<u32> idx(n + 16, idxSentinel);
+                        std::vector<double> dist(n + 16, distSentinel);
+                        kernel.nearest(tile, begin, count, kc,
+                                       idx.data(), dist.data());
+                        for (std::size_t j = 0; j < n; ++j) {
+                            EXPECT_EQ(idx[j], wantIdx[begin + j])
+                                << "row " << begin + j;
+                            EXPECT_TRUE(
+                                sameBits(dist[j], wantDist[begin + j]))
+                                << "row " << begin + j;
+                        }
+                        // Padding lanes are scored but never written.
+                        for (std::size_t j = n; j < idx.size(); ++j) {
+                            EXPECT_EQ(idx[j], idxSentinel)
+                                << "wrote past the range at " << j;
+                            EXPECT_TRUE(sameBits(dist[j], distSentinel))
+                                << "wrote past the range at " << j;
+                        }
+                    }
+                }
+            }
+        }
     }
-}
-
-TEST(NearestCentroids, SingleCentroidNeverPrunes)
-{
-    DenseMatrix cents(1, 4);
-    NearestCentroids nc(cents, true);
-    EXPECT_FALSE(nc.pruning());
-    std::vector<double> p = {1.0, 2.0, 3.0, 4.0};
-    DistanceKernelStats st;
-    double d = 0.0;
-    EXPECT_EQ(nc.nearest(p.data(), d, st), 0u);
-    EXPECT_EQ(d, 30.0);
-    EXPECT_EQ(st.pruned, 0u);
 }
 
 /** Synthesize per-slice BBVs with a known phase structure. */
@@ -422,16 +480,25 @@ TEST(SimPointAccel, WholePipelineBytesInvariant)
     }
 }
 
-TEST(SimPointAccel, PipelinePruningEngages)
+TEST(SimPointAccel, PipelineComputesFewerDistances)
 {
+    // Every fit of the sweep takes its first assignment from the
+    // seeding scan, so the accelerated selection computes fewer
+    // distances than the scalar one for the same bytes.
     auto bbvs = phasedBbvs({0.5, 0.3, 0.2}, 600, 71);
     SimPointConfig cfg;
     cfg.maxK = 12;
-    AccelGuard on(true);
-    KernelDeltas d =
-        kernelDeltas([&] { pickSimPoints(bbvs, cfg); });
-    EXPECT_GT(d.pruned, 0u);
-    EXPECT_GT(d.computed, 0u);
+    u64 brute, accel;
+    {
+        AccelGuard off(false);
+        brute = distancesComputed([&] { pickSimPoints(bbvs, cfg); });
+    }
+    {
+        AccelGuard on(true);
+        accel = distancesComputed([&] { pickSimPoints(bbvs, cfg); });
+    }
+    EXPECT_GT(accel, 0u);
+    EXPECT_LT(accel, brute);
 }
 
 TEST(KMeansResult, AvgClusterVarianceBoundaries)
