@@ -22,6 +22,7 @@
 #include <thread>
 
 #include "bench_util.hh"
+#include "cache/hierarchy.hh"
 #include "core/runs.hh"
 #include "isa/accumulate.hh"
 #include "pin/engine.hh"
@@ -117,7 +118,8 @@ main(int, char **argv)
     const std::size_t poolThreads = ThreadPool::global().threads();
     bench::banner("Engine: fused whole run",
                   "one traversal vs three separate passes");
-    std::printf("nproc %u, pool threads %zu\n\n", nproc, poolThreads);
+    std::printf("nproc %u, pool threads %zu, set kernel %s\n\n", nproc,
+                poolThreads, activeSetKernel().name);
 
     bench::ReportSink sink(
         argv[0], "Whole-run measurement, " +
@@ -277,12 +279,13 @@ main(int, char **argv)
             "\"benchmarks\":%zu,\"total_minstrs\":%.1f,"
             "\"current_sec\":%.4f,\"fused_sec\":%.4f,"
             "\"fused_vs_current\":%.3f,"
-            "\"simd_compiled\":%s,"
+            "\"simd_compiled\":%s,\"set_kernel\":\"%s\","
             "\"simd_scalar_sec\":%.4f,\"simd_sec\":%.4f,"
             "\"simd_speedup\":%.3f,\"identical\":%s}\n",
             nproc, poolThreads, workloadScale(), benches.size(),
             totalInstrs / 1e6, sepSec, fusedSec, fusedVsCurrent,
-            simdAccumulateCompiled() ? "true" : "false", scalarSec,
+            simdAccumulateCompiled() ? "true" : "false",
+            activeSetKernel().name, scalarSec,
             simdSec, simdSpeedup, identical ? "true" : "false");
         std::fclose(f);
         std::printf("wrote %s\n", jsonPath.c_str());

@@ -1,6 +1,6 @@
 #include "cache.hh"
 
-#include <cstring>
+#include <cstdint>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -33,18 +33,6 @@ CacheParams::contentHash() const
     return hashBytes(w.bytes().data(), w.bytes().size());
 }
 
-CacheStats &
-CacheStats::operator+=(const CacheStats &o)
-{
-    accesses += o.accesses;
-    misses += o.misses;
-    readAccesses += o.readAccesses;
-    readMisses += o.readMisses;
-    writeAccesses += o.writeAccesses;
-    writeMisses += o.writeMisses;
-    return *this;
-}
-
 namespace
 {
 
@@ -68,7 +56,7 @@ log2u(u64 v)
 } // namespace
 
 SetAssocCache::SetAssocCache(const CacheParams &params)
-    : cacheParams(params), ways(params.ways), lastLine(kNoLine)
+    : cacheParams(params), ways(params.ways)
 {
     SPLAB_ASSERT(params.ways >= 1, params.name, ": ways must be >= 1");
     SPLAB_ASSERT(isPow2(params.lineBytes),
@@ -80,56 +68,16 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     setMask = sets - 1;
     lineShift = log2u(params.lineBytes);
     tagShift = log2u(sets);
-    tags.assign(sets * ways, kNoLine);
-}
-
-bool
-SetAssocCache::accessSlow(std::size_t base, u64 set, u64 tag,
-                          bool isWrite)
-{
-    u64 *t = &tags[base];
-
-    // Way 0 was already probed (and missed) by the inline fast path.
-    // Empty ways hold kNoLine, which no real tag equals, so the scan
-    // needs no validity checks.
-    bool hit = false;
-    u32 pos = 0;
-    for (u32 i = 1; i < ways; ++i) {
-        if (t[i] == tag) {
-            hit = true;
-            pos = i;
-            break;
-        }
-    }
-
-    if (hit) {
-        // LRU refreshes recency by moving the line to the front;
-        // FIFO keeps insertion order, so a hit changes nothing.
-        if (cacheParams.replacement == ReplacementPolicy::LRU) {
-            std::memmove(t + 1, t, pos * sizeof(u64));
-            t[0] = tag;
-        }
-    } else {
-        // Both policies fill at the front and evict the last slot:
-        // under LRU that is the least recently used line, under FIFO
-        // the oldest insertion.
-        u64 victim = t[ways - 1];
-        evicted = victim == kNoLine ? kNoLine
-                                    : (victim << tagShift) | set;
-        std::memmove(t + 1, t, (ways - 1) * sizeof(u64));
-        t[0] = tag;
-    }
-
-    countAccess(isWrite, hit);
-    return hit;
+    // Seven spare tags let the first one start on a 64-byte boundary.
+    tagBuf.assign(sets * ways + 7, kNoLine);
+    auto addr = reinterpret_cast<std::uintptr_t>(tagBuf.data());
+    tagOffset = (64 - addr % 64) % 64 / sizeof(u64);
 }
 
 void
 SetAssocCache::flush()
 {
-    tags.assign(tags.size(), kNoLine);
-    lastLine = kNoLine; // the memoized line is no longer resident
-    evicted = kNoLine;
+    tagBuf.assign(tagBuf.size(), kNoLine);
 }
 
 } // namespace splab

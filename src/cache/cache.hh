@@ -11,7 +11,6 @@
 #ifndef SPLAB_CACHE_CACHE_HH
 #define SPLAB_CACHE_CACHE_HH
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -67,13 +66,17 @@ struct CacheStats
                    : static_cast<double>(misses) /
                          static_cast<double>(accesses);
     }
-
-    CacheStats &operator+=(const CacheStats &o);
 };
 
 /**
  * One cache level with configurable replacement (true LRU or FIFO
  * insertion order within each set).  Write misses allocate.
+ *
+ * Each set keeps its tags most recently used (LRU) or most recently
+ * inserted (FIFO) first, so both policies are one update: find the
+ * line's way pos (way ways-1 on a miss), shift ways [0, pos) down by
+ * one and put the line in way 0.  A FIFO hit changes nothing.  The
+ * set kernels (see SetKernel in hierarchy.hh) implement that update.
  */
 class SetAssocCache
 {
@@ -81,80 +84,15 @@ class SetAssocCache
     explicit SetAssocCache(const CacheParams &params);
 
     /**
-     * Look up (and on miss, allocate) the line containing @p addr.
-     * @return true on hit.
-     *
-     * Inline fast paths, checked in order:
-     *
-     * 1. Same line as the previous access.  Every access leaves its
-     *    line resident (hits keep it, misses allocate it), so a
-     *    repeat is a guaranteed hit — and one that changes no
-     *    replacement state under either policy (an LRU hit already
-     *    moved the line to the front; FIFO hits never reorder).
-     *    Counters only, no probe.
-     * 2. Way-0 probe: way 0 holds the most recently used line under
-     *    LRU and the newest insertion under FIFO, and a hit there
-     *    changes no replacement state under either policy.
-     *
-     * The full way scan and reordering live out of line.
+     * Look up (and on miss, allocate) the line containing @p addr
+     * through the active set kernel.  @return true on hit.  The
+     * hierarchy's batch walk is the hot path; this is the one-access
+     * entry.
      */
-    bool
-    access(Addr addr, bool isWrite)
-    {
-        u64 line = addr >> lineShift;
-        if (line == lastLine) {
-            countAccess(isWrite, true);
-            return true;
-        }
-        // accessSlow() allocates on miss, so the line is resident
-        // once either branch below returns.
-        lastLine = line;
-        u64 set = line & setMask;
-        u64 tag = line >> tagShift;
-        std::size_t base = static_cast<std::size_t>(set) * ways;
-        if (tags[base] == tag) {
-            countAccess(isWrite, true);
-            return true;
-        }
-        return accessSlow(base, set, tag, isWrite);
-    }
+    bool access(Addr addr, bool isWrite);
 
-    /**
-     * Line number of the victim evicted by the most recent miss
-     * (kNoLine when the filled way was empty).  Only meaningful
-     * immediately after an access() or fillOnMiss() that missed;
-     * hits leave it stale.  CacheHierarchy reads it to maintain its
-     * absent-from-L1D memo.
-     */
-    u64 lastEvictedLine() const { return evicted; }
-
-    /**
-     * Allocate @p line as a counted miss *without probing the set* —
-     * the caller guarantees the line is not resident (see
-     * CacheHierarchy's absent-line memo).  State transition, counter
-     * effect and victim choice are exactly those of a missing
-     * access(); the evicted line is reported via lastEvictedLine().
-     */
-    void
-    fillOnMiss(u64 line, bool isWrite)
-    {
-        lastLine = line;
-        u64 set = line & setMask;
-        u64 tag = line >> tagShift;
-        u64 *t = &tags[static_cast<std::size_t>(set) * ways];
-        u64 victim = t[ways - 1];
-        evicted = victim == kNoLine ? kNoLine
-                                    : (victim << tagShift) | set;
-        std::memmove(t + 1, t, (ways - 1) * sizeof(u64));
-        t[0] = tag;
-        countAccess(isWrite, false);
-    }
-
-    /** Bytes-to-line shift, for callers that key on line numbers. */
-    u32 lineBits() const { return lineShift; }
-
-    /** Sentinel no real line number or tag reaches (both are
-     *  addresses shifted right, so their top bits are always zero). */
+    /** Sentinel no real tag reaches (tags are addresses shifted
+     *  right, so their top bits are always zero): an empty way. */
     static constexpr u64 kNoLine = ~u64{0};
 
     /** When warming, state updates but counters do not. */
@@ -189,41 +127,24 @@ class SetAssocCache
     const CacheParams &params() const { return cacheParams; }
 
   private:
-    /** Probe ways [base+1, base+ways) and apply replacement; the
-     *  way-0 hit case is handled inline by access(). */
-    bool accessSlow(std::size_t base, u64 set, u64 tag,
-                    bool isWrite);
+    friend struct SetUpdate;
 
-    /** One branchless increment into the (write, hit) matrix; the
-     *  public CacheStats shape is derived in statsRef(). */
-    void
-    countAccess(bool isWrite, bool hit)
-    {
-        if (warming)
-            return;
-        ++cnt[(static_cast<u32>(isWrite) << 1) |
-              static_cast<u32>(hit)];
-    }
+    /** tags()[set * ways + i], way order as in the class comment;
+     *  empty ways hold kNoLine, so the probe is one equality compare
+     *  with no separate validity array.  Each set starts on a
+     *  64-byte boundary when ways is a multiple of 8. */
+    u64 *tags() { return tagBuf.data() + tagOffset; }
 
     CacheParams cacheParams;
     u64 setMask;
     u32 lineShift;
     /** Right-shift turning a line number into a tag: log2(numSets),
-     *  precomputed once (recomputing it per access costs a loop on
-     *  the hottest path of the whole simulator). */
+     *  precomputed once. */
     u32 tagShift;
     u32 ways;
 
-    /** Line number of the previous access; kNoLine after a flush.
-     *  See access() fast path 1. */
-    u64 lastLine;
-    /** Victim line of the most recent miss; see lastEvictedLine(). */
-    u64 evicted = kNoLine;
-
-    /** tags[set * ways + i], most recently used first; empty ways
-     *  hold kNoLine, so the probe is one equality scan with no
-     *  separate validity array. */
-    std::vector<u64> tags;
+    std::vector<u64> tagBuf;
+    std::size_t tagOffset = 0; ///< first tag on a 64-byte boundary
 
     /** cnt[write*2 + hit]: read-miss, read-hit, write-miss,
      *  write-hit. */

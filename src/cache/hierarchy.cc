@@ -65,60 +65,73 @@ scaleFarCaches(HierarchyConfig cfg, u64 divisor)
 }
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
+    : level{SetAssocCache(config.l1i), SetAssocCache(config.l1d),
+            SetAssocCache(config.l2), SetAssocCache(config.l3)}
 {
-    level[0] = std::make_unique<SetAssocCache>(config.l1i);
-    level[1] = std::make_unique<SetAssocCache>(config.l1d);
-    level[2] = std::make_unique<SetAssocCache>(config.l2);
-    level[3] = std::make_unique<SetAssocCache>(config.l3);
-    absentL1d.assign(kMemoSlots, SetAssocCache::kNoLine);
-    l1dLineShift = level[1]->lineBits();
 }
 
 HitLevel
-CacheHierarchy::descendData(Addr addr, bool isWrite)
+CacheHierarchy::accessData(Addr addr, bool isWrite)
 {
-    if (level[2]->access(addr, isWrite))
+    if (level[1].access(addr, isWrite))
+        return HitLevel::L1;
+    if (level[2].access(addr, isWrite))
         return HitLevel::L2;
-    if (level[3]->access(addr, isWrite))
+    if (level[3].access(addr, isWrite))
+        return HitLevel::L3;
+    return HitLevel::Memory;
+}
+
+HitLevel
+CacheHierarchy::accessInstr(Addr pc)
+{
+    if (level[0].access(pc, false))
+        return HitLevel::L1;
+    if (level[2].access(pc, false))
+        return HitLevel::L2;
+    if (level[3].access(pc, false))
         return HitLevel::L3;
     return HitLevel::Memory;
 }
 
 void
+CacheHierarchy::walk(const EventBatch &batch, HitLevel *fetch,
+                     HitLevel *data)
+{
+    activeSetKernel().walk(*this, batch, fetch, data);
+}
+
+void
 CacheHierarchy::setWarmup(bool on)
 {
-    for (auto &c : level)
-        c->setWarmup(on);
+    for (SetAssocCache &c : level)
+        c.setWarmup(on);
 }
 
 void
 CacheHierarchy::flush()
 {
-    for (auto &c : level)
-        c->flush();
-    // Every line is now absent, so the memo entries are all still
-    // true — but a flush marks a cold restart, so start the memo
-    // cold as well rather than carry warmth across runs.
-    absentL1d.assign(kMemoSlots, SetAssocCache::kNoLine);
+    for (SetAssocCache &c : level)
+        c.flush();
 }
 
 void
 CacheHierarchy::resetStats()
 {
-    for (auto &c : level)
-        c->resetStats();
+    for (SetAssocCache &c : level)
+        c.resetStats();
 }
 
 const CacheStats &
 CacheHierarchy::levelStats(CacheLevel l) const
 {
-    return level[static_cast<u8>(l)]->statsRef();
+    return level[static_cast<u8>(l)].statsRef();
 }
 
 const CacheParams &
 CacheHierarchy::levelParams(CacheLevel l) const
 {
-    return level[static_cast<u8>(l)]->params();
+    return level[static_cast<u8>(l)].params();
 }
 
 } // namespace splab

@@ -7,13 +7,15 @@
 #define SPLAB_CACHE_HIERARCHY_HH
 
 #include <array>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "cache.hh"
 
 namespace splab
 {
+
+class EventBatch;
 
 /** Where in the hierarchy a request was satisfied. */
 enum class HitLevel : u8
@@ -84,68 +86,20 @@ class CacheHierarchy
   public:
     explicit CacheHierarchy(const HierarchyConfig &config);
 
-    /** Data reference; walks L1D -> L2 -> L3.  Inline: one call per
-     *  dynamic memory access is the hottest edge of the timing
-     *  simulator, and the L1 hit case must not pay a call.
-     *
-     *  An absent-line memo sits in front of the L1D probe: a small
-     *  direct-mapped table of line numbers *proven absent* from L1D
-     *  (inserted when L1D evicts them, cleared the moment such a
-     *  line is re-allocated).  A memo hit means the access is a
-     *  guaranteed L1D miss, so the way scan is skipped entirely and
-     *  the line is filled probe-free — a large win for repeating
-     *  miss lines in the 32-way Table I L1D.  Collisions simply
-     *  overwrite (lossy): a missing entry only costs a probe, and a
-     *  present entry is always true, so hit/miss counts, replacement
-     *  state and downstream traffic are bit-for-bit unchanged.  The
-     *  memo is maintained only here — all L1D data traffic must flow
-     *  through accessData()/descendData(), never through
-     *  levelRef(CacheLevel::L1D).access(). */
-    HitLevel
-    accessData(Addr addr, bool isWrite)
-    {
-        u64 line = addr >> l1dLineShift;
-        u64 &slot = absentL1d[line & kMemoMask];
-        if (slot == line) {
-            // Proven absent: clear the entry *before* inserting the
-            // eviction's victim (both may map to this very slot),
-            // then fill as a counted, probe-free miss.
-            slot = SetAssocCache::kNoLine;
-            level[1]->fillOnMiss(line, isWrite);
-            memoAbsent(level[1]->lastEvictedLine());
-            return descendData(addr, isWrite);
-        }
-        if (level[1]->access(addr, isWrite))
-            return HitLevel::L1;
-        memoAbsent(level[1]->lastEvictedLine());
-        return descendData(addr, isWrite);
-    }
-
-    /** Instruction fetch; walks L1I -> L2 -> L3. */
-    HitLevel
-    accessInstr(Addr pc)
-    {
-        if (level[0]->access(pc, false))
-            return HitLevel::L1;
-        if (level[2]->access(pc, false))
-            return HitLevel::L2;
-        if (level[3]->access(pc, false))
-            return HitLevel::L3;
-        return HitLevel::Memory;
-    }
-
     /**
-     * Continue a data reference past an L1D miss: walks L2 -> L3.
-     * Callers that probe L1D directly (via levelRef) use this for the
-     * miss-only descent; accessData() == L1D probe + descendData().
+     * Walk every access of @p batch in stream order: per block, its
+     * instruction fetch (L1I -> L2 -> L3), then its data accesses
+     * (L1D -> L2 -> L3).  fetch[b] receives the level that served
+     * block b's fetch and data[i] the level that served access-pool
+     * entry i.  One call of the active set kernel per batch.
      */
-    HitLevel descendData(Addr addr, bool isWrite);
+    void walk(const EventBatch &batch, HitLevel *fetch, HitLevel *data);
 
-    /** Direct access to one level, for batch-mode L1 probe loops. */
-    SetAssocCache &levelRef(CacheLevel l)
-    {
-        return *level[static_cast<u8>(l)];
-    }
+    /** One data reference (L1D -> L2 -> L3), outside a batch. */
+    HitLevel accessData(Addr addr, bool isWrite);
+
+    /** One instruction fetch (L1I -> L2 -> L3), outside a batch. */
+    HitLevel accessInstr(Addr pc);
 
     /** Enable/disable warm-up (state updates, counters frozen). */
     void setWarmup(bool on);
@@ -160,24 +114,38 @@ class CacheHierarchy
     const CacheParams &levelParams(CacheLevel l) const;
 
   private:
-    /** Record @p line as absent from L1D (it was just evicted). */
-    void
-    memoAbsent(u64 line)
-    {
-        if (line != SetAssocCache::kNoLine)
-            absentL1d[line & kMemoMask] = line;
-    }
+    friend struct SetUpdate;
 
-    std::array<std::unique_ptr<SetAssocCache>, kNumCacheLevels> level;
-
-    /** Absent-from-L1D memo: direct-mapped, slots hold full line
-     *  numbers (kNoLine = empty).  See accessData(). */
-    static constexpr u64 kMemoSlots = 8192;
-    static constexpr u64 kMemoMask = kMemoSlots - 1;
-    std::vector<u64> absentL1d;
-    /** Cached L1D bytes-to-line shift for the memo lookup. */
-    u32 l1dLineShift;
+    /** Levels in CacheLevel order. */
+    std::array<SetAssocCache, kNumCacheLevels> level;
 };
+
+/**
+ * One build of the set update (see SetAssocCache).  Every build
+ * updates a set as the scalar reference does: scan the ways for the
+ * tag and move the ways in front of the match (all of them on a
+ * miss) down by one.  The vector builds load the whole set, compare
+ * every way at once, shift the loaded ways by one lane and store
+ * only ways [0, pos] — nothing on a FIFO hit — with no branch on the
+ * data.  Direct-mapped levels update inline in every build.
+ *
+ * access() is SetAssocCache::access on @p cache; walk() is
+ * CacheHierarchy::walk on @p caches.
+ */
+struct SetKernel
+{
+    const char *name; ///< "scalar", "avx2" or "avx512"
+    bool (*access)(SetAssocCache &cache, Addr addr, bool isWrite);
+    void (*walk)(CacheHierarchy &caches, const EventBatch &batch,
+                 HitLevel *fetch, HitLevel *data);
+};
+
+/** Every set-kernel build this host can run, the scalar reference
+ *  first. */
+std::vector<SetKernel> supportedSetKernels();
+
+/** The widest supported build; picked once per process. */
+const SetKernel &activeSetKernel();
 
 } // namespace splab
 

@@ -14,19 +14,12 @@ AllCacheTool::onBatch(const EventBatch &batch)
     // One instruction-fetch lookup per dynamic block.  Blocks are
     // small relative to I-cache lines and the paper reports L1I miss
     // rates as negligible, so per-line fetch modelling is not
-    // load-bearing here.  Data references must go through
-    // accessData(): the hierarchy keeps an absent-from-L1D memo
-    // there that a direct levelRef() probe would silently
-    // invalidate.
-    const BlockRecord *blocks = batch.blocks().data();
-    const MemAccess *pool = batch.accessPool().data();
-    const u32 *off = batch.offsets().data();
-    const std::size_t n = batch.numBlocks();
-    for (std::size_t b = 0; b < n; ++b) {
-        caches->accessInstr(blocks[b].pc);
-        for (u32 i = off[b]; i < off[b + 1]; ++i)
-            caches->accessData(pool[i].addr, pool[i].isWrite);
-    }
+    // load-bearing here.
+    if (fetchLevels.size() < batch.numBlocks())
+        fetchLevels.resize(batch.numBlocks());
+    if (dataLevels.size() < batch.accessPool().size())
+        dataLevels.resize(batch.accessPool().size());
+    caches->walk(batch, fetchLevels.data(), dataLevels.data());
 }
 
 } // namespace splab

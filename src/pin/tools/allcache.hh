@@ -8,6 +8,7 @@
 #define SPLAB_PIN_TOOLS_ALLCACHE_HH
 
 #include <memory>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "pin/pintool.hh"
@@ -36,6 +37,9 @@ class AllCacheTool : public PinTool
 
   private:
     std::unique_ptr<CacheHierarchy> caches;
+    /** The walk's per-access levels (unused here), kept across
+     *  batches so steady state does not allocate. */
+    std::vector<HitLevel> fetchLevels, dataLevels;
 };
 
 } // namespace splab

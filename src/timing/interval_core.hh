@@ -16,6 +16,7 @@
 #define SPLAB_TIMING_INTERVAL_CORE_HH
 
 #include <memory>
+#include <vector>
 
 #include "branch_predictor.hh"
 #include "cache/hierarchy.hh"
@@ -61,8 +62,9 @@ class IntervalCoreTool : public PinTool
     const char *name() const override { return "sniper-core"; }
     bool wantsMemory() const override { return true; }
 
-    /** Steps the model block by block over the batch's SoA views
-     *  (the interval model is inherently sequential per block). */
+    /** Walks the batch through the hierarchy, then steps the model
+     *  block by block over the levels the walk found (the interval
+     *  model is inherently sequential per block). */
     void onBatch(const EventBatch &batch) override;
 
     /** Microarchitectural warm-up: state trains, stats frozen. */
@@ -79,11 +81,6 @@ class IntervalCoreTool : public PinTool
     CacheHierarchy &hierarchy() { return *caches; }
 
   private:
-    /** Time one dynamic block (fetch, data accesses, branch). */
-    void step(const BlockRecord &rec, const MemAccess *accs,
-              std::size_t nAccs, const BranchRecord *br);
-    double exposedLatency(HitLevel level);
-
     MachineConfig cfg;
     std::unique_ptr<CacheHierarchy> caches;
     TournamentPredictor predictor;
@@ -93,6 +90,10 @@ class IntervalCoreTool : public PinTool
     /** Instructions since the last long-latency (memory) miss, for
      *  the MLP overlap window. */
     ICount sinceMemMiss;
+
+    /** The walk's per-access levels, kept across batches so steady
+     *  state does not allocate. */
+    std::vector<HitLevel> fetchLevels, dataLevels;
 };
 
 } // namespace splab

@@ -56,9 +56,9 @@ smallSpec(u64 chunks = 300)
 }
 
 /**
- * Reference cache: the pre-fast-path implementation (full way scan,
- * per-access tag-shift recomputation) with identical replacement and
- * counting semantics.
+ * Reference cache: a full way scan over (tag, valid) pairs with
+ * per-access set and tag division, and the replacement and counting
+ * semantics of SetAssocCache.
  */
 class ReferenceCache
 {
@@ -109,6 +109,9 @@ class ReferenceCache
         return hit;
     }
 
+    /** Invalidate every line; stats are kept. */
+    void flush() { lines.assign(lines.size(), Line{}); }
+
     CacheStats stats;
 
   private:
@@ -123,7 +126,7 @@ class ReferenceCache
 };
 
 /** Reference hierarchy: the plain L1 -> L2 -> L3 -> memory walk over
- *  ReferenceCaches (no MRU fast path, no absent-line memo). */
+ *  ReferenceCaches, one access at a time. */
 class ReferenceHierarchy
 {
   public:
@@ -140,6 +143,13 @@ class ReferenceHierarchy
     }
 
     HitLevel accessInstr(Addr pc) { return walk(levels[0], pc, false); }
+
+    void
+    flush()
+    {
+        for (ReferenceCache &c : levels)
+            c.flush();
+    }
 
     const CacheStats &
     stats(CacheLevel l) const
@@ -468,8 +478,8 @@ TEST(EventBatching, BatchedMatchesPerBlock)
 
 TEST(ReferenceModel, SuiteStreamsMatchAllCacheAndIntervalCore)
 {
-    // The optimised hierarchy (same-line and way-0 fast paths,
-    // memmove replacement, absent-from-L1D memo) behind AllCacheTool
+    // The optimised hierarchy (the active set kernel's batch walk)
+    // behind AllCacheTool
     // (Table I) and IntervalCoreTool (Table III), against the
     // reference models on real suite address streams under both
     // replacement policies: every per-level counter and every timing
@@ -621,63 +631,91 @@ TEST(BbvToolT, HalfFullSliverBoundary)
     }
 }
 
-TEST(HierarchyMemo, AccessDataMatchesMemoFreeWalk)
+TEST(HierarchyWalk, BatchWalkMatchesReferenceWalk)
 {
-    // The absent-from-L1D memo must be semantically invisible: same
-    // per-access hit levels and same per-level counters as a plain
-    // L1D -> L2 -> L3 walk over memo-free caches.  Random streams
-    // with a working set far above L1D capacity make missing lines
-    // repeat (the memo's target case); a mid-stream flush checks the
-    // memo resets with the contents.
-    for (const HierarchyConfig &base :
-         {tableIConfig(), tableIIIConfig()}) {
-        for (ReplacementPolicy pol :
-             {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
-            HierarchyConfig cfg = base;
-            cfg.l1d.replacement = pol;
-            cfg.l2.replacement = pol;
-            cfg.l3.replacement = pol;
+    // CacheHierarchy::walk under every set-kernel build against the
+    // plain L1 -> L2 -> L3 walk over reference caches: the same level
+    // for every fetch and every data access, and the same per-level
+    // counters.  Random streams with a working set far above L1D
+    // capacity keep every level hitting and missing; a flush between
+    // two batches mid-stream checks the cold restart.
+    for (const SetKernel &kernel : supportedSetKernels()) {
+        for (const HierarchyConfig &base :
+             {tableIConfig(), tableIIIConfig()}) {
+            for (ReplacementPolicy pol :
+                 {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+                SCOPED_TRACE(std::string(kernel.name) + " " +
+                             base.l1d.name + " " +
+                             replacementPolicyName(pol));
+                HierarchyConfig cfg = base;
+                for (CacheParams *p :
+                     {&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3})
+                    p->replacement = pol;
 
-            CacheHierarchy hier(cfg);
-            SetAssocCache refL1d(cfg.l1d);
-            SetAssocCache refL2(cfg.l2);
-            SetAssocCache refL3(cfg.l3);
+                CacheHierarchy hier(cfg);
+                ReferenceHierarchy ref(cfg);
+                u64 state = 0x9e3779b97f4a7c15ULL ^ cfg.contentHash();
+                auto next = [&] {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    return state;
+                };
 
-            u64 state = 0x9e3779b97f4a7c15ULL ^ cfg.contentHash();
-            for (int i = 0; i < 200000; ++i) {
-                if (i == 100000) {
-                    hier.flush();
-                    refL1d.flush();
-                    refL2.flush();
-                    refL3.flush();
+                EventBatch batch;
+                std::vector<HitLevel> fetch, data;
+                for (int b = 0; b < 400; ++b) {
+                    if (b == 200) {
+                        hier.flush();
+                        ref.flush();
+                    }
+                    batch.clear();
+                    for (int blk = 0; blk < 64; ++blk) {
+                        const std::size_t n = next() % 9;
+                        MemAccess *accs = batch.reserveAccs(n);
+                        for (std::size_t i = 0; i < n; ++i) {
+                            u64 r = next();
+                            accs[i].addr = (r % (256 * 1024)) & ~7ULL;
+                            accs[i].isWrite = (r >> 21) & 1;
+                        }
+                        BlockRecord rec;
+                        rec.pc = 0x400000 + (next() % (64 * 1024));
+                        batch.push(rec, n, BranchRecord{}, false);
+                    }
+                    fetch.assign(batch.numBlocks(), HitLevel::L1);
+                    data.assign(batch.accessPool().size(),
+                                HitLevel::L1);
+                    kernel.walk(hier, batch, fetch.data(), data.data());
+
+                    for (std::size_t k = 0; k < batch.numBlocks(); ++k) {
+                        ASSERT_EQ(
+                            static_cast<int>(fetch[k]),
+                            static_cast<int>(
+                                ref.accessInstr(batch.block(k).pc)))
+                            << "batch " << b << " block " << k;
+                        const u32 first = batch.offsets()[k];
+                        for (std::size_t i = 0; i < batch.accCount(k);
+                             ++i) {
+                            const MemAccess &acc = batch.accs(k)[i];
+                            ASSERT_EQ(static_cast<int>(data[first + i]),
+                                      static_cast<int>(ref.accessData(
+                                          acc.addr, acc.isWrite)))
+                                << "batch " << b << " block " << k
+                                << " access " << i;
+                        }
+                    }
                 }
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Addr addr = (state % (256 * 1024)) & ~7ULL;
-                bool isWrite = (state >> 21) & 1;
-                HitLevel got = hier.accessData(addr, isWrite);
-                HitLevel want =
-                    refL1d.access(addr, isWrite) ? HitLevel::L1
-                    : refL2.access(addr, isWrite)
-                        ? HitLevel::L2
-                        : refL3.access(addr, isWrite)
-                              ? HitLevel::L3
-                              : HitLevel::Memory;
-                ASSERT_EQ(static_cast<int>(got),
-                          static_cast<int>(want))
-                    << "access " << i << " policy "
-                    << replacementPolicyName(pol);
-            }
 
-            expectSameStats(hier.levelStats(CacheLevel::L1D),
-                            refL1d.statsRef(), "L1D");
-            expectSameStats(hier.levelStats(CacheLevel::L2),
-                            refL2.statsRef(), "L2");
-            expectSameStats(hier.levelStats(CacheLevel::L3),
-                            refL3.statsRef(), "L3");
-            // The stream really exercised the memo's target case.
-            EXPECT_GT(hier.levelStats(CacheLevel::L1D).misses, 0u);
+                expectSameCacheStats(hier, ref);
+                // Every level both hit and missed.
+                for (CacheLevel l : {CacheLevel::L1D, CacheLevel::L2,
+                                     CacheLevel::L3}) {
+                    const CacheStats &st = hier.levelStats(l);
+                    EXPECT_GT(st.misses, 0u) << cacheLevelName(l);
+                    EXPECT_GT(st.accesses, st.misses)
+                        << cacheLevelName(l);
+                }
+            }
         }
     }
 }
@@ -699,39 +737,54 @@ TEST(EventBatching, EngineCountsBatches)
 
 TEST(CacheFastPath, MruProbeMatchesReference)
 {
-    // The inline MRU/tag-shift fast path against the slow reference
-    // model: identical hit sequences and counters for both policies
-    // and degenerate geometries (including direct-mapped, where the
-    // fast path IS the whole probe).
-    for (ReplacementPolicy pol :
-         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
-        for (u32 ways : {1u, 2u, 8u}) {
-            CacheParams p;
-            p.name = "fastpath-test";
-            p.sizeBytes = 16 * 1024;
-            p.ways = ways;
-            p.lineBytes = 64;
-            p.replacement = pol;
+    // Every set-kernel build against the full-scan reference model:
+    // identical hit sequences and counters under both policies, for
+    // direct-mapped through 64-way sets and a fully associative
+    // cache whose 24 ways fill no whole vector register.
+    struct Geometry
+    {
+        u64 sizeBytes;
+        u32 ways;
+    };
+    std::vector<Geometry> geometries;
+    for (u32 ways : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
+        geometries.push_back({16 * 1024, ways});
+    geometries.push_back({24 * 64, 24}); // one set
+    for (const SetKernel &kernel : supportedSetKernels()) {
+        for (ReplacementPolicy pol :
+             {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+            for (const Geometry &g : geometries) {
+                CacheParams p;
+                p.name = "fastpath-test";
+                p.sizeBytes = g.sizeBytes;
+                p.ways = g.ways;
+                p.lineBytes = 64;
+                p.replacement = pol;
+                const std::string what =
+                    std::string(kernel.name) + " " +
+                    replacementPolicyName(pol) + " ways " +
+                    std::to_string(g.ways);
 
-            SetAssocCache fast(p);
-            ReferenceCache ref(p);
+                SetAssocCache fast(p);
+                ReferenceCache ref(p);
 
-            u64 state = 0x12345678 + ways;
-            for (int i = 0; i < 200000; ++i) {
-                // xorshift64; mask to a small range so sets collide
-                // and hits dominate (exercising both probe paths).
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                Addr addr = (state % (64 * 1024)) & ~7ULL;
-                bool isWrite = (state >> 20) & 1;
-                EXPECT_EQ(fast.access(addr, isWrite),
-                          ref.access(addr, isWrite))
-                    << "access " << i << " ways " << ways;
+                u64 state = 0x12345678 + g.ways;
+                for (int i = 0; i < 100000; ++i) {
+                    // xorshift64 over four times the capacity, so
+                    // sets collide and hits land on every way.
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    Addr addr = (state % (4 * g.sizeBytes)) & ~7ULL;
+                    bool isWrite = (state >> 20) & 1;
+                    ASSERT_EQ(kernel.access(fast, addr, isWrite),
+                              ref.access(addr, isWrite))
+                        << "access " << i << " " << what;
+                }
+                const CacheStats &s = fast.statsRef();
+                expectSameStats(s, ref.stats, what);
+                EXPECT_GT(s.accesses, s.misses) << what; // hits occurred
             }
-            const CacheStats &s = fast.statsRef();
-            expectSameStats(s, ref.stats, "ways " + std::to_string(ways));
-            EXPECT_GT(s.accesses, s.misses); // hits occurred
         }
     }
 }
