@@ -57,15 +57,12 @@ evaluate(const std::string &label, const SimPointConfig &cfg,
         row.avgPoints90 +=
             static_cast<double>(r.topByWeight(0.9).size());
 
-        auto whole = wholeAsAggregate(baseline.wholeCache(name));
-        auto agg = aggregateCache(measurePointsCache(
-            g.spec(name), r, baseline.config().allcache, 0));
-        double mixErr = 0;
-        for (int c = 0; c < 4; ++c)
-            mixErr = std::max(mixErr,
-                              std::fabs(agg.mixFrac[c] -
-                                        whole.mixFrac[c]));
-        row.avgMixErr += mixErr;
+        row.avgMixErr +=
+            cacheErrors(aggregateCache(measurePointsCache(
+                            g.spec(name), r,
+                            baseline.config().allcache, 0)),
+                        wholeAsAggregate(baseline.wholeCache(name)))
+                .mix;
         n += 1;
     }
     row.avgPoints /= n;

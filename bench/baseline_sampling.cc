@@ -12,7 +12,6 @@
 
 #include "bench_util.hh"
 #include "sampling/strategy.hh"
-#include "support/stats_util.hh"
 
 using namespace splab;
 
@@ -87,31 +86,21 @@ main(int, char **argv)
         };
 
         for (int s = 0; s < 3; ++s) {
-            auto cachePts = measurePointsCache(
-                spec, strategies[s], graph.config().allcache, 0);
-            auto agg = aggregateCache(cachePts);
-            double mixErr = 0;
-            for (int c = 0; c < 4; ++c)
-                mixErr = std::max(mixErr,
-                                  std::fabs(agg.mixFrac[c] -
-                                            whole.mixFrac[c]));
-            double l1dErr =
-                relativeError(agg.l1dMissRate, whole.l1dMissRate);
-            double l3Err =
-                relativeError(agg.l3MissRate, whole.l3MissRate);
-
-            auto timingPts = measurePointsTiming(
-                spec, strategies[s], graph.config().machine,
-                graph.config().warmupChunks);
-            double cpiErr = relativeError(
-                aggregateTiming(timingPts).cpi, nativeCpi);
-
-            acc[s].mix += mixErr;
-            acc[s].l1d += l1dErr;
-            acc[s].l3 += l3Err;
+            CacheErrors err = cacheErrors(
+                aggregateCache(measurePointsCache(
+                    spec, strategies[s], graph.config().allcache, 0)),
+                whole);
+            double cpiErr = cpiError(
+                measurePointsTiming(spec, strategies[s],
+                                    graph.config().machine,
+                                    graph.config().warmupChunks),
+                nativeCpi);
+            acc[s].mix += err.mix;
+            acc[s].l1d += err.l1d;
+            acc[s].l3 += err.l3;
             acc[s].cpi += cpiErr;
-            sink.csvOnlyRow({labels[s], e.name, fmt(mixErr, 6),
-                             fmt(l1dErr, 6), fmt(l3Err, 6),
+            sink.csvOnlyRow({labels[s], e.name, fmt(err.mix, 6),
+                             fmt(err.l1d, 6), fmt(err.l3, 6),
                              fmt(cpiErr, 6)});
         }
         n += 1;

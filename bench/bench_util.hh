@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/artifact_graph.hh"
+#include "core/headlines.hh"
 #include "obs/manifest.hh"
 #include "obs/trace.hh"
 #include "support/env.hh"

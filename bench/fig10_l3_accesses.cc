@@ -38,36 +38,27 @@ main(int, char **argv)
     auto count = [](u64 v) -> bench::ReportSink::Cell {
         return {fmtSi(static_cast<double>(v), 2), std::to_string(v)};
     };
-    double sumW = 0, sumR = 0, sumRR = 0;
-    for (const auto &e : suiteTable()) {
-        u64 whole = graph.wholeCache(e.name).l3.accesses;
-        const auto &pts = graph.pointsCacheCold(e.name);
-        auto reduced = reduceToQuantile(pts, 0.9);
-        u64 regional = 0, rr = 0;
-        for (const auto &p : pts)
-            regional += p.m.l3.accesses;
-        for (const auto &p : reduced)
-            rr += p.m.l3.accesses;
-
-        sink.row({e.name, count(whole), count(regional), count(rr),
+    const SuiteComparison r = compareSuite(graph, names, Replay::Cold);
+    const SuiteComparison rr =
+        compareSuite(graph, names, Replay::Cold, 0.9);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        u64 whole = r.rows[i].whole.l3Accesses;
+        u64 regional = r.rows[i].sampled.l3Accesses;
+        sink.row({names[i], count(whole), count(regional),
+                  count(rr.rows[i].sampled.l3Accesses),
                   fmtX(regional ? static_cast<double>(whole) /
                                       static_cast<double>(regional)
                                 : 0.0, 0)});
-        sumW += static_cast<double>(whole);
-        sumR += static_cast<double>(regional);
-        sumRR += static_cast<double>(rr);
     }
-    double n = static_cast<double>(suiteTable().size());
     sink.separator();
-    sink.tableOnlyRow({"Average", fmtSi(sumW / n, 2),
-                       fmtSi(sumR / n, 2), fmtSi(sumRR / n, 2),
-                       fmtX(sumW / sumR, 0)});
+    sink.tableOnlyRow({"Average", fmtSi(r.wholeL3, 2), fmtSi(r.l3, 2),
+                       fmtSi(rr.l3, 2), fmtX(r.l3Reduction, 0)});
     sink.printTable();
 
     std::printf("\nExpected shape: Regional/Reduced runs touch the "
                 "L3 orders of magnitude less\noften than the Whole "
                 "Run (measured: %.0fx fewer on average).\n",
-                sumW / sumR);
+                r.l3Reduction);
     sink.finish();
     return 0;
 }

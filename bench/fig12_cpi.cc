@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.hh"
-#include "support/stats_util.hh"
 
 using namespace splab;
 
@@ -36,38 +35,24 @@ main(int, char **argv)
     graph.runSuite(names, targets);
     graph.recordArtifacts(sink.manifest(), names, targets);
 
-    std::vector<double> natives, regionals;
-    double errR = 0, errRR = 0, n = 0;
-    for (const auto &e : suiteTable()) {
-        double native = graph.native(e.name).cpi();
-        const auto &pts = graph.pointsTiming(e.name);
-        double regional = aggregateTiming(pts).cpi;
-        double reduced =
-            aggregateTiming(reduceToQuantile(pts, 0.9)).cpi;
-
-        sink.row({e.name, {fmt(native, 3), fmt(native, 5)},
-                  {fmt(regional, 3), fmt(regional, 5)},
-                  {fmt(reduced, 3), fmt(reduced, 5)},
-                  fmtPct(relativeError(regional, native)),
-                  fmtPct(relativeError(reduced, native))});
-
-        natives.push_back(native);
-        regionals.push_back(regional);
-        errR += relativeError(regional, native);
-        errRR += relativeError(reduced, native);
-        n += 1.0;
+    const CpiComparison c = compareCpi(graph, names);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const CpiRow &r = c.rows[i];
+        sink.row({names[i], {fmt(r.native, 3), fmt(r.native, 5)},
+                  {fmt(r.regional, 3), fmt(r.regional, 5)},
+                  {fmt(r.reduced, 3), fmt(r.reduced, 5)},
+                  fmtPct(r.errRegional), fmtPct(r.errReduced)});
     }
     sink.separator();
-    sink.tableOnlyRow({"Average", "-", "-", "-", fmtPct(errR / n),
-                       fmtPct(errRR / n)});
+    sink.tableOnlyRow({"Average", "-", "-", "-", fmtPct(c.errRegional),
+                       fmtPct(c.errReduced)});
     sink.printTable();
 
     std::printf("\nPaper: 2.59%% average CPI error (Regional), "
                 "13.9%% average deviation (Reduced).\n"
                 "Measured: %.2f%% (Regional), %.2f%% (Reduced); "
                 "native-vs-sampled CPI correlation r = %.3f.\n",
-                errR / n * 100, errRR / n * 100,
-                pearson(natives, regionals));
+                c.errRegional * 100, c.errReduced * 100, c.r);
     sink.finish();
     return 0;
 }

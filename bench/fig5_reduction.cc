@@ -22,8 +22,6 @@ main(int, char **argv)
                   "Figure 5(a) instruction count, 5(b) time");
 
     ArtifactGraph graph(ExperimentConfig::paperDefaults());
-    ReplayCostModel cost = graph.config().cost;
-
     bench::ReportSink sink(
         argv[0], "Fig 5 - run sizes and paper-equivalent times");
     sink.schema({{"Benchmark", "benchmark"},
@@ -47,75 +45,48 @@ main(int, char **argv)
     graph.runSuite(names, targets);
     graph.recordArtifacts(sink.manifest(), names, targets);
 
-    double sumIW = 0, sumIR = 0, sumIRR = 0;
-    double sumTW = 0, sumTR = 0, sumTRR = 0;
-    for (const auto &e : suiteTable()) {
-        ICount whole = graph.spec(e.name).totalInstrs();
-        // Run-length equivalence: the suite table's paper-scale
-        // dynamic instruction count maps this benchmark's model run
-        // onto the paper's testbed (absorbing the replay overhead
-        // the paper's pinballs carry).
-        double paperScale = e.paperInstrsB * 1e9 /
-                            static_cast<double>(whole);
-        const auto &pts = graph.pointsCacheCold(e.name);
-        auto reduced = reduceToQuantile(pts, 0.9);
-        ICount regional = 0, rr = 0;
-        double wallR = 0;
-        for (const auto &p : pts) {
-            regional += p.m.instrs;
-            wallR += p.m.wallSeconds;
-        }
-        for (const auto &p : reduced)
-            rr += p.m.instrs;
-
-        double tW = cost.wholeSeconds(
-            static_cast<double>(whole) * paperScale);
-        double tR = cost.regionalSeconds(
-            static_cast<double>(regional) * paperScale,
-            pts.size());
-        double tRR = cost.regionalSeconds(
-            static_cast<double>(rr) * paperScale, reduced.size());
-
-        sink.row(
-            {e.name,
-             {fmtSi(static_cast<double>(whole), 1),
-              std::to_string(whole)},
-             {fmtSi(static_cast<double>(regional), 1),
-              std::to_string(regional)},
-             {fmtSi(static_cast<double>(rr), 1), std::to_string(rr)},
-             fmtX(static_cast<double>(whole) /
-                  static_cast<double>(regional)),
-             fmtX(static_cast<double>(whole) /
-                  static_cast<double>(rr)),
-             {fmt(tW / 3600.0, 1) + " h", fmt(tW / 3600.0, 3)},
-             {fmt(tR / 60.0, 1) + " m", fmt(tR / 60.0, 3)},
-             {fmt(tRR / 60.0, 1) + " m", fmt(tRR / 60.0, 3)},
-             fmtX(tW / tR), fmtX(tW / tRR),
-             fmt(graph.wholeCache(e.name).wallSeconds, 3),
-             fmt(wallR, 3)});
-        sumIW += static_cast<double>(whole);
-        sumIR += static_cast<double>(regional);
-        sumIRR += static_cast<double>(rr);
-        sumTW += tW;
-        sumTR += tR;
-        sumTRR += tRR;
+    const SuiteComparison r = compareSuite(graph, names, Replay::Cold);
+    const SuiteComparison rr =
+        compareSuite(graph, names, Replay::Cold, 0.9);
+    // Counts: SI-formatted in the table, exact in the CSV.
+    auto count = [](u64 v) -> bench::ReportSink::Cell {
+        return {fmtSi(static_cast<double>(v), 1), std::to_string(v)};
+    };
+    auto minutes = [](double s) -> bench::ReportSink::Cell {
+        return {fmt(s / 60.0, 1) + " m", fmt(s / 60.0, 3)};
+    };
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const RunComparison &a = r.rows[i], &b = rr.rows[i];
+        double whole = static_cast<double>(a.whole.executedInstrs);
+        double tW = a.wholeSeconds;
+        sink.row({names[i], count(a.whole.executedInstrs),
+                  count(a.sampled.executedInstrs),
+                  count(b.sampled.executedInstrs),
+                  fmtX(whole / static_cast<double>(
+                                   a.sampled.executedInstrs)),
+                  fmtX(whole / static_cast<double>(
+                                   b.sampled.executedInstrs)),
+                  {fmt(tW / 3600.0, 1) + " h", fmt(tW / 3600.0, 3)},
+                  minutes(a.seconds), minutes(b.seconds),
+                  fmtX(tW / a.seconds), fmtX(tW / b.seconds),
+                  fmt(a.whole.wallSeconds, 3),
+                  fmt(a.sampled.wallSeconds, 3)});
     }
-    double n = static_cast<double>(suiteTable().size());
     sink.separator();
     sink.tableOnlyRow(
-        {"Average", fmtSi(sumIW / n, 1), fmtSi(sumIR / n, 1),
-         fmtSi(sumIRR / n, 1), fmtX(sumIW / sumIR),
-         fmtX(sumIW / sumIRR), fmt(sumTW / n / 3600.0, 1) + " h",
-         fmt(sumTR / n / 60.0, 1) + " m",
-         fmt(sumTRR / n / 60.0, 1) + " m", fmtX(sumTW / sumTR),
-         fmtX(sumTW / sumTRR)});
+        {"Average", fmtSi(r.wholeInstrs, 1), fmtSi(r.instrs, 1),
+         fmtSi(rr.instrs, 1), fmtX(r.instrReduction),
+         fmtX(rr.instrReduction), fmt(r.wholeSeconds / 3600.0, 1) + " h",
+         fmt(r.seconds / 60.0, 1) + " m",
+         fmt(rr.seconds / 60.0, 1) + " m", fmtX(r.timeReduction),
+         fmtX(rr.timeReduction)});
     sink.finish();
 
     std::printf("\nPaper: ~650x fewer instructions / ~750x less time "
                 "(Regional); ~1225x / ~1297x (Reduced).\n"
                 "Measured: %.0fx / %.0fx (Regional); %.0fx / %.0fx "
                 "(Reduced).\n",
-                sumIW / sumIR, sumTW / sumTR, sumIW / sumIRR,
-                sumTW / sumTRR);
+                r.instrReduction, r.timeReduction, rr.instrReduction,
+                rr.timeReduction);
     return 0;
 }

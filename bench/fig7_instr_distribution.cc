@@ -48,57 +48,37 @@ main(int, char **argv)
         return fmt(f[0] * 100, 1) + "/" + fmt(f[1] * 100, 1) + "/" +
                fmt(f[2] * 100, 1) + "/" + fmt(f[3] * 100, 1);
     };
-    auto maxErr = [](const std::array<double, 4> &a,
-                     const std::array<double, 4> &b) {
-        double m = 0.0;
-        for (int i = 0; i < 4; ++i)
-            m = std::max(m, std::fabs(a[i] - b[i]));
-        return m;
-    };
     auto csvRow = [&](const std::string &bench, const char *run,
                       const std::array<double, 4> &f) {
         sink.csvOnlyRow({bench, run, fmt(f[0], 6), fmt(f[1], 6),
                          fmt(f[2], 6), fmt(f[3], 6)});
     };
 
-    std::array<double, 4> suiteWhole{};
-    double sumErrR = 0.0, sumErrRR = 0.0;
-    for (const auto &e : suiteTable()) {
-        auto whole = wholeAsAggregate(graph.wholeCache(e.name));
-        const auto &pts = graph.pointsCacheCold(e.name);
-        auto regional = aggregateCache(pts);
-        auto reduced = aggregateCache(reduceToQuantile(pts, 0.9));
-
-        double errR = maxErr(regional.mixFrac, whole.mixFrac);
-        double errRR = maxErr(reduced.mixFrac, whole.mixFrac);
-        sink.tableOnlyRow({e.name, mixString(whole.mixFrac),
-                           mixString(regional.mixFrac),
-                           mixString(reduced.mixFrac), fmtPct(errR),
-                           fmtPct(errRR)});
-        csvRow(e.name, "whole", whole.mixFrac);
-        csvRow(e.name, "regional", regional.mixFrac);
-        csvRow(e.name, "reduced", reduced.mixFrac);
-
-        for (int i = 0; i < 4; ++i)
-            suiteWhole[i] += whole.mixFrac[i];
-        sumErrR += errR;
-        sumErrRR += errRR;
+    const SuiteComparison r = compareSuite(graph, names, Replay::Cold);
+    const SuiteComparison rr =
+        compareSuite(graph, names, Replay::Cold, 0.9);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const RunComparison &a = r.rows[i], &b = rr.rows[i];
+        sink.tableOnlyRow({names[i], mixString(a.whole.mixFrac),
+                           mixString(a.sampled.mixFrac),
+                           mixString(b.sampled.mixFrac),
+                           fmtPct(a.err.mix), fmtPct(b.err.mix)});
+        csvRow(names[i], "whole", a.whole.mixFrac);
+        csvRow(names[i], "regional", a.sampled.mixFrac);
+        csvRow(names[i], "reduced", b.sampled.mixFrac);
     }
-    double n = static_cast<double>(suiteTable().size());
-    for (auto &x : suiteWhole)
-        x /= n;
     sink.separator();
-    sink.tableOnlyRow({"Average", mixString(suiteWhole), "-", "-",
-                       fmtPct(sumErrR / n), fmtPct(sumErrRR / n)});
+    sink.tableOnlyRow({"Average", mixString(r.wholeMix), "-", "-",
+                       fmtPct(r.err.mix), fmtPct(rr.err.mix)});
     sink.printTable();
 
     std::printf("\nPaper: Whole-run average 49.1%% NO_MEM / 36.7%% "
                 "MEM_R / 12.9%% MEM_W; sampling\nerrors < 1%%.  "
                 "Measured: %.1f%% / %.1f%% / %.1f%%; avg max error "
                 "%.2f%% (Regional), %.2f%% (Reduced).\n",
-                suiteWhole[0] * 100, suiteWhole[1] * 100,
-                suiteWhole[2] * 100, sumErrR / n * 100,
-                sumErrRR / n * 100);
+                r.wholeMix[0] * 100, r.wholeMix[1] * 100,
+                r.wholeMix[2] * 100, r.err.mix * 100,
+                rr.err.mix * 100);
     sink.finish();
     return 0;
 }

@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.hh"
-#include "support/stats_util.hh"
 
 using namespace splab;
 
@@ -59,57 +58,39 @@ main(int, char **argv)
                          fmt(m.l2MissRate, 6), fmt(m.l3MissRate, 6)});
     };
 
-    // Suite-average relative errors vs the whole run.
-    double errR[3] = {}, errRR[3] = {}, errW[3] = {};
-    double n = 0.0;
-    for (const auto &e : suiteTable()) {
-        auto whole = wholeAsAggregate(graph.wholeCache(e.name));
-        const auto &cold = graph.pointsCacheCold(e.name);
-        auto regional = aggregateCache(cold);
-        auto reduced = aggregateCache(reduceToQuantile(cold, 0.9));
-        auto warm = aggregateCache(graph.pointsCacheWarm(e.name));
-
-        sink.tableOnlyRow({e.name, cell(whole), cell(regional),
+    const SuiteComparison r = compareSuite(graph, names, Replay::Cold);
+    const SuiteComparison rr =
+        compareSuite(graph, names, Replay::Cold, 0.9);
+    const SuiteComparison w = compareSuite(graph, names, Replay::Warm);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const AggregateCacheMetrics &whole = r.rows[i].whole,
+                                    &regional = r.rows[i].sampled,
+                                    &reduced = rr.rows[i].sampled,
+                                    &warm = w.rows[i].sampled;
+        sink.tableOnlyRow({names[i], cell(whole), cell(regional),
                            cell(reduced), cell(warm)});
-        csvRow(e.name, "whole", whole);
-        csvRow(e.name, "regional", regional);
-        csvRow(e.name, "reduced", reduced);
-        csvRow(e.name, "warmup", warm);
-
-        const double w[3] = {whole.l1dMissRate, whole.l2MissRate,
-                             whole.l3MissRate};
-        const double r[3] = {regional.l1dMissRate,
-                             regional.l2MissRate,
-                             regional.l3MissRate};
-        const double rr[3] = {reduced.l1dMissRate,
-                              reduced.l2MissRate,
-                              reduced.l3MissRate};
-        const double wu[3] = {warm.l1dMissRate, warm.l2MissRate,
-                              warm.l3MissRate};
-        for (int l = 0; l < 3; ++l) {
-            errR[l] += relativeError(r[l], w[l]);
-            errRR[l] += relativeError(rr[l], w[l]);
-            errW[l] += relativeError(wu[l], w[l]);
-        }
-        n += 1.0;
+        csvRow(names[i], "whole", whole);
+        csvRow(names[i], "regional", regional);
+        csvRow(names[i], "reduced", reduced);
+        csvRow(names[i], "warmup", warm);
     }
     sink.printTable();
 
     TableWriter s("Fig 8 summary - average relative miss-rate error "
                   "vs Whole Run");
     s.header({"Run", "L1D", "L2", "L3", "Paper L3"});
-    s.row({"Regional", fmtPct(errR[0] / n), fmtPct(errR[1] / n),
-           fmtPct(errR[2] / n), "25.16%"});
-    s.row({"Reduced Regional", fmtPct(errRR[0] / n),
-           fmtPct(errRR[1] / n), fmtPct(errRR[2] / n), "25.53%"});
-    s.row({"Warmup Regional", fmtPct(errW[0] / n),
-           fmtPct(errW[1] / n), fmtPct(errW[2] / n), "9.08%"});
+    s.row({"Regional", fmtPct(r.err.l1d), fmtPct(r.err.l2),
+           fmtPct(r.err.l3), "25.16%"});
+    s.row({"Reduced Regional", fmtPct(rr.err.l1d), fmtPct(rr.err.l2),
+           fmtPct(rr.err.l3), "25.53%"});
+    s.row({"Warmup Regional", fmtPct(w.err.l1d), fmtPct(w.err.l2),
+           fmtPct(w.err.l3), "9.08%"});
     s.print();
 
     std::printf("\nExpected shape: error grows toward the LLC "
                 "(cold-start effect) and warm-up\ncollapses the L3 "
                 "error; paper 25.16%% -> 9.08%%, measured %.2f%% -> "
-                "%.2f%%.\n", errR[2] / n * 100, errW[2] / n * 100);
+                "%.2f%%.\n", r.err.l3 * 100, w.err.l3 * 100);
     sink.finish();
     return 0;
 }

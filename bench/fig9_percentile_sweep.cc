@@ -9,7 +9,6 @@
  */
 
 #include "bench_util.hh"
-#include "support/stats_util.hh"
 
 using namespace splab;
 
@@ -37,48 +36,17 @@ main(int, char **argv)
         ArtifactKind::WholeCache, ArtifactKind::PointsCacheCold};
     graph.runSuite(names, targets);
     graph.recordArtifacts(sink.manifest(), names, targets);
-    ReplayCostModel cost;
-    const double percentiles[] = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5};
-
-    for (double q : percentiles) {
-        double mixErr = 0, err[3] = {}, execS = 0, pts = 0;
-        double n = 0;
-        for (const auto &e : suiteTable()) {
-            auto whole = wholeAsAggregate(graph.wholeCache(e.name));
-            auto sub =
-                reduceToQuantile(graph.pointsCacheCold(e.name), q);
-            auto agg = aggregateCache(sub);
-
-            double m = 0;
-            for (int i = 0; i < 4; ++i)
-                m = std::max(m, std::fabs(agg.mixFrac[i] -
-                                          whole.mixFrac[i]));
-            mixErr += m;
-            err[0] += relativeError(agg.l1dMissRate,
-                                    whole.l1dMissRate);
-            err[1] += relativeError(agg.l2MissRate,
-                                    whole.l2MissRate);
-            err[2] += relativeError(agg.l3MissRate,
-                                    whole.l3MissRate);
-            double paperScale =
-                e.paperInstrsB * 1e9 /
-                static_cast<double>(
-                    graph.spec(e.name).totalInstrs());
-            execS += cost.regionalSeconds(
-                static_cast<double>(agg.executedInstrs) *
-                    paperScale,
-                sub.size());
-            pts += static_cast<double>(sub.size());
-            n += 1.0;
-        }
+    for (double q : {1.0, 0.9, 0.8, 0.7, 0.6, 0.5}) {
+        const SuiteComparison s =
+            compareSuite(graph, names, Replay::Cold, q);
         // Each cell: (table text, CSV text).
         sink.row({{fmt(q * 100, 0), fmt(q, 2)},
-                  {fmtPct(mixErr / n), fmt(mixErr / n, 6)},
-                  {fmtPct(err[0] / n), fmt(err[0] / n, 6)},
-                  {fmtPct(err[1] / n), fmt(err[1] / n, 6)},
-                  {fmtPct(err[2] / n), fmt(err[2] / n, 6)},
-                  {fmt(execS / n / 60.0, 2), fmt(execS / n / 60.0, 4)},
-                  {fmt(pts / n, 1), fmt(pts / n, 2)}});
+                  {fmtPct(s.err.mix), fmt(s.err.mix, 6)},
+                  {fmtPct(s.err.l1d), fmt(s.err.l1d, 6)},
+                  {fmtPct(s.err.l2), fmt(s.err.l2, 6)},
+                  {fmtPct(s.err.l3), fmt(s.err.l3, 6)},
+                  {fmt(s.seconds / 60.0, 2), fmt(s.seconds / 60.0, 4)},
+                  {fmt(s.points, 1), fmt(s.points, 2)}});
     }
     sink.printTable();
 

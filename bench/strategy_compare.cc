@@ -12,11 +12,7 @@
  * strategies through the same cache handle.
  */
 
-#include <algorithm>
-#include <cmath>
-
 #include "bench_util.hh"
-#include "support/stats_util.hh"
 
 using namespace splab;
 
@@ -61,38 +57,13 @@ main(int, char **argv)
                              ArtifactKind::PointsTiming});
 
         for (const std::string &b : benches) {
-            const RegionSelection &sel = g.regions(b);
-            AggregateCacheMetrics whole =
-                wholeAsAggregate(ref.wholeCache(b));
-            double wholeCpi = ref.wholeTiming(b).cpi();
-
-            AggregateCacheMetrics agg =
-                aggregateCache(g.pointsCacheWarm(b));
-            double mixErr = 0;
-            for (std::size_t c = 0; c < whole.mixFrac.size(); ++c)
-                mixErr = std::max(mixErr,
-                                  std::fabs(agg.mixFrac[c] -
-                                            whole.mixFrac[c]));
-            double l1dErr =
-                relativeError(agg.l1dMissRate, whole.l1dMissRate);
-            double l3Err =
-                relativeError(agg.l3MissRate, whole.l3MissRate);
-            double cpiErr = relativeError(
-                aggregateTiming(g.pointsTiming(b)).cpi, wholeCpi);
-
-            const BenchmarkSpec &spec = ref.spec(b);
-            u64 sliceChunks = cfg.simpoint.sliceInstrs /
-                              spec.chunkLen;
-            double reduction = sel.reductionFactor(
-                cfg.warmupChunks / sliceChunks);
-
-            sink.row({strat, b,
-                      std::to_string(sel.regions.size()),
-                      {fmtX(reduction), fmt(reduction, 4)},
-                      {fmtPct(mixErr), fmt(mixErr, 6)},
-                      {fmtPct(l1dErr), fmt(l1dErr, 6)},
-                      {fmtPct(l3Err), fmt(l3Err, 6)},
-                      {fmtPct(cpiErr), fmt(cpiErr, 6)}});
+            const StrategyRow r = compareStrategy(g, ref, b);
+            sink.row({strat, b, std::to_string(r.regions),
+                      {fmtX(r.reduction), fmt(r.reduction, 4)},
+                      {fmtPct(r.err.mix), fmt(r.err.mix, 6)},
+                      {fmtPct(r.err.l1d), fmt(r.err.l1d, 6)},
+                      {fmtPct(r.err.l3), fmt(r.err.l3, 6)},
+                      {fmtPct(r.cpiErr), fmt(r.cpiErr, 6)}});
         }
         if (strat != strategyNames().back())
             sink.separator();

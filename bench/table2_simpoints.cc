@@ -34,27 +34,20 @@ main(int, char **argv)
     graph.runSuite(names, targets);
     graph.recordArtifacts(sink.manifest(), names, targets);
 
-    double sumSp = 0.0, sumSp90 = 0.0;
-    double paperSp = 0.0, paperSp90 = 0.0;
-    for (const auto &e : suiteTable()) {
-        const SimPointResult &r = graph.simpoints(e.name);
-        std::size_t n = r.points.size();
-        std::size_t n90 = r.topByWeight(0.9).size();
-        sink.row({e.name, std::to_string(n), std::to_string(n90),
+    const PointCounts c = countPoints(graph, names);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const SuiteEntry &e = suiteEntry(names[i]);
+        sink.row({names[i], std::to_string(c.rows[i].first),
+                  std::to_string(c.rows[i].second),
                   std::to_string(e.simPoints),
                   std::to_string(e.points90)});
-        sumSp += static_cast<double>(n);
-        sumSp90 += static_cast<double>(n90);
-        paperSp += e.simPoints;
-        paperSp90 += e.points90;
     }
-    double n = static_cast<double>(suiteTable().size());
     sink.separator();
-    sink.tableOnlyRow({"Average", fmt(sumSp / n), fmt(sumSp90 / n),
-                       fmt(paperSp / n), fmt(paperSp90 / n)});
+    sink.tableOnlyRow({"Average", fmt(c.points), fmt(c.points90),
+                       fmt(c.paperPoints), fmt(c.paperPoints90)});
     sink.finish();
 
     std::printf("\nPaper: 19.75 / 11.31 average simulation points; "
-                "measured: %.2f / %.2f\n", sumSp / n, sumSp90 / n);
+                "measured: %.2f / %.2f\n", c.points, c.points90);
     return 0;
 }

@@ -14,9 +14,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/runs.hh"
+#include "core/headlines.hh"
 #include "core/scale.hh"
-#include "support/stats_util.hh"
 #include "support/table.hh"
 #include "workload/suite.hh"
 
@@ -30,14 +29,10 @@ reportRow(TableWriter &t, const std::string &label,
           const AggregateCacheMetrics &m,
           const AggregateCacheMetrics &ref)
 {
-    double mixErr = 0.0;
-    for (int c = 0; c < 4; ++c)
-        mixErr = std::max(mixErr,
-                          std::fabs(m.mixFrac[c] - ref.mixFrac[c]));
+    CacheErrors err = cacheErrors(m, ref);
     t.row({label, fmtPct(m.mixFrac[0]), fmtPct(m.mixFrac[1]),
            fmtPct(m.l1dMissRate), fmtPct(m.l3MissRate),
-           fmtPct(mixErr),
-           fmtPct(relativeError(m.l3MissRate, ref.l3MissRate))});
+           fmtPct(err.mix), fmtPct(err.l3)});
 }
 
 } // namespace

@@ -128,10 +128,4 @@ CacheHierarchy::levelStats(CacheLevel l) const
     return level[static_cast<u8>(l)].statsRef();
 }
 
-const CacheParams &
-CacheHierarchy::levelParams(CacheLevel l) const
-{
-    return level[static_cast<u8>(l)].params();
-}
-
 } // namespace splab

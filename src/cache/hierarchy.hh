@@ -111,7 +111,6 @@ class CacheHierarchy
     void resetStats();
 
     const CacheStats &levelStats(CacheLevel l) const;
-    const CacheParams &levelParams(CacheLevel l) const;
 
   private:
     friend struct SetUpdate;

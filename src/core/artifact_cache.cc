@@ -114,22 +114,6 @@ FileLock::~FileLock()
         ::close(fd); // closing drops the flock
 }
 
-const char *
-cacheStatusName(CacheStatus s)
-{
-    switch (s) {
-      case CacheStatus::Hit:
-        return "hit";
-      case CacheStatus::Miss:
-        return "miss";
-      case CacheStatus::Corrupt:
-        return "corrupt";
-      case CacheStatus::Disabled:
-        return "disabled";
-    }
-    return "unknown";
-}
-
 ArtifactCache::ArtifactCache(std::string dir) : root(std::move(dir))
 {
     // Register the whole counter family eagerly so every run

@@ -55,9 +55,6 @@ enum class CacheStatus
     Disabled, ///< cache off (SPLAB_CACHE empty or dir unusable)
 };
 
-/** Stable lower-case name ("hit", "miss", ...). */
-const char *cacheStatusName(CacheStatus s);
-
 /** Result of ArtifactCache::load: a status plus the blob on a hit. */
 struct CacheOutcome
 {

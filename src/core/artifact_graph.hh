@@ -331,7 +331,6 @@ class ArtifactGraph
     ~ArtifactGraph(); // out-of-line: Node is incomplete here
 
     const ExperimentConfig &config() const { return cfg; }
-    const ArtifactCache &artifactCache() const { return *cache; }
 
     /** Shared handle for a sibling graph over another
      *  configuration (a swept SimPointConfig, say) on this graph's

@@ -56,7 +56,6 @@ class JsonValue
 
     Kind kind() const { return valueKind; }
     bool isNull() const { return valueKind == Kind::Null; }
-    bool isObject() const { return valueKind == Kind::Object; }
     bool isArray() const { return valueKind == Kind::Array; }
 
     bool asBool() const;

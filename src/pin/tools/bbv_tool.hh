@@ -44,8 +44,6 @@ class BbvTool : public PinTool
         return slices;
     }
 
-    ICount sliceLength() const { return sliceInstrs; }
-
   private:
     ICount sliceInstrs;
     ICount inSlice = 0;

@@ -41,17 +41,6 @@ RandomProjection::project(const FrequencyVector &v,
 }
 
 DenseMatrix
-RandomProjection::projectAll(
-    const std::vector<FrequencyVector> &vs) const
-{
-    DenseMatrix rows(vs.size(), numDims);
-    parallelFor(vs.size(), [&](std::size_t i) {
-        projectScaled(vs[i], 1.0, rows.row(i));
-    });
-    return rows;
-}
-
-DenseMatrix
 RandomProjection::projectAllNormalized(
     const std::vector<FrequencyVector> &vs) const
 {

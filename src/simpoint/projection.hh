@@ -50,10 +50,6 @@ class RandomProjection
     void projectScaled(const FrequencyVector &v, double scale,
                        double *out) const;
 
-    /** Project a batch; rows of the result align with @p vs. */
-    DenseMatrix projectAll(const std::vector<FrequencyVector> &vs)
-        const;
-
     /**
      * Project a batch with per-row L1 normalization, without copying
      * or mutating the inputs.  Rows align with @p vs.

@@ -63,13 +63,6 @@ class DenseMatrix
         std::copy(src, src + nCols, row(r));
     }
 
-    /** Copy of row @p r as an owning vector (test convenience). */
-    std::vector<double>
-    rowCopy(std::size_t r) const
-    {
-        return std::vector<double>(row(r), row(r) + nCols);
-    }
-
     /** Reshape to rows x cols, zero-filled. */
     void
     reset(std::size_t rows, std::size_t cols)

@@ -32,8 +32,9 @@ class ByteWriter
     put(T value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const auto *p = reinterpret_cast<const u8 *>(&value);
-        buf.insert(buf.end(), p, p + sizeof(T));
+        std::size_t at = buf.size();
+        buf.resize(at + sizeof(T));
+        std::memcpy(buf.data() + at, &value, sizeof(T));
     }
 
     /** Append a length-prefixed string. */

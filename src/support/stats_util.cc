@@ -53,32 +53,6 @@ relativeError(double measured, double reference)
 }
 
 double
-absPointError(double measured, double reference)
-{
-    return std::fabs(measured - reference);
-}
-
-double
-meanRelativeError(const std::vector<double> &measured,
-                  const std::vector<double> &reference)
-{
-    SPLAB_ASSERT(measured.size() == reference.size(),
-                 "meanRelativeError: size mismatch");
-    if (measured.empty())
-        return 0.0;
-    double s = 0.0;
-    for (std::size_t i = 0; i < measured.size(); ++i)
-        s += relativeError(measured[i], reference[i]);
-    return s / static_cast<double>(measured.size());
-}
-
-double
-clamp(double v, double lo, double hi)
-{
-    return v < lo ? lo : (v > hi ? hi : v);
-}
-
-double
 pearson(const std::vector<double> &xs, const std::vector<double> &ys)
 {
     SPLAB_ASSERT(xs.size() == ys.size(), "pearson: size mismatch");

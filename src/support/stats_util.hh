@@ -28,16 +28,6 @@ double weightedMean(const std::vector<double> &xs,
  */
 double relativeError(double measured, double reference);
 
-/** Absolute difference in percentage points between two fractions. */
-double absPointError(double measured, double reference);
-
-/** Mean of per-element relative errors over two equal-size vectors. */
-double meanRelativeError(const std::vector<double> &measured,
-                         const std::vector<double> &reference);
-
-/** Clamp helper. */
-double clamp(double v, double lo, double hi);
-
 /** Pearson correlation coefficient; 0 if either side is constant. */
 double pearson(const std::vector<double> &xs,
                const std::vector<double> &ys);

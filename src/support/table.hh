@@ -38,8 +38,6 @@ class TableWriter
     /** Render to stdout. */
     void print() const;
 
-    std::size_t rowCount() const { return rows.size(); }
-
   private:
     std::string tableTitle;
     std::vector<std::string> head;

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "core/artifact_graph.hh"
+#include "core/headlines.hh"
 #include "obs/counters.hh"
 #include "perf/native.hh"
 #include "support/env.hh"
@@ -1065,6 +1066,40 @@ TEST(SharedCacheLock, TwoHandlesOnOneDirectoryComputeOnce)
     ASSERT_FALSE(bytes[0].empty());
     EXPECT_EQ(bytes[0], bytes[1]);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Headlines, PercentileTimesFollowTheGraphCostModel)
+{
+    // Fig 9's 100- and 90-percentile times are Fig 5's Regional and
+    // Reduced averages, so both must price replays with the graph's
+    // cost model.  Start-up scales with the region count and the
+    // rest with the replay rate.
+    ReplayCostModel paper, slow;
+    slow.pinballStartup = 30.0;
+    slow.wholeRate /= 4;
+    slow.regionalRate /= 4;
+    auto cache = std::make_shared<const ArtifactCache>(ArtifactCache(""));
+    ArtifactGraph a(fastConfig(), cache);
+    ArtifactGraph b(ExperimentConfig(fastConfig()).withCost(slow), cache);
+    for (double q : {1.0, 0.9}) {
+        SuiteComparison pa = compareSuite(a, kBenches, Replay::Cold, q);
+        SuiteComparison sb = compareSuite(b, kBenches, Replay::Cold, q);
+        double sum = 0;
+        for (std::size_t i = 0; i < kBenches.size(); ++i) {
+            const RunComparison &x = pa.rows[i], &y = sb.rows[i];
+            ASSERT_EQ(x.points, y.points);
+            double n = static_cast<double>(x.points);
+            EXPECT_NEAR(y.seconds - slow.pinballStartup * n,
+                        4 * (x.seconds - paper.pinballStartup * n),
+                        1e-9 * y.seconds);
+            EXPECT_NEAR(y.wholeSeconds - slow.pinballStartup,
+                        4 * (x.wholeSeconds - paper.pinballStartup),
+                        1e-9 * y.wholeSeconds);
+            sum += y.seconds;
+        }
+        EXPECT_DOUBLE_EQ(sb.seconds, sum / kBenches.size());
+        EXPECT_GT(sb.seconds, pa.seconds);
+    }
 }
 
 } // namespace
