@@ -84,7 +84,6 @@ main(int, char **argv)
     obs::RunManifest mani(bench::toolName(argv[0]));
     mani.recordEnv("SPLAB_SCALE");
     mani.recordEnv("SPLAB_CACHE");
-    mani.recordEnv("SPLAB_FUSED_PERSIST");
     graph.config().describe(mani);
     graph.recordArtifacts(mani, suiteNames(),
                           {ArtifactKind::WholeCache,

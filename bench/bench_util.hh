@@ -124,11 +124,6 @@ class ReportSink
     {
         std::string table; ///< table header; "" = not in the table
         std::string csv;   ///< csv header; "" = not in the CSV
-        /** This CSV column holds a wall-clock measurement.  The
-         *  manifest then records the CSV by a digest of the
-         *  deterministic columns only, keeping the manifest's
-         *  outputs section thread-count- and machine-invariant. */
-        bool wallClock = false;
     };
 
     /** One row value; carries the text of each representation. */
@@ -165,13 +160,8 @@ class ReportSink
         for (const Column &c : cols) {
             if (!c.table.empty())
                 th.push_back(c.table);
-            if (!c.csv.empty()) {
+            if (!c.csv.empty())
                 ch.push_back(c.csv);
-                csvWall.push_back(c.wallClock);
-                hasWall = hasWall || c.wallClock;
-                if (!c.wallClock)
-                    foldDet(c.csv);
-            }
         }
         tbl.header(std::move(th));
         csvW.header(ch);
@@ -189,7 +179,6 @@ class ReportSink
             if (!cols[i].csv.empty())
                 cr.push_back(cells[i].csv);
         }
-        foldDetRow(cr);
         tbl.row(std::move(tr));
         csvW.row(cr);
     }
@@ -203,7 +192,6 @@ class ReportSink
     /** Append a row to the CSV only. */
     void csvOnlyRow(const std::vector<std::string> &cells)
     {
-        foldDetRow(cells);
         csvW.row(cells);
     }
 
@@ -234,12 +222,7 @@ class ReportSink
         if (csvW.save(path)) {
             std::printf("\n[csv] raw series written to %s\n",
                         path.c_str());
-            if (hasWall)
-                mani.addOutputDigest(
-                    path, obs::fnv1a64(detContent.data(),
-                                       detContent.size()));
-            else
-                mani.addOutput(path);
+            mani.addOutput(path);
         } else {
             std::printf("\n[csv] FAILED to write %s\n",
                         path.c_str());
@@ -248,30 +231,8 @@ class ReportSink
     }
 
   private:
-    /** Fold one CSV cell into the deterministic-content digest. */
-    void
-    foldDet(const std::string &cell)
-    {
-        detContent += cell;
-        detContent += '\x1f'; // unit separator: unambiguous joins
-    }
-
-    /** Fold a CSV row's deterministic (non-wall-clock) cells. */
-    void
-    foldDetRow(const std::vector<std::string> &csvCells)
-    {
-        for (std::size_t i = 0;
-             i < csvCells.size() && i < csvWall.size(); ++i)
-            if (!csvWall[i])
-                foldDet(csvCells[i]);
-        detContent += '\n';
-    }
-
     std::string binaryPath;
     std::vector<Column> cols;
-    std::vector<bool> csvWall; ///< per-CSV-column wall-clock flag
-    bool hasWall = false;
-    std::string detContent; ///< deterministic CSV cells, joined
     bool tablePrinted = false;
     TableWriter tbl;
     CsvWriter csvW;

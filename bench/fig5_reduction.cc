@@ -7,8 +7,7 @@
  * finish ~750x faster than Whole runs (6,873.9B -> 10.4B instrs,
  * 213.2h -> 17.17min on average); Reduced Regional runs improve this
  * to ~1225x / ~1297x.  Time at paper scale comes from the replay
- * cost model (core/costmodel.hh); model-scale wall-clock times are
- * reported alongside.
+ * cost model (core/costmodel.hh).
  */
 
 #include "bench_util.hh"
@@ -34,9 +33,7 @@ main(int, char **argv)
                  {"Regional", "regional_min"},
                  {"Reduced", "reduced_min"},
                  {"T-ratio R", ""},
-                 {"T-ratio RR", ""},
-                 {"", "wall_whole_s", /*wallClock=*/true},
-                 {"", "wall_regional_s", /*wallClock=*/true}});
+                 {"T-ratio RR", ""}});
     graph.config().describe(sink.manifest());
 
     const auto names = suiteNames();
@@ -68,9 +65,7 @@ main(int, char **argv)
                                    b.sampled.executedInstrs)),
                   {fmt(tW / 3600.0, 1) + " h", fmt(tW / 3600.0, 3)},
                   minutes(a.seconds), minutes(b.seconds),
-                  fmtX(tW / a.seconds), fmtX(tW / b.seconds),
-                  fmt(a.whole.wallSeconds, 3),
-                  fmt(a.sampled.wallSeconds, 3)});
+                  fmtX(tW / a.seconds), fmtX(tW / b.seconds)});
     }
     sink.separator();
     sink.tableOnlyRow(

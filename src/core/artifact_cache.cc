@@ -55,11 +55,10 @@ warnOnce(const std::string &dir, const char *why)
  * Write @p w (plus its checksum) to @p p through a unique temp file
  * and an atomic rename: saveFile truncates in place, so a reader in
  * another thread or process could otherwise see a torn file.
- * @return false, after warning about @p what, on any I/O failure.
+ * @return false, after warning, on any I/O failure.
  */
 bool
-saveAtomically(const ByteWriter &w, const std::string &p,
-               const char *what)
+saveAtomically(const ByteWriter &w, const std::string &p)
 {
     static std::atomic<u64> seq{0};
     std::string tmp = p + ".tmp." +
@@ -67,13 +66,13 @@ saveAtomically(const ByteWriter &w, const std::string &p,
                       "." + std::to_string(seq.fetch_add(1));
     std::error_code ec;
     if (!w.saveFile(tmp)) {
-        SPLAB_WARN("cannot write ", what, " ", tmp);
+        SPLAB_WARN("cannot write cache artifact ", tmp);
         std::filesystem::remove(tmp, ec);
         return false;
     }
     std::filesystem::rename(tmp, p, ec);
     if (ec) {
-        SPLAB_WARN("cannot publish ", what, " ", p, ": ",
+        SPLAB_WARN("cannot publish cache artifact ", p, ": ",
                    ec.message());
         std::filesystem::remove(tmp, ec);
         return false;
@@ -129,9 +128,6 @@ ArtifactCache::ArtifactCache(std::string dir) : root(std::move(dir))
                  "bytes loaded from cache blobs");
     obs::counter("artifact_cache.bytes_written",
                  "bytes stored into cache blobs");
-    obs::counter("artifact_cache.blob_share_hits",
-                 "shared sub-blob stores satisfied by an existing "
-                 "identical blob");
 
     if (root.empty())
         return;
@@ -164,20 +160,10 @@ ArtifactCache::path(const std::string &kind, u64 key) const
     return root + "/" + stem(kind, key) + ".bin";
 }
 
-std::string
-ArtifactCache::sharedFileName(u64 contentHash) const
-{
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(
-                      hashCombine(contentHash, kVersionSalt)));
-    return std::string("shared-") + hex + ".bin";
-}
-
 // --- blob operations -------------------------------------------------
 
 CacheOutcome
-ArtifactCache::readBlob(const std::string &p) const
+ArtifactCache::load(const std::string &kind, u64 key) const
 {
     static obs::Counter &hits = obs::counter("artifact_cache.hits");
     static obs::Counter &misses =
@@ -198,6 +184,7 @@ ArtifactCache::readBlob(const std::string &p) const
     // One read validates and returns the blob.  Publishing is atomic
     // (saveAtomically), so a failed read of a file that exists means
     // real damage, never a store in progress.
+    const std::string p = path(kind, key);
     out.blob = ByteReader::tryLoadFile(p);
     if (out.blob) {
         hits.add();
@@ -217,51 +204,16 @@ ArtifactCache::readBlob(const std::string &p) const
     return out;
 }
 
-CacheOutcome
-ArtifactCache::load(const std::string &kind, u64 key) const
-{
-    return readBlob(path(kind, key));
-}
-
 void
 ArtifactCache::store(const std::string &kind, u64 key,
                      const ByteWriter &blob) const
 {
-    if (enabled() &&
-        saveAtomically(blob, path(kind, key), "cache artifact"))
+    if (enabled() && saveAtomically(blob, path(kind, key)))
         obs::counter("artifact_cache.bytes_written")
             .add(blob.bytes().size());
 }
 
-u64
-ArtifactCache::storeShared(const u8 *data, std::size_t size) const
-{
-    static obs::Counter &shareHits =
-        obs::counter("artifact_cache.blob_share_hits");
-
-    u64 h = hashBytes(data, size);
-    if (!enabled())
-        return h;
-    std::string p = root + "/" + sharedFileName(h);
-    if (ByteReader::tryLoadFile(p)) {
-        shareHits.add();
-        return h;
-    }
-    // Either absent or corrupt; (re)write it.
-    ByteWriter w;
-    w.putRaw(data, size);
-    if (saveAtomically(w, p, "shared cache blob"))
-        obs::counter("artifact_cache.bytes_written").add(size);
-    return h;
-}
-
-CacheOutcome
-ArtifactCache::loadShared(u64 contentHash) const
-{
-    return readBlob(root + "/" + sharedFileName(contentHash));
-}
-
-// --- artifacts (inline or ref blob over shared sub-blobs) ------------
+// --- cross-process key locks ----------------------------------------
 
 FileLock
 ArtifactCache::lockArtifact(const std::string &family, u64 key) const
@@ -279,56 +231,6 @@ ArtifactCache::lockArtifact(const std::string &family, u64 key) const
         lock = FileLock(p);
     }
     return lock;
-}
-
-bool
-ArtifactCache::loadArtifact(const std::string &family, u64 key,
-                            bool shared, std::vector<u8> &out) const
-{
-    static obs::Counter &fallbacks = obs::counter(
-        "graph.shared_blob_fallbacks",
-        "shared-blob refs with a missing or corrupt sub-blob "
-        "(artifact recomputed)");
-
-    CacheOutcome got = load(family, key);
-    if (!got.hit())
-        return false;
-    if (!shared) {
-        out = got->getRaw(got->remaining());
-        return true;
-    }
-    // Ref blob: sub-blob count, then their content hashes.
-    u64 n = got->get<u64>();
-    out.clear();
-    for (u64 i = 0; i < n; ++i) {
-        CacheOutcome sub = loadShared(got->get<u64>());
-        if (!sub.hit()) {
-            fallbacks.add();
-            return false;
-        }
-        std::vector<u8> bytes = sub->getRaw(sub->remaining());
-        out.insert(out.end(), bytes.begin(), bytes.end());
-    }
-    return true;
-}
-
-void
-ArtifactCache::storeArtifact(
-    const std::string &family, u64 key, const std::vector<u8> &bytes,
-    const std::vector<std::pair<std::size_t, std::size_t>>
-        &sharedRanges) const
-{
-    ByteWriter w;
-    if (sharedRanges.empty()) {
-        w.putRaw(bytes.data(), bytes.size());
-        store(family, key, w);
-        return;
-    }
-    // The sub-blobs dedup against identical stored bytes.
-    w.put<u64>(sharedRanges.size());
-    for (auto [off, len] : sharedRanges)
-        w.put<u64>(storeShared(bytes.data() + off, len));
-    store(family, key, w);
 }
 
 } // namespace splab

@@ -19,9 +19,6 @@
  * and no eviction: a hit is one file read that writes nothing, and
  * the way to evict is to delete the directory.
  *
- *  - Shared sub-blobs ("shared-<hash>.bin", see storeShared) are
- *    named by their content hash alone, so artifacts that embed
- *    identical byte ranges store them once.
  *  - Hit/miss/byte counters ("artifact_cache.*") register eagerly at
  *    construction so every run manifest carries the full family
  *    even when a count is zero.
@@ -39,7 +36,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "support/serialize.hh"
 
@@ -116,56 +112,12 @@ class ArtifactCache
                const ByteWriter &blob) const;
 
     /**
-     * Store @p size bytes as a content-addressed *shared sub-blob*
-     * (file "shared-<hex>.bin", named by the content hash alone) and
-     * return that content hash.  If a checksum-valid blob with the
-     * same content already exists the write is skipped and the
-     * "artifact_cache.blob_share_hits" counter bumped — this is how
-     * artifacts that embed identical byte ranges (the fused whole-run
-     * node and its cache/timing projections) share storage instead of
-     * double-storing.  A present-but-corrupt file is rewritten
-     * (healing).  Writes go through a temp file + atomic rename so
-     * concurrent writers of the same content can never expose a torn
-     * blob.  No-op (but still returns the hash) when disabled.
-     */
-    u64 storeShared(const u8 *data, std::size_t size) const;
-
-    /** Look up the shared sub-blob with content hash @p contentHash;
-     *  outcome semantics identical to load(). */
-    CacheOutcome loadShared(u64 contentHash) const;
-
-    /**
      * Exclusive lock on artifact (@p family, @p key), shared with
      * every process and cache handle on this directory.  Hold it
-     * across one loadArtifact and, on a miss, the compute and its
-     * storeArtifact.  Unlocked when the cache is disabled.
+     * across one load and, on a miss, the compute and its store.
+     * Unlocked when the cache is disabled.
      */
     FileLock lockArtifact(const std::string &family, u64 key) const;
-
-    /**
-     * Load the serialized payload of artifact (@p family, @p key)
-     * into @p out.  A @p shared artifact is stored as a ref blob
-     * naming content-addressed sub-blobs (see storeArtifact); it is
-     * reassembled here, and a missing or corrupt sub-blob counts as
-     * a miss ("graph.shared_blob_fallbacks") so the caller
-     * recomputes and the store heals it.
-     * @return true on a hit.
-     */
-    bool loadArtifact(const std::string &family, u64 key, bool shared,
-                      std::vector<u8> &out) const;
-
-    /**
-     * Store serialized payload @p bytes of artifact (@p family,
-     * @p key).  Inline when @p sharedRanges is empty; otherwise each
-     * (offset, length) range becomes a shared sub-blob and the
-     * artifact a ref blob over their content hashes, so artifacts
-     * embedding identical ranges store them once.
-     */
-    void storeArtifact(
-        const std::string &family, u64 key,
-        const std::vector<u8> &bytes,
-        const std::vector<std::pair<std::size_t, std::size_t>>
-            &sharedRanges = {}) const;
 
     /**
      * Version salt mixed into every key; bump when serialized
@@ -177,11 +129,6 @@ class ArtifactCache
     /** "<kind>-<hex>": the file stem of a blob and of its lock. */
     std::string stem(const std::string &kind, u64 key) const;
     std::string path(const std::string &kind, u64 key) const;
-    std::string sharedFileName(u64 contentHash) const;
-
-    /** Read and validate the blob at @p p in one pass, classify it
-     *  and bump the hit/miss/corrupt/disabled counters. */
-    CacheOutcome readBlob(const std::string &p) const;
 
     std::string root;
 };

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdio>
 
 #include "artifact_backend.hh"
@@ -31,13 +30,6 @@ static_assert(sizeof(LevelCounts) == 16);
 static_assert(sizeof(CacheRunMetrics) == 120);
 static_assert(sizeof(TimingRunMetrics) == 64);
 static_assert(sizeof(FusedWholeMetrics) == 184);
-// The blob-sharing scheme (see sharedRanges below) depends on the
-// fused struct being the exact byte-wise concatenation of its two
-// views, with no padding between or after them.
-static_assert(sizeof(FusedWholeMetrics) ==
-              sizeof(CacheRunMetrics) + sizeof(TimingRunMetrics));
-static_assert(offsetof(FusedWholeMetrics, timing) ==
-              sizeof(CacheRunMetrics));
 static_assert(sizeof(PointCacheMetrics) == 128);
 static_assert(sizeof(PointTimingMetrics) == 72);
 static_assert(sizeof(PerfCounters) == 48);
@@ -51,9 +43,6 @@ struct KindInfo
      *  algorithm or serialized layout of this kind changes. */
     u64 salt;
     bool persisted;
-    /** Persisted as a *ref blob* over content-addressed shared
-     *  sub-blobs instead of inline bytes (see ensure()). */
-    bool shared;
     std::vector<ArtifactKind> deps;
 };
 
@@ -61,16 +50,15 @@ const KindInfo &
 kindInfo(ArtifactKind k)
 {
     static const std::array<KindInfo, kNumArtifactKinds> table = {{
-        {"spec", "graph.spec", 0x7370656300000001ULL, false, false,
-         {}},
+        {"spec", "graph.spec", 0x7370656300000001ULL, false, {}},
         // Persisted because every strategy graph over one cache
         // selects from the same profile (its key has no strategy in
         // it): the first graph computes it, later ones load it.
         // Persisting moved neither the salt nor the bytes.
         {"bbvprofile", "graph.bbv_profile", 0x6262767000000001ULL,
-         true, false, {ArtifactKind::Spec}},
+         true, {ArtifactKind::Spec}},
         {"simpoints", "graph.simpoints", 0x73696d7000000001ULL,
-         true, false, {ArtifactKind::BbvProfile}},
+         true, {ArtifactKind::BbvProfile}},
         // Strategy-selected regions.  Deps are {BbvProfile} even
         // though the simpoint strategy's compute routes through the
         // SimPoints node: the *value* is a pure function of the BBV
@@ -79,54 +67,47 @@ kindInfo(ArtifactKind k)
         // (SamplingConfig::activeHash).  The blob family is
         // per-strategy ("regions_smarts", ...) — see blobFamily().
         {"regions", "graph.regions", 0x7267696f00000001ULL, true,
-         false, {ArtifactKind::BbvProfile}},
-        // Persisted via shared sub-blobs: the fused value is the
-        // byte-wise concatenation of the cache and timing views, and
-        // the projection ref-blobs point at those same sub-blobs, so
-        // persisting it costs one small ref blob — no double-stored
-        // metric bytes — and a warm bench run skips the fused
-        // traversal entirely.  Salt bumped (..01 -> ..02) when the
-        // node became persisted/shared.  SPLAB_FUSED_PERSIST=0
-        // restores the memory-resident behaviour.
-        {"wholefused", "graph.whole_fused", 0x7766757300000002ULL,
-         true, true, {ArtifactKind::Spec}},
-        // Salts bumped (..01 -> ..02) with the fused-traversal
-        // rewrite so pre-fusion blobs are never mixed with
-        // post-fusion ones, then (..02 -> ..03) when the persisted
-        // layout changed from inline metric bytes to a shared-blob
-        // ref.
+         {ArtifactKind::BbvProfile}},
+        // The one persisted whole-run blob: both views inline, so a
+        // warm run of any whole-run consumer skips the traversal.
+        // Salt history: ..02 when it became persisted as a ref blob
+        // over shared sub-blobs, ..03 when it became inline bytes
+        // with no wall clock.
+        {"wholefused", "graph.whole_fused", 0x7766757300000003ULL,
+         true, {ArtifactKind::Spec}},
+        // Memory-resident projections of wholefused (see
+        // computeValue); their keys name no blob.
         {"wholecache", "graph.whole_cache", 0x7763616300000003ULL,
-         true, true, {ArtifactKind::Spec}},
+         false, {ArtifactKind::Spec}},
         {"wholetiming", "graph.whole_timing", 0x7774696d00000003ULL,
-         true, true, {ArtifactKind::Spec}},
+         false, {ArtifactKind::Spec}},
         // Salt bumped (..01 -> ..02) when the capture moved from the
         // SimPoints selection to the strategy-generic Regions node
         // (regions gained lengths and warm-up prescriptions).
         {"regionalpinball", "graph.regional_pinball",
-         0x7270696e00000002ULL, false, false,
+         0x7270696e00000002ULL, false,
          {ArtifactKind::Spec, ArtifactKind::Regions}},
-        // One replay per region for all three per-point runs.
-        // Memory-resident, like wholefused under
-        // SPLAB_FUSED_PERSIST=0: the three projections persist
-        // their own blobs, so a warm run never replays.
+        // One replay per region for all three per-point runs, and
+        // the one persisted per-point blob: a warm run of any
+        // per-point consumer never replays.
         {"pointsfused", "graph.points_fused", 0x7066757300000001ULL,
-         false, false, {ArtifactKind::RegionalPinball}},
-        // The three per-point runs project pointsfused (see
+         true, {ArtifactKind::RegionalPinball}},
+        // Memory-resident projections of pointsfused (see
         // computeValue).  Their values are byte-equal to a replay
         // under their own tools alone, so deps, slices and salts
         // did not move.
         {"pointscold", "graph.points_cache_cold",
-         0x70636f6c00000001ULL, true, false,
+         0x70636f6c00000001ULL, false,
          {ArtifactKind::RegionalPinball}},
         {"pointswarm", "graph.points_cache_warm",
-         0x7077726d00000001ULL, true, false,
+         0x7077726d00000001ULL, false,
          {ArtifactKind::RegionalPinball}},
         // Projects wholetiming (see computeValue), byte-equal to a
         // standalone NativeMachine::run, so the salt did not move.
         {"native", "graph.native", 0x6e61746900000001ULL, true,
-         false, {ArtifactKind::Spec}},
+         {ArtifactKind::Spec}},
         {"pointstiming", "graph.points_timing",
-         0x7074696d00000001ULL, true, false,
+         0x7074696d00000001ULL, false,
          {ArtifactKind::RegionalPinball}},
     }};
     return table[static_cast<u8>(k)];
@@ -150,27 +131,6 @@ blobFamily(ArtifactKind kind, const ExperimentConfig &cfg)
     return family;
 }
 
-/**
- * Byte ranges of the shareable components of one serialized shared
- * artifact.  FusedWholeMetrics is serialized as raw struct bytes and
- * is (statically asserted) the padding-free concatenation of
- * CacheRunMetrics and TimingRunMetrics, so splitting it at the
- * member boundary yields exactly the projections' serialized bytes —
- * the fused node and both projections address the same two
- * sub-blobs.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-sharedRanges(ArtifactKind k, std::size_t totalSize)
-{
-    if (k == ArtifactKind::WholeFused) {
-        SPLAB_ASSERT(totalSize == sizeof(FusedWholeMetrics),
-                     "unexpected fused blob size ", totalSize);
-        return {{0, sizeof(CacheRunMetrics)},
-                {sizeof(CacheRunMetrics), sizeof(TimingRunMetrics)}};
-    }
-    return {{0, totalSize}};
-}
-
 } // namespace
 
 const char *
@@ -189,12 +149,6 @@ bool
 artifactKindPersisted(ArtifactKind k)
 {
     return kindInfo(k).persisted;
-}
-
-bool
-artifactKindShared(ArtifactKind k)
-{
-    return kindInfo(k).shared;
 }
 
 u64
@@ -338,8 +292,6 @@ ExperimentConfig::contentHash() const
     w.put<double>(cost.wholeRate);
     w.put<double>(cost.regionalRate);
     w.put<double>(cost.pinballStartup);
-    w.put<double>(cost.loggerSlowdown);
-    w.put<double>(cost.nativeRate);
     return hashBytes(w.bytes().data(), w.bytes().size());
 }
 
@@ -612,11 +564,7 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     ArtifactValue v;
     try {
         obs::TraceSpan span(info.spanName);
-        // SPLAB_FUSED_PERSIST=0 keeps the fused node memory-resident
-        // (pre-sharing behaviour); the projections persist either way.
-        bool persist = info.persisted && cache->enabled() &&
-                       (kind != ArtifactKind::WholeFused ||
-                        fusedPersistEnabled());
+        bool persist = info.persisted && cache->enabled();
         bool loaded = false;
         std::string family = blobFamily(kind, cfg);
         u64 key = 0;
@@ -627,10 +575,8 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
         if (persist) {
             key = artifactKey(name, kind);
             keyLock = cache->lockArtifact(family, key);
-            std::vector<u8> bytes;
-            if (cache->loadArtifact(family, key, info.shared, bytes)) {
-                ByteReader r(std::move(bytes));
-                v = deserializeArtifact(kind, r);
+            if (CacheOutcome got = cache->load(family, key)) {
+                v = deserializeArtifact(kind, *got);
                 loaded = true;
                 hits.add();
                 loadedBy[static_cast<u8>(kind)]->add();
@@ -643,13 +589,7 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
             if (persist) {
                 ByteWriter w;
                 serializeArtifact(w, v);
-                cache->storeArtifact(
-                    family, key, w.bytes(),
-                    info.shared
-                        ? sharedRanges(kind, w.bytes().size())
-                        : std::vector<
-                              std::pair<std::size_t,
-                                        std::size_t>>{});
+                cache->store(family, key, w);
             }
         }
     } catch (...) {

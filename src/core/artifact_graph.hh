@@ -37,17 +37,14 @@
  * identical to the dedicated single-tool passes (tools are passive
  * observers of one deterministic stream — tested), so their keys
  * keep the original narrow slices: an allcache change still leaves
- * WholeTiming's key (and cached blob) untouched.  Native is a
- * projection too: NativeMachine::observe over the WholeTiming view,
- * so its deps stay {Spec} and its slice cfg.machine.  The per-point
- * runs follow the same rule: PointsCacheCold, PointsCacheWarm and
- * PointsTiming are computed by projecting the memory-resident
- * PointsFused node (one replay per region feeds all three tool
- * stacks), but each keeps its deps {RegionalPinball}, its own slice
- * (allcache; allcache + warmupChunks; machine + warmupChunks), its
- * salt and its persisted bytes, so a cached projection never needs
- * the fused node and a machine change leaves the cold and warm
- * cache blobs valid.  Regions is the
+ * WholeTiming's key untouched.  Native is a projection too:
+ * NativeMachine::observe over the WholeTiming view, so its deps stay
+ * {Spec} and its slice cfg.machine.  The per-point runs follow the
+ * same rule: PointsCacheCold, PointsCacheWarm and PointsTiming are
+ * computed by projecting the PointsFused node (one replay per region
+ * feeds all three tool stacks), but each keeps its deps
+ * {RegionalPinball} and its own slice (allcache; allcache +
+ * warmupChunks; machine + warmupChunks).  Regions is the
  * same shape: its value depends only on the BBV profile and the
  * active SamplingStrategy's knobs (strategy-salted via
  * SamplingConfig::activeHash), so its deps are {BbvProfile} even
@@ -56,15 +53,18 @@
  * ("regions_simpoint", "regions_smarts", ...), so per-strategy
  * selections coexist in one cache directory.
  *
- * Blob sharing: the fused node and both projections persist as small
- * *ref blobs* naming content-addressed shared sub-blobs (the fused
- * serialization is the exact concatenation of the two projection
- * serializations, so all three address the same two sub-blob files —
- * no metric byte is stored twice).  A warm run therefore serves
- * WholeFused from disk and skips the fused traversal entirely; a
- * missing or corrupt sub-blob degrades to recompute-and-heal, never
- * a crash.  SPLAB_FUSED_PERSIST=0 keeps the fused node
- * memory-resident.  See DESIGN.md section 10.
+ * Persistence: each persisted kind is one checksummed blob of its
+ * serialized value under its key, and every value is a pure function
+ * of its key (no wall clock is stored), so two cold runs leave
+ * identical cache directories.  The fused nodes persist and their
+ * projections stay memory-resident: one WholeFused blob serves the
+ * cache and timing views (and Native's input) and one PointsFused
+ * blob serves all three per-point runs, so a run that wants the
+ * timing views after one that wanted the cache views traverses and
+ * replays nothing.  The cost: a graph that changes only cfg.machine
+ * re-runs the fused traversal for the cache view it already has (and
+ * likewise for cfg.allcache and, per point, warmupChunks).  No bench
+ * sweeps those fields.  See DESIGN.md section 10.
  *
  * Scheduling: accessors compute lazily with single-flight per node
  * (concurrent requests for the same node block until the one
@@ -269,13 +269,8 @@ const char *artifactKindName(ArtifactKind k);
 const std::vector<ArtifactKind> &artifactKindDeps(ArtifactKind k);
 
 /** Whether this kind is persisted in the on-disk artifact cache
- *  (cheap or upstream-only kinds stay memory-resident). */
+ *  (cheap, upstream-only and projection kinds stay memory-resident). */
 bool artifactKindPersisted(ArtifactKind k);
-
-/** Whether this kind persists as a ref blob over content-addressed
- *  shared sub-blobs (WholeFused and its two projections, which all
- *  address the same metric bytes) rather than inline bytes. */
-bool artifactKindShared(ArtifactKind k);
 
 /** Per-node version salt (bump on algorithm/layout change). */
 u64 artifactKindSalt(ArtifactKind k);

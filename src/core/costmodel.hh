@@ -30,11 +30,6 @@ struct ReplayCostModel
     double regionalRate = 10.2e6;
     /** Fixed start-up cost per replayed pinball (seconds). */
     double pinballStartup = 2.0;
-    /** Logger capture slowdown vs native execution (the paper cites
-     *  100-200x; used for capture-cost reporting only). */
-    double loggerSlowdown = 150.0;
-    /** Native execution rate of the testbed (instructions/second). */
-    double nativeRate = 2.0e9;
 
     /** Whole-run replay time for @p paperInstrs instructions. */
     double
@@ -50,13 +45,6 @@ struct ReplayCostModel
     {
         return static_cast<double>(regions) * pinballStartup +
                paperInstrs / regionalRate;
-    }
-
-    /** One-time logger capture cost for the whole run. */
-    double
-    captureSeconds(double paperInstrs) const
-    {
-        return paperInstrs / nativeRate * loggerSlowdown;
     }
 };
 

@@ -21,33 +21,30 @@ aggregateCache(const std::vector<PointCacheMetrics> &points)
 
     // Weighted per-instruction rates.
     std::array<double, kNumMemClasses> mix{};
-    double accPI[4] = {}; // l1i, l1d, l2, l3 accesses per instr
-    double misPI[4] = {};
+    double accPI[3] = {}; // l1d, l2, l3 accesses per instr
+    double misPI[3] = {};
     for (const auto &p : points) {
         double w = p.weight / wTotal;
         double inv =
             p.m.instrs ? 1.0 / static_cast<double>(p.m.instrs) : 0.0;
         for (std::size_t c = 0; c < kNumMemClasses; ++c)
             mix[c] += w * p.m.mixFrac[c];
-        const LevelCounts *lvls[4] = {&p.m.l1i, &p.m.l1d, &p.m.l2,
-                                      &p.m.l3};
-        for (int l = 0; l < 4; ++l) {
+        const LevelCounts *lvls[3] = {&p.m.l1d, &p.m.l2, &p.m.l3};
+        for (int l = 0; l < 3; ++l) {
             accPI[l] += w * static_cast<double>(lvls[l]->accesses) *
                         inv;
             misPI[l] += w * static_cast<double>(lvls[l]->misses) * inv;
         }
         agg.executedInstrs += p.m.instrs;
         agg.l3Accesses += p.m.l3.accesses;
-        agg.wallSeconds += p.m.wallSeconds;
     }
     agg.mixFrac = mix;
     auto rate = [](double mis, double acc) {
         return acc > 0.0 ? mis / acc : 0.0;
     };
-    agg.l1iMissRate = rate(misPI[0], accPI[0]);
-    agg.l1dMissRate = rate(misPI[1], accPI[1]);
-    agg.l2MissRate = rate(misPI[2], accPI[2]);
-    agg.l3MissRate = rate(misPI[3], accPI[3]);
+    agg.l1dMissRate = rate(misPI[0], accPI[0]);
+    agg.l2MissRate = rate(misPI[1], accPI[1]);
+    agg.l3MissRate = rate(misPI[2], accPI[2]);
     return agg;
 }
 
@@ -63,20 +60,10 @@ aggregateTiming(const std::vector<PointTimingMetrics> &points)
         wTotal += p.weight;
     SPLAB_ASSERT(wTotal > 0.0, "aggregate: zero total weight");
 
-    double cpiAcc = 0.0;
-    double brPI = 0.0, misPI = 0.0;
     for (const auto &p : points) {
-        double w = p.weight / wTotal;
-        double inv =
-            p.m.instrs ? 1.0 / static_cast<double>(p.m.instrs) : 0.0;
-        cpiAcc += w * p.m.cpi();
-        brPI += w * static_cast<double>(p.m.branches) * inv;
-        misPI += w * static_cast<double>(p.m.mispredicts) * inv;
+        agg.cpi += p.weight / wTotal * p.m.cpi();
         agg.executedInstrs += p.m.instrs;
-        agg.wallSeconds += p.m.wallSeconds;
     }
-    agg.cpi = cpiAcc;
-    agg.mispredictRate = brPI > 0.0 ? misPI / brPI : 0.0;
     return agg;
 }
 
@@ -86,12 +73,10 @@ wholeAsAggregate(const CacheRunMetrics &whole)
     AggregateCacheMetrics agg;
     agg.executedInstrs = whole.instrs;
     agg.mixFrac = whole.mixFrac;
-    agg.l1iMissRate = whole.l1i.missRate();
     agg.l1dMissRate = whole.l1d.missRate();
     agg.l2MissRate = whole.l2.missRate();
     agg.l3MissRate = whole.l3.missRate();
     agg.l3Accesses = whole.l3.accesses;
-    agg.wallSeconds = whole.wallSeconds;
     return agg;
 }
 

@@ -44,6 +44,7 @@ struct CacheRunMetrics
     LevelCounts l2;
     LevelCounts l3;
     u64 branches = 0;
+    /** Always 0: retired; goes with the next benchmark change. */
     double wallSeconds = 0.0;
 };
 static_assert(std::is_trivially_copyable_v<CacheRunMetrics>);
@@ -58,6 +59,7 @@ struct TimingRunMetrics
     u64 l2Hits = 0;
     u64 l3Hits = 0;
     u64 memAccesses = 0;
+    /** Always 0: retired; goes with the next benchmark change. */
     double wallSeconds = 0.0;
 
     double
@@ -120,12 +122,10 @@ struct AggregateCacheMetrics
 {
     u64 executedInstrs = 0; ///< raw instructions actually replayed
     std::array<double, kNumMemClasses> mixFrac{};
-    double l1iMissRate = 0.0;
     double l1dMissRate = 0.0;
     double l2MissRate = 0.0;
     double l3MissRate = 0.0;
     u64 l3Accesses = 0;     ///< raw L3 accesses actually performed
-    double wallSeconds = 0.0;
 };
 
 /** Weighted CPI aggregate over simulation points. */
@@ -133,8 +133,6 @@ struct AggregateTimingMetrics
 {
     u64 executedInstrs = 0;
     double cpi = 0.0;
-    double mispredictRate = 0.0;
-    double wallSeconds = 0.0;
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "runs.hh"
 
-#include <chrono>
 #include <optional>
 
 #include "obs/counters.hh"
@@ -22,17 +21,9 @@ namespace splab
 namespace
 {
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    auto dt = std::chrono::steady_clock::now() - t0;
-    return std::chrono::duration<double>(dt).count();
-}
-
 CacheRunMetrics
 harvestCache(const AllCacheTool &cache, const LdStMixTool &mix,
-             const BranchProfileTool &branches, ICount instrs,
-             double wallSeconds)
+             const BranchProfileTool &branches, ICount instrs)
 {
     CacheRunMetrics m;
     m.instrs = instrs;
@@ -47,12 +38,11 @@ harvestCache(const AllCacheTool &cache, const LdStMixTool &mix,
     fill(m.l2, h.levelStats(CacheLevel::L2));
     fill(m.l3, h.levelStats(CacheLevel::L3));
     m.branches = branches.branchCount();
-    m.wallSeconds = wallSeconds;
     return m;
 }
 
 TimingRunMetrics
-harvestTiming(const IntervalCoreTool &core, double wallSeconds)
+harvestTiming(const IntervalCoreTool &core)
 {
     const TimingStats &t = core.stats();
     TimingRunMetrics m;
@@ -63,7 +53,6 @@ harvestTiming(const IntervalCoreTool &core, double wallSeconds)
     m.l2Hits = t.l2Hits;
     m.l3Hits = t.l3Hits;
     m.memAccesses = t.memAccesses;
-    m.wallSeconds = wallSeconds;
     return m;
 }
 
@@ -86,8 +75,7 @@ struct PointReplays
  * in warm-up mode), then plays the region once to every requested
  * tool.  Tools are passive observers of one deterministic stream,
  * so each run's metrics equal those of a replay with that tool
- * alone; only wallSeconds (the shared per-point wall time) differs.
- * The vectors of runs not requested stay empty.
+ * alone.  The vectors of runs not requested stay empty.
  */
 PointsFusedMetrics
 replayPoints(const Pinball &regional, const PointReplays &runs)
@@ -111,7 +99,6 @@ replayPoints(const Pinball &regional, const PointReplays &runs)
     parallelFor(n, [&](std::size_t i) {
         obs::TraceSpan pointSpan("runs.replay_point");
         points.add();
-        auto tp = std::chrono::steady_clock::now();
         const RegionDesc &region = regional.regions()[i];
         Replayer replayer(regional);
         std::optional<AllCacheTool> cold, warm;
@@ -164,17 +151,14 @@ replayPoints(const Pinball &regional, const PointReplays &runs)
             engine.attach(&*core);
         ICount instrs = replayer.replayRegion(i, engine);
 
-        double wall = secondsSince(tp);
         if (cold)
             out.cold[i] = {region.weight,
-                           harvestCache(*cold, mix, branches, instrs,
-                                        wall)};
+                           harvestCache(*cold, mix, branches, instrs)};
         if (warm)
             out.warm[i] = {region.weight,
-                           harvestCache(*warm, mix, branches, instrs,
-                                        wall)};
+                           harvestCache(*warm, mix, branches, instrs)};
         if (core)
-            out.timing[i] = {region.weight, harvestTiming(*core, wall)};
+            out.timing[i] = {region.weight, harvestTiming(*core)};
     });
     return out;
 }
@@ -186,7 +170,6 @@ measureWholeCache(const BenchmarkSpec &spec,
                   const HierarchyConfig &caches)
 {
     obs::TraceSpan span("runs.whole_cache");
-    auto t0 = std::chrono::steady_clock::now();
     SyntheticWorkload wl(spec);
     AllCacheTool cache(caches);
     LdStMixTool mix;
@@ -196,8 +179,7 @@ measureWholeCache(const BenchmarkSpec &spec,
     engine.attach(&mix);
     engine.attach(&branches);
     ICount instrs = engine.runWhole(wl);
-    return harvestCache(cache, mix, branches, instrs,
-                        secondsSince(t0));
+    return harvestCache(cache, mix, branches, instrs);
 }
 
 FusedWholeResult
@@ -206,7 +188,6 @@ measureWholeFused(const BenchmarkSpec &spec,
                   const MachineConfig &machine, ICount bbvSliceInstrs)
 {
     obs::TraceSpan span("runs.whole_fused");
-    auto t0 = std::chrono::steady_clock::now();
     SyntheticWorkload wl(spec);
     AllCacheTool cache(caches);
     LdStMixTool mix;
@@ -227,10 +208,9 @@ measureWholeFused(const BenchmarkSpec &spec,
     // (ArtifactGraph::runSuite), not one pass across threads.
     ICount instrs = engine.runWhole(wl);
 
-    double wall = secondsSince(t0);
     FusedWholeResult r;
-    r.cache = harvestCache(cache, mix, branches, instrs, wall);
-    r.timing = harvestTiming(core, wall);
+    r.cache = harvestCache(cache, mix, branches, instrs);
+    r.timing = harvestTiming(core);
     if (bbv)
         r.bbvs = bbv->vectors();
     return r;
@@ -276,13 +256,12 @@ measureWholeTiming(const BenchmarkSpec &spec,
                    const MachineConfig &machine)
 {
     obs::TraceSpan span("runs.whole_timing");
-    auto t0 = std::chrono::steady_clock::now();
     SyntheticWorkload wl(spec);
     IntervalCoreTool core(machine);
     Engine engine;
     engine.attach(&core);
     engine.runWhole(wl);
-    return harvestTiming(core, secondsSince(t0));
+    return harvestTiming(core);
 }
 
 std::vector<PointTimingMetrics>

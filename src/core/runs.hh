@@ -46,8 +46,7 @@ struct FusedWholeResult
  * metrics to the separate measureWholeCache() / measureWholeTiming()
  * / BBV-profiling passes — tools are passive observers of the same
  * deterministic stream — for one generation of that stream instead
- * of three.  Both wallSeconds fields record the single fused wall
- * time.
+ * of three.
  */
 FusedWholeResult measureWholeFused(const BenchmarkSpec &spec,
                                    const HierarchyConfig &caches,
@@ -113,8 +112,7 @@ std::vector<PointTimingMetrics> measurePointsTiming(
  * only; the region then plays once to all three tool stacks.  Equal
  * byte for byte to measurePointsCache(regional, caches, 0),
  * measurePointsCache(regional, caches, warmupChunks) and
- * measurePointsTiming(regional, machine, warmupChunks), except that
- * every wallSeconds field records the one fused per-point wall time.
+ * measurePointsTiming(regional, machine, warmupChunks).
  */
 PointsFusedMetrics measurePointsFused(const Pinball &regional,
                                       const HierarchyConfig &caches,

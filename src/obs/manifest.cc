@@ -106,22 +106,6 @@ RunManifest::addOutput(const std::string &path)
 }
 
 void
-RunManifest::addOutputDigest(const std::string &path, u64 digest)
-{
-    std::size_t slash = path.find_last_of('/');
-    std::string base = slash == std::string::npos
-                           ? path
-                           : path.substr(slash + 1);
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    JsonValue out = JsonValue::object();
-    out.set("file", JsonValue::string(base));
-    out.set("fnv64_det", JsonValue::string(hex));
-    outputs.push(std::move(out));
-}
-
-void
 RunManifest::addArtifact(const std::string &name, u64 key)
 {
     char hex[32];

@@ -63,13 +63,6 @@ class RunManifest
     bool addOutput(const std::string &path);
 
     /**
-     * Record an output file whose raw bytes are volatile (it embeds
-     * wall-clock measurements) by a caller-computed digest of its
-     * deterministic content instead of the file hash.
-     */
-    void addOutputDigest(const std::string &path, u64 digest);
-
-    /**
      * Record one content-addressed artifact key (the "artifacts"
      * section; deterministic).  @p name is "kind/benchmark", e.g.
      * "simpoints/perlbench_r"; see ArtifactGraph::recordArtifacts.

@@ -22,11 +22,6 @@
  *  - SPLAB_MANIFEST: 0 = suppress the "<binary>.manifest.json" run
  *                    manifest benches write by default (see
  *                    obs/manifest.hh).
- *  - SPLAB_FUSED_PERSIST: 0 = keep the fused whole-run artifact
- *                    memory-resident instead of persisting it to the
- *                    artifact cache as shared sub-blobs (see
- *                    core/artifact_graph.hh).  Default on; the
- *                    projection artifacts persist either way.
  *  - SPLAB_SIMD    : 0 = force the scalar reference implementation
  *                    of the batch accumulate kernels (see
  *                    isa/accumulate.hh).  Default on; scalar and
@@ -70,8 +65,11 @@ double workloadScale();
 /** Artifact cache directory (SPLAB_CACHE); empty = disabled. */
 std::string artifactCacheDir();
 
-/** Whether the fused whole-run artifact is persisted to the disk
- *  cache (SPLAB_FUSED_PERSIST; default on). */
+/** Value of the retired SPLAB_FUSED_PERSIST knob (default on).  No
+ *  library code reads it: the fused whole-run artifact always
+ *  persists.  It remains only for the suite benchmark's [config]
+ *  print line and goes with that line in the next benchmark
+ *  change. */
 bool fusedPersistEnabled();
 
 /** Value of the retired SPLAB_GEN_PIPELINE knob (default on).  No

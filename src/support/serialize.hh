@@ -40,8 +40,7 @@ class ByteWriter
     /** Append a length-prefixed string. */
     void putString(const std::string &s);
 
-    /** Append @p n raw bytes verbatim (no length prefix); used to
-     *  reassemble artifacts from shared sub-blobs. */
+    /** Append @p n raw bytes verbatim (no length prefix). */
     void
     putRaw(const u8 *data, std::size_t n)
     {

@@ -10,11 +10,7 @@
  *  - for every persisted artifact kind, graph.computed.<kind> summed
  *    over the three manifests equals a solo cold run's count;
  *  - the shared cache ends up with the solo cold cache's artifact
- *    blob files, each holding the same artifact once wall-clock
- *    fields are zeroed (they are the one part of a whole-run or
- *    per-point metric that differs between two computations; every
- *    other artifact must match byte for byte), and as many shared
- *    sub-blobs.
+ *    blob files, byte for byte.
  */
 
 #include <cstdio>
@@ -23,14 +19,12 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/artifact_graph.hh"
 #include "obs/json.hh"
-#include "support/rng.hh"
 
 namespace
 {
@@ -69,107 +63,16 @@ counterOf(const std::string &manifestText, const std::string &name)
     return c ? c->asU64() : 0;
 }
 
-/** @p v with every wall-clock field zeroed. */
-splab::ArtifactValue
-maskWallClock(splab::ArtifactValue v)
-{
-    using namespace splab;
-    if (auto *f = std::get_if<FusedWholeMetrics>(&v)) {
-        f->cache.wallSeconds = 0;
-        f->timing.wallSeconds = 0;
-    } else if (auto *c = std::get_if<CacheRunMetrics>(&v)) {
-        c->wallSeconds = 0;
-    } else if (auto *t = std::get_if<TimingRunMetrics>(&v)) {
-        t->wallSeconds = 0;
-    } else if (auto *pc =
-                   std::get_if<std::vector<PointCacheMetrics>>(&v)) {
-        for (PointCacheMetrics &p : *pc)
-            p.m.wallSeconds = 0;
-    } else if (auto *pt =
-                   std::get_if<std::vector<PointTimingMetrics>>(&v)) {
-        for (PointTimingMetrics &p : *pt)
-            p.m.wallSeconds = 0;
-    }
-    return v;
-}
-
-/** The artifact kind stored under blob family @p family
- *  ("regions_<strategy>" for Regions). */
-std::optional<splab::ArtifactKind>
-kindOfFamily(const std::string &family)
-{
-    for (std::size_t k = 0; k < splab::kNumArtifactKinds; ++k) {
-        auto kind = static_cast<splab::ArtifactKind>(k);
-        std::string name = splab::artifactKindName(kind);
-        if (family == name || (kind == splab::ArtifactKind::Regions &&
-                               family.rfind(name + "_", 0) == 0))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-/** Payload of one artifact blob file; a ref blob is reassembled from
- *  the shared sub-blobs it names.  Empty when unreadable. */
-std::vector<splab::u8>
-payloadOf(const std::string &dir, const std::string &file, bool ref)
-{
-    auto r = splab::ByteReader::tryLoadFile(dir + "/" + file);
-    if (!r)
-        return {};
-    if (!ref)
-        return r->getRaw(r->remaining());
-    std::vector<splab::u8> out;
-    for (splab::u64 n = r->get<splab::u64>(); n > 0; --n) {
-        char hex[32];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(splab::hashCombine(
-                          r->get<splab::u64>(),
-                          splab::ArtifactCache::kVersionSalt)));
-        auto sub = splab::ByteReader::tryLoadFile(
-            dir + "/shared-" + hex + ".bin");
-        if (!sub)
-            return {};
-        std::vector<splab::u8> bytes = sub->getRaw(sub->remaining());
-        out.insert(out.end(), bytes.begin(), bytes.end());
-    }
-    return out;
-}
-
-/** Artifact blobs of a cache directory by file name, each as its
- *  payload with wall-clock fields zeroed, plus the number of shared
- *  sub-blobs (index and lock files excluded; those are bookkeeping,
- *  not artifacts). */
+/** Raw bytes of every artifact blob of a cache directory, by file
+ *  name (the locks/ directory of empty key-lock files is skipped). */
 std::map<std::string, std::string>
 artifactBlobs(const std::string &dir)
 {
     std::map<std::string, std::string> out;
-    std::size_t subBlobs = 0;
-    for (const auto &e : fs::directory_iterator(dir)) {
-        std::string name = e.path().filename().string();
-        if (!e.is_regular_file() || name.rfind("index.", 0) == 0)
-            continue;
-        if (name.rfind("shared-", 0) == 0) {
-            ++subBlobs;
-            continue;
-        }
-        auto kind = kindOfFamily(name.substr(0, name.rfind('-')));
-        if (!kind) {
-            out[name] = slurp(e.path().string());
-            continue;
-        }
-        std::vector<splab::u8> payload =
-            payloadOf(dir, name, splab::artifactKindShared(*kind));
-        if (payload.empty()) {
-            out[name] = "(unreadable)";
-            continue;
-        }
-        splab::ByteReader r(std::move(payload));
-        splab::ByteWriter w;
-        splab::serializeArtifact(
-            w, maskWallClock(splab::deserializeArtifact(*kind, r)));
-        out[name].assign(w.bytes().begin(), w.bytes().end());
-    }
-    out["(shared sub-blobs)"] = std::to_string(subBlobs);
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.is_regular_file())
+            out[e.path().filename().string()] =
+                slurp(e.path().string());
     return out;
 }
 

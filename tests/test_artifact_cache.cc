@@ -1,7 +1,7 @@
 /**
  * @file
- * ArtifactCache publish tests: N forked writers racing storeShared
- * on one content hash must leave exactly one healthy blob, forked
+ * ArtifactCache publish tests: N forked writers racing store() of
+ * one key must leave exactly one healthy blob, forked
  * plain stores must all land, loads racing re-stores of one key must
  * only ever see the whole blob, and loads (hits and misses alike)
  * must leave every file in the directory untouched.
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/artifact_cache.hh"
-#include "obs/counters.hh"
 #include "support/serialize.hh"
 
 namespace splab
@@ -83,23 +82,12 @@ dirStat(const std::string &dir)
     return out;
 }
 
-u64
-counterValue(const std::string &name)
+TEST(CacheStress, ForkedWritersOfOneKeyNeverExposeATornBlob)
 {
-    return obs::counter(name).value();
-}
-
-TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
-{
-    std::string dir = freshDir("fork-shared");
+    std::string dir = freshDir("fork-one-key");
     std::vector<u8> payload = patternBytes(64 * 1024, 23);
-    u64 expected = 0;
-    {
-        // Learn the content hash up front (disabled cache still
-        // hashes), so children can verify what they compute.
-        ArtifactCache probe("");
-        expected = probe.storeShared(payload.data(), payload.size());
-    }
+    ByteWriter blob;
+    blob.putRaw(payload.data(), payload.size());
 
     constexpr int kWriters = 8;
     constexpr int kRounds = 16;
@@ -108,14 +96,12 @@ TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
         pid_t pid = fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            // Child: hammer storeShared with the same content and
-            // verify every load sees healthy, full-length bytes.
+            // Child: hammer store() of one key and payload and verify
+            // every load sees healthy, full-length bytes.
             ArtifactCache cache(dir);
             for (int i = 0; i < kRounds; ++i) {
-                if (cache.storeShared(payload.data(),
-                                      payload.size()) != expected)
-                    _exit(2);
-                CacheOutcome got = cache.loadShared(expected);
+                cache.store("stress", 7, blob);
+                CacheOutcome got = cache.load("stress", 7);
                 if (!got.hit())
                     _exit(3);
                 if (got->remaining() != payload.size())
@@ -135,22 +121,13 @@ TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
 
     // Exactly one healthy blob and no leftover temp files.
     EXPECT_EQ(blobFiles(dir).size(), 1u);
-    EXPECT_EQ(blobFiles(dir, "shared-").size(), 1u);
+    EXPECT_EQ(blobFiles(dir, "stress-").size(), 1u);
     ArtifactCache after(dir);
-    CacheOutcome got = after.loadShared(expected);
+    CacheOutcome got = after.load("stress", 7);
     ASSERT_TRUE(got.hit());
     ASSERT_EQ(got->remaining(), payload.size());
     std::vector<u8> bytes = got->getRaw(payload.size());
     EXPECT_EQ(bytes, payload);
-    // Re-storing the same content from this process must count as a
-    // share hit against the healthy blob the writers raced to
-    // publish (counters are per-process, so the children's hits are
-    // invisible here — this replays one deliberately).
-    u64 shareHitsBefore = counterValue("artifact_cache.blob_share_hits");
-    EXPECT_EQ(after.storeShared(payload.data(), payload.size()),
-              expected);
-    EXPECT_EQ(counterValue("artifact_cache.blob_share_hits"),
-              shareHitsBefore + 1);
 }
 
 TEST(CacheStress, ForkedStoresAllLand)

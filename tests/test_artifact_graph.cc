@@ -69,7 +69,7 @@ TEST(ArtifactKeys, StableAcrossGraphInstances)
 TEST(ArtifactKeys, PointReplayKeysPinned)
 {
     // The per-point runs became projections of the fused point
-    // replay without moving their keys (or their cached blobs).
+    // replay, and then memory-resident, without moving their keys.
     // The spec, and so every key, depends on the workload scale,
     // which this file fixes at 0.05 (kScaleSet).
     ASSERT_EQ(workloadScale(), 0.05);
@@ -387,12 +387,15 @@ TEST(ArtifactGraphCache, ColdThenWarmRunsAreByteIdentical)
     std::vector<u8> warmBytes = graphResultBytes(warm);
 
     EXPECT_EQ(coldBytes, warmBytes);
-    // Persisted targets come back from disk; only the memory-only
-    // upstream (spec) is recomputed.  A warm simpoints hit must not
-    // recompute the BBV profile.
+    // The persisted nodes (simpoints and the two fused nodes) come
+    // back from disk; only the spec and the two projections are
+    // computed, in memory.  A warm simpoints hit must not recompute
+    // the BBV profile.
     auto stats = obs::counterSnapshot();
     EXPECT_EQ(stats.at("graph.cache_hits"), kBenches.size() * 3);
-    EXPECT_EQ(stats.at("graph.nodes_computed"), kBenches.size());
+    EXPECT_EQ(stats.at("graph.nodes_computed"), kBenches.size() * 3);
+    EXPECT_EQ(stats.at("graph.loaded.pointsfused"), kBenches.size());
+    EXPECT_EQ(stats.at("graph.loaded.wholefused"), kBenches.size());
 
     // Same config in a third instance: keys resolve to the same
     // blobs without touching artifact values at all.
@@ -444,38 +447,20 @@ fusedBytes(ArtifactGraph &g)
     return w.bytes();
 }
 
-/**
- * Like fusedBytes() but with the wall-clock fields zeroed.  Blob
- * bytes carry wallSeconds verbatim (warm loads must reproduce the
- * measuring run's timing), so exact byte equality only holds between
- * a store and its warm load; across *independent computes* the
- * determinism contract — like graphResultBytes and the manifest
- * timing section — excludes wall time.
- */
-std::vector<u8>
-fusedStableBytes(ArtifactGraph &g)
-{
-    ByteWriter w;
-    auto putCache = [&](CacheRunMetrics m) {
-        m.wallSeconds = 0.0;
-        w.put(m);
-    };
-    auto putTiming = [&](TimingRunMetrics m) {
-        m.wallSeconds = 0.0;
-        w.put(m);
-    };
-    for (const std::string &b : kBenches) {
-        putCache(g.wholeFused(b).cache);
-        putTiming(g.wholeFused(b).timing);
-        putCache(g.wholeCache(b));
-        putTiming(g.wholeTiming(b));
-    }
-    return w.bytes();
-}
-
 const std::vector<ArtifactKind> kWholeTargets = {
     ArtifactKind::WholeFused, ArtifactKind::WholeCache,
     ArtifactKind::WholeTiming};
+
+/** The wholefused blob files of @p dir. */
+std::map<std::string, std::vector<char>>
+fusedBlobs(const std::string &dir)
+{
+    std::map<std::string, std::vector<char>> out;
+    for (auto &kv : dirContents(dir))
+        if (kv.first.rfind("wholefused-", 0) == 0)
+            out.insert(std::move(kv));
+    return out;
+}
 
 TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
 {
@@ -489,19 +474,13 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
                            ArtifactCache(dir)));
     cold.runSuite(kBenches, kWholeTargets);
     std::vector<u8> coldBytes = fusedBytes(cold);
-    auto coldStats = obs::counterSnapshot();
-    // Each projection's single sub-blob was already stored by the
-    // fused node (its serialization is their concatenation): exactly
-    // two share hits per benchmark, and only two shared files plus
-    // three ref blobs per benchmark on disk.
-    EXPECT_EQ(counterOr0(coldStats, "artifact_cache.blob_share_hits"),
-              kBenches.size() * 2);
+    // One inline wholefused blob per benchmark and nothing else: the
+    // two projections stay memory-resident.
     auto coldFiles = dirContents(dir);
-    std::size_t sharedFiles = 0;
-    for (const auto &kv : coldFiles)
-        if (kv.first.rfind("shared-", 0) == 0)
-            ++sharedFiles;
-    EXPECT_EQ(sharedFiles, kBenches.size() * 2);
+    EXPECT_EQ(coldFiles.size(), kBenches.size());
+    EXPECT_EQ(fusedBlobs(dir).size(), kBenches.size());
+    for (const auto &kv : fusedBlobs(dir))
+        EXPECT_GT(kv.second.size(), sizeof(FusedWholeMetrics));
 
     obs::resetCounters();
     ArtifactGraph warm(fastConfig(),
@@ -511,17 +490,17 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
     EXPECT_EQ(fusedBytes(warm), coldBytes);
 
     auto warmStats = obs::counterSnapshot();
-    // All three whole-run nodes come back from disk; only the spec
-    // (needed for keying) is recomputed — the warm run performs no
-    // fused traversal at all.
+    // The fused node comes back from disk; the spec (needed for
+    // keying) and the two projections are computed in memory — the
+    // warm run performs no fused traversal at all.
     EXPECT_EQ(counterOr0(warmStats, "graph.cache_hits"),
-              kBenches.size() * 3);
-    EXPECT_EQ(counterOr0(warmStats, "graph.nodes_computed"),
               kBenches.size());
+    EXPECT_EQ(counterOr0(warmStats, "graph.loaded.wholefused"),
+              kBenches.size());
+    EXPECT_EQ(counterOr0(warmStats, "graph.nodes_computed"),
+              kBenches.size() * 3);
     EXPECT_EQ(counterOr0(warmStats, "pin.windows"), 0u);
     EXPECT_EQ(counterOr0(warmStats, "pin.chunks_replayed"), 0u);
-    EXPECT_EQ(counterOr0(warmStats, "graph.shared_blob_fallbacks"),
-              0u);
 
     // The warm run must not have rewritten or perturbed any blob.
     EXPECT_EQ(dirContents(dir), coldFiles);
@@ -530,9 +509,8 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
 
 TEST(FusedPersistence, BlobLayoutAndCountersThreadCountInvariant)
 {
-    std::vector<std::set<std::string>> refNames;
-    std::vector<std::size_t> sharedCounts;
-    std::vector<u64> shareHits;
+    std::vector<std::map<std::string, std::vector<char>>> blobs;
+    std::vector<std::map<std::string, u64>> counters;
     std::vector<std::vector<u8>> values;
     for (std::size_t threads : {1u, 2u, 8u}) {
         std::string dir = testing::TempDir() +
@@ -546,128 +524,94 @@ TEST(FusedPersistence, BlobLayoutAndCountersThreadCountInvariant)
                         std::make_shared<const ArtifactCache>(
                             ArtifactCache(dir)));
         g.runSuite(kBenches, kWholeTargets);
-        values.push_back(fusedStableBytes(g));
-        std::set<std::string> refs;
-        std::size_t shared = 0;
-        for (const auto &kv : dirContents(dir)) {
-            if (kv.first.rfind("shared-", 0) == 0)
-                ++shared;
-            else
-                refs.insert(kv.first);
-        }
-        refNames.push_back(refs);
-        sharedCounts.push_back(shared);
-        shareHits.push_back(counterOr0(
-            obs::counterSnapshot(), "artifact_cache.blob_share_hits"));
+        values.push_back(fusedBytes(g));
+        blobs.push_back(dirContents(dir));
+        std::map<std::string, u64> stats;
+        for (const auto &kv : obs::counterSnapshot())
+            if (kv.first.rfind("graph.", 0) == 0 ||
+                kv.first.rfind("artifact_cache.", 0) == 0)
+                stats[kv.first] = kv.second;
+        counters.push_back(stats);
         std::filesystem::remove_all(dir);
     }
     ThreadPool::setGlobalThreads(0);
 
-    // Same stable value bytes, same key-addressed blob names, same
-    // sub-blob count and share-hit count at every thread count.
-    // (Shared filenames are content hashes over bytes that include
-    // the measuring run's wall time, so only their count is
-    // comparable across independent runs.)
+    // No wall clock is stored, so independent computes agree byte
+    // for byte: the same values, the same blob names and bytes, and
+    // the same counters at every thread count.
+    ASSERT_FALSE(values[0].empty());
     EXPECT_EQ(values[0], values[1]);
     EXPECT_EQ(values[0], values[2]);
-    EXPECT_EQ(refNames[0], refNames[1]);
-    EXPECT_EQ(refNames[0], refNames[2]);
-    EXPECT_EQ(sharedCounts[0], kBenches.size() * 2);
-    EXPECT_EQ(sharedCounts[1], sharedCounts[0]);
-    EXPECT_EQ(sharedCounts[2], sharedCounts[0]);
-    EXPECT_EQ(shareHits[0], kBenches.size() * 2);
-    EXPECT_EQ(shareHits[1], shareHits[0]);
-    EXPECT_EQ(shareHits[2], shareHits[0]);
+    EXPECT_EQ(blobs[0].size(), kBenches.size());
+    EXPECT_EQ(blobs[0], blobs[1]);
+    EXPECT_EQ(blobs[0], blobs[2]);
+    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_EQ(counters[0], counters[2]);
+    EXPECT_EQ(counters[0].at("graph.computed.wholefused"),
+              kBenches.size());
+    EXPECT_EQ(counters[0].at("graph.computed.wholecache"),
+              kBenches.size());
+    EXPECT_EQ(counters[0].at("graph.computed.wholetiming"),
+              kBenches.size());
+    EXPECT_EQ(counters[0].at("graph.cache_hits"), 0u);
 }
 
-TEST(FusedPersistence, CorruptSharedBlobRecomputesAndHeals)
+TEST(FusedPersistence, CorruptBlobIsRecomputed)
 {
     std::string dir = testing::TempDir() + "/splab-fused-corrupt";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    ThreadPool::setGlobalThreads(1);
+    auto openGraph = [&] {
+        return ArtifactGraph(fastConfig(),
+                             std::make_shared<const ArtifactCache>(
+                                 ArtifactCache(dir)));
+    };
 
-    ArtifactGraph cold(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    cold.runSuite(kBenches, kWholeTargets);
-    std::vector<u8> coldStable = fusedStableBytes(cold);
+    std::vector<u8> coldBytes;
+    {
+        ArtifactGraph cold = openGraph();
+        cold.runSuite(kBenches, kWholeTargets);
+        coldBytes = fusedBytes(cold);
+    }
+    auto coldFiles = dirContents(dir);
 
-    // Trash every shared sub-blob (truncated garbage).
-    std::size_t corrupted = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        if (e.path().filename().string().rfind("shared-", 0) == 0) {
-            std::ofstream f(e.path(), std::ios::binary |
-                                          std::ios::trunc);
-            f << "garbage";
-            ++corrupted;
-        }
-    ASSERT_EQ(corrupted, kBenches.size() * 2);
+    // Flip one byte in the middle of one fused blob.
+    auto fused = fusedBlobs(dir);
+    ASSERT_EQ(fused.size(), kBenches.size());
+    {
+        std::fstream f(dir + "/" + fused.begin()->first,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        std::streamoff mid =
+            static_cast<std::streamoff>(fused.begin()->second.size() / 2);
+        f.seekg(mid);
+        char c = 0;
+        f.get(c);
+        f.seekp(mid);
+        f.put(static_cast<char>(c ^ 0x5a));
+    }
 
     obs::resetCounters();
-    ArtifactGraph warm(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    // Degrades to recompute — identical values modulo wall time, no
-    // crash — and the recompute's store writes fresh sub-blobs and
-    // re-points every ref blob at them.
-    EXPECT_EQ(fusedStableBytes(warm), coldStable);
-    std::vector<u8> warmExact = fusedBytes(warm);
-    auto stats = obs::counterSnapshot();
-    EXPECT_GE(counterOr0(stats, "graph.shared_blob_fallbacks"), 1u);
-
-    // Healed: a third instance is a clean warm run again, loading
-    // the recomputed bytes verbatim.
-    obs::resetCounters();
-    ArtifactGraph again(fastConfig(),
-                        std::make_shared<const ArtifactCache>(
-                            ArtifactCache(dir)));
-    EXPECT_EQ(fusedBytes(again), warmExact);
-    auto cleanStats = obs::counterSnapshot();
-    EXPECT_EQ(counterOr0(cleanStats, "graph.shared_blob_fallbacks"),
-              0u);
-    EXPECT_EQ(counterOr0(cleanStats, "pin.windows"), 0u);
-
-    ThreadPool::setGlobalThreads(0);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(FusedPersistence, EnvKnobKeepsFusedMemoryResident)
-{
-    std::string dir = testing::TempDir() + "/splab-fused-knob";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    setenv("SPLAB_FUSED_PERSIST", "0", 1);
-
-    ArtifactGraph cold(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    cold.runSuite(kBenches, kWholeTargets);
-    std::vector<u8> coldBytes = fusedBytes(cold);
-    // No wholefused ref blob on disk; projections persist as usual.
-    for (const auto &kv : dirContents(dir))
-        EXPECT_EQ(kv.first.rfind("wholefused-", 0),
-                  std::string::npos)
-            << kv.first;
-
-    // Warm run: projections load, the fused node itself would need
-    // recomputing — but nothing forces it, so the warm accessors of
-    // the projections still skip the traversal.
-    obs::resetCounters();
-    ArtifactGraph warm(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    ByteWriter w;
-    for (const std::string &b : kBenches) {
-        w.put(warm.wholeCache(b));
-        w.put(warm.wholeTiming(b));
+    {
+        ArtifactGraph warm = openGraph();
+        warm.runSuite(kBenches, kWholeTargets);
+        EXPECT_EQ(fusedBytes(warm), coldBytes);
     }
     auto stats = obs::counterSnapshot();
+    EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 1u);
+    EXPECT_EQ(counterOr0(stats, "graph.computed.wholefused"), 1u);
+    EXPECT_EQ(counterOr0(stats, "graph.loaded.wholefused"),
+              kBenches.size() - 1);
+    // The recompute rewrote the damaged blob with its cold bytes (no
+    // wall clock differs), and a third graph loads cleanly.
+    EXPECT_EQ(dirContents(dir), coldFiles);
+    obs::resetCounters();
+    {
+        ArtifactGraph again = openGraph();
+        EXPECT_EQ(fusedBytes(again), coldBytes);
+    }
+    stats = obs::counterSnapshot();
+    EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"), 0u);
     EXPECT_EQ(counterOr0(stats, "pin.windows"), 0u);
-    EXPECT_EQ(counterOr0(stats, "graph.cache_hits"),
-              kBenches.size() * 2);
-
-    unsetenv("SPLAB_FUSED_PERSIST");
     std::filesystem::remove_all(dir);
 }
 

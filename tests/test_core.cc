@@ -277,13 +277,11 @@ TEST(Runs, TimingPointsProduceFiniteCpi)
               points.size() * cfg.sliceInstrs);
 }
 
-/** Serialized per-point metrics with the wall time masked. */
+/** Serialized per-point metrics. */
 template <typename Point>
 std::vector<u8>
-maskedBytes(std::vector<Point> pts)
+pointBytes(const std::vector<Point> &pts)
 {
-    for (Point &p : pts)
-        p.m.wallSeconds = 0;
     ByteWriter w;
     w.putVector(pts);
     return w.bytes();
@@ -334,21 +332,21 @@ TEST(Runs, FusedReplayEqualsSeparateReplays)
             ThreadPool::setGlobalThreads(threads);
             PointsFusedMetrics fused = measurePointsFused(
                 regional, cfg.allcache, cfg.machine, c.warmupChunks);
-            EXPECT_EQ(maskedBytes(fused.cold),
-                      maskedBytes(
+            EXPECT_EQ(pointBytes(fused.cold),
+                      pointBytes(
                           measurePointsCache(regional, cfg.allcache, 0)))
                 << c.bench << " threads " << threads;
-            EXPECT_EQ(maskedBytes(fused.warm),
-                      maskedBytes(measurePointsCache(
+            EXPECT_EQ(pointBytes(fused.warm),
+                      pointBytes(measurePointsCache(
                           regional, cfg.allcache, c.warmupChunks)))
                 << c.bench << " threads " << threads;
-            EXPECT_EQ(maskedBytes(fused.timing),
-                      maskedBytes(measurePointsTiming(
+            EXPECT_EQ(pointBytes(fused.timing),
+                      pointBytes(measurePointsTiming(
                           regional, cfg.machine, c.warmupChunks)))
                 << c.bench << " threads " << threads;
             // The graph's projections are measurePointsFused's values.
-            EXPECT_EQ(maskedBytes(g.pointsCacheWarm(c.bench)),
-                      maskedBytes(fused.warm));
+            EXPECT_EQ(pointBytes(g.pointsCacheWarm(c.bench)),
+                      pointBytes(fused.warm));
         }
     }
     ThreadPool::setGlobalThreads(0);

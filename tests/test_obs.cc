@@ -299,8 +299,7 @@ TEST(ObsManifest, CarriesArtifactCacheCounterFamily)
     for (const char *name :
          {"artifact_cache.hits", "artifact_cache.misses",
           "artifact_cache.corrupt", "artifact_cache.bytes_read",
-          "artifact_cache.bytes_written",
-          "artifact_cache.blob_share_hits"})
+          "artifact_cache.bytes_written"})
         EXPECT_NE(counters->find(name), nullptr) << name;
 }
 
