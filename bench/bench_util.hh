@@ -148,7 +148,6 @@ class ReportSink
         mani.recordEnv("SPLAB_LOG");
         mani.recordEnv("SPLAB_TRACE");
         mani.recordEnv("SPLAB_MANIFEST");
-        mani.recordEnv("SPLAB_KMEANS_ACCEL");
     }
 
     /** Declare the combined column set; call once, before rows. */

@@ -3,28 +3,26 @@
  * Engine microbench: the fused single-pass whole-run measurement
  * (measureWholeFused: allcache + ldstmix + branchprofile + timing +
  * BBV in one traversal) against the same three views measured in
- * separate passes, and the SIMD chunk-aggregate kernels against
- * their scalar reference.
+ * separate passes.
  *
- * Both comparisons assert byte-equality of the deterministic results
+ * The comparison asserts byte-equality of the deterministic results
  * and the bench exits nonzero on any mismatch.  (The optimised cache
  * hierarchy and interval core are checked against independent
  * reference models in tests/test_engine_batch.cc.)  Wall times go to
- * the paper-style tables, "<binary>.csv", the run manifest and a
- * "BENCH_engine.json" baseline for perf tracking.
+ * the paper-style table, the run manifest's timing notes and a
+ * "BENCH_engine.json" baseline for perf tracking; "<binary>.csv"
+ * holds only the per-benchmark verdicts.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <random>
 #include <thread>
 
 #include "bench_util.hh"
 #include "cache/hierarchy.hh"
 #include "core/runs.hh"
-#include "isa/accumulate.hh"
 #include "pin/engine.hh"
 #include "pin/tools/bbv_tool.hh"
 #include "support/env.hh"
@@ -107,16 +105,14 @@ main(int, char **argv)
     // Timings stay out of the CSV, so its manifest hash is
     // deterministic; they print in the table and land in the
     // manifest's timing section and BENCH_engine.json.
-    sink.schema({{"", "section"},
-                 {"benchmark", "bench"},
+    sink.schema({{"benchmark", "bench"},
                  {"separate x3 (s)", ""},
                  {"fused (s)", ""},
                  {"speedup", ""},
                  {"identical", "identical"}});
-    sink.manifest().recordEnv("SPLAB_SIMD");
     cfg.describe(sink.manifest());
 
-    // ---- Part 1: whole-run measurement, two drivers ----
+    // Whole-run measurement, two drivers:
     //   separate x3: one pass per view (BBV, cache, timing)
     //   fused: all views in one traversal
     double sepSec = 0.0, fusedSec = 0.0;
@@ -155,7 +151,7 @@ main(int, char **argv)
         sepSec += sep;
         fusedSec += fsd;
         totalInstrs += fused.cache.instrs;
-        sink.row({"whole_run", name, fmt(sep, 4), fmt(fsd, 4),
+        sink.row({name, fmt(sep, 4), fmt(fsd, 4),
                   fmt(fsd > 0.0 ? sep / fsd : 0.0, 3),
                   same ? "1" : "0"});
     }
@@ -172,78 +168,10 @@ main(int, char **argv)
         {"Minstr/s", rate(sepSec), rate(fusedSec), "", ""});
     sink.printTable();
 
-    // ---- Part 2: SIMD vs scalar accumulate kernels ----
-    // The finalize-pass reductions in isolation, on block arrays
-    // shaped like generated chunks; equality is part of the bench
-    // contract just like every other section.
-    const std::size_t simdBlocks = 1 << 18;
-    std::vector<BlockRecord> simdRecs;
-    std::vector<u8> simdValid, simdTaken, simdDataDep;
-    {
-        std::mt19937_64 rng(2017);
-        simdRecs.reserve(simdBlocks);
-        for (std::size_t i = 0; i < simdBlocks; ++i) {
-            BlockRecord r;
-            r.bb = static_cast<u32>(rng() % 4096);
-            r.pc = rng();
-            r.instrs = 1 + static_cast<u32>(rng() % 40);
-            for (std::size_t m = 0; m < r.mix.count.size(); ++m)
-                r.mix.count[m] = rng() % 17;
-            r.fpInstrs = static_cast<u32>(rng() % 9);
-            bool hasBr = (rng() & 1) != 0;
-            r.endsInBranch = hasBr;
-            simdRecs.push_back(r);
-            simdValid.push_back(hasBr ? 1 : 0);
-            simdTaken.push_back(hasBr && (rng() & 1) ? 1 : 0);
-            simdDataDep.push_back(hasBr && (rng() & 1) ? 1 : 0);
-        }
-    }
-    const int simdReps = 40;
-    BatchAggregates scalarAgg, simdAgg;
-    u64 scalarSink = 0, simdSink = 0;
-    double scalarSec = wallSeconds([&] {
-        for (int r = 0; r < simdReps; ++r) {
-            scalarAgg = accumulateScalar(
-                simdRecs.data(), simdRecs.size(), simdValid.data(),
-                simdTaken.data(), simdDataDep.data());
-            scalarSink ^= scalarAgg.instrs + r;
-        }
-    });
-    double simdSec = wallSeconds([&] {
-        for (int r = 0; r < simdReps; ++r) {
-            simdAgg = accumulateSimd(
-                simdRecs.data(), simdRecs.size(), simdValid.data(),
-                simdTaken.data(), simdDataDep.data());
-            simdSink ^= simdAgg.instrs + r;
-        }
-    });
-    bool simdSame =
-        scalarAgg == simdAgg && scalarSink == simdSink;
-    if (!simdSame)
-        std::printf("[FAIL] SIMD accumulate != scalar reference\n");
-    identical = identical && simdSame;
-    double simdSpeedup = simdSec > 0.0 ? scalarSec / simdSec : 0.0;
-    sink.csvOnlyRow({"simd", "accumulate", simdSame ? "1" : "0"});
-
-    TableWriter simdTable(
-        "Accumulate kernels, " + std::to_string(simdBlocks) +
-        " blocks x " + std::to_string(simdReps) + " reps (" +
-        (simdAccumulateCompiled() ? "SSE2" : "scalar-only build") +
-        ")");
-    simdTable.header(
-        {"kernel", "wall (s)", "speedup", "identical"});
-    simdTable.row(
-        {"scalar", fmt(scalarSec, 3), fmtX(1.0, 2), "-"});
-    simdTable.row({"simd", fmt(simdSec, 3), fmtX(simdSpeedup, 2),
-                   simdSame ? "yes" : "NO"});
-    simdTable.print();
-
     sink.manifest().setConfig("engine.benchmarks",
                               static_cast<u64>(benches.size()));
     sink.manifest().setTimingNote("engine.separate_sec", sepSec);
     sink.manifest().setTimingNote("engine.fused_sec", fusedSec);
-    sink.manifest().setTimingNote("engine.simd_scalar_sec", scalarSec);
-    sink.manifest().setTimingNote("engine.simd_sec", simdSec);
     sink.finish();
 
     // Default into the CWD (the build tree under ctest); set
@@ -258,22 +186,18 @@ main(int, char **argv)
             "\"pool_threads\":%zu,\"scale\":%.3g,"
             "\"benchmarks\":%zu,\"total_minstrs\":%.1f,"
             "\"current_sec\":%.4f,\"fused_sec\":%.4f,"
-            "\"fused_vs_current\":%.3f,"
-            "\"simd_compiled\":%s,\"set_kernel\":\"%s\","
-            "\"simd_scalar_sec\":%.4f,\"simd_sec\":%.4f,"
-            "\"simd_speedup\":%.3f,\"identical\":%s}\n",
+            "\"fused_vs_current\":%.3f,\"set_kernel\":\"%s\","
+            "\"identical\":%s}\n",
             nproc, poolThreads, workloadScale(), benches.size(),
             totalInstrs / 1e6, sepSec, fusedSec, fusedVsCurrent,
-            simdAccumulateCompiled() ? "true" : "false",
-            activeSetKernel().name, scalarSec,
-            simdSec, simdSpeedup, identical ? "true" : "false");
+            activeSetKernel().name, identical ? "true" : "false");
         std::fclose(f);
         std::printf("wrote %s\n", jsonPath.c_str());
     }
 
     if (!identical) {
-        std::printf("[FAIL] fused or SIMD results differ from their "
-                    "references\n");
+        std::printf("[FAIL] fused results differ from the separate "
+                    "passes\n");
         return 1;
     }
     return 0;

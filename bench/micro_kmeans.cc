@@ -1,10 +1,10 @@
 /**
  * @file
- * Clustering microbench: the accelerated k-means (SPLAB_KMEANS_ACCEL:
- * the lane-parallel block kernel for every nearest-centroid
- * assignment, the tile kernel for k-means++ seeding, and Lloyd's
- * first assignment taken from the seeding scan) against the scalar
- * path, on the paper-default BIC k-sweep and finalize over real
+ * Clustering microbench: pickSimPoints (the lane-parallel block
+ * kernel for every nearest-centroid assignment, the tile kernel for
+ * k-means++ seeding, and Lloyd's first assignment taken from the
+ * seeding scan) against pickSimPointsReference (the scalar scans),
+ * on the paper-default BIC k-sweep and finalize over real
  * per-benchmark BBV profiles.
  *
  * Always runs in check mode: every comparison byte-compares the
@@ -84,7 +84,6 @@ main(int, char **argv)
     setenv("SPLAB_SCALE", "0.1", 0);
     const ExperimentConfig cfg = ExperimentConfig::paperDefaults();
     const auto benches = suiteNames();
-    const char *accelOld = std::getenv("SPLAB_KMEANS_ACCEL");
     bool identical = true;
 
     const unsigned nproc = std::thread::hardware_concurrency();
@@ -112,12 +111,11 @@ main(int, char **argv)
         totalSlices += bbvs.size();
 
         SimPointResult brute, accel;
-        setenv("SPLAB_KMEANS_ACCEL", "0", 1);
         double bs = wallSeconds([&] {
-            bruteWork += distancesComputed(
-                [&] { brute = pickSimPoints(bbvs, cfg.simpoint); });
+            bruteWork += distancesComputed([&] {
+                brute = pickSimPointsReference(bbvs, cfg.simpoint);
+            });
         });
-        setenv("SPLAB_KMEANS_ACCEL", "1", 1);
         double as = wallSeconds([&] {
             accelWork += distancesComputed(
                 [&] { accel = pickSimPoints(bbvs, cfg.simpoint); });
@@ -149,11 +147,6 @@ main(int, char **argv)
                fmt(accelSec, 3), fmtCount(accelWork),
                fmtX(speedup, 2), identical ? "yes" : "NO"});
     table.print();
-
-    if (accelOld)
-        setenv("SPLAB_KMEANS_ACCEL", accelOld, 1);
-    else
-        unsetenv("SPLAB_KMEANS_ACCEL");
 
     bench::saveCsv(csv, argv[0]);
 

@@ -742,21 +742,47 @@ ArtifactGraph::runSuite(const std::vector<std::string> &benchmarks,
     });
 }
 
+std::vector<ArtifactKind>
+ArtifactGraph::computedFrom(ArtifactKind kind) const
+{
+    switch (kind) {
+      case ArtifactKind::WholeCache:
+      case ArtifactKind::WholeTiming:
+      case ArtifactKind::Native:
+        return {ArtifactKind::WholeFused};
+      case ArtifactKind::PointsCacheCold:
+      case ArtifactKind::PointsCacheWarm:
+      case ArtifactKind::PointsTiming:
+        return {ArtifactKind::PointsFused};
+      case ArtifactKind::Regions:
+        if (cfg.sampling.strategy == StrategyKind::Simpoint)
+            return {ArtifactKind::SimPoints};
+        return {};
+      default:
+        return {};
+    }
+}
+
 void
 ArtifactGraph::recordArtifacts(
     obs::RunManifest &m, const std::vector<std::string> &benchmarks,
     const std::vector<ArtifactKind> &targets)
 {
     std::array<bool, kNumArtifactKinds> inClosure{};
-    // The kinds enum is in topological order, so one reverse pass
-    // suffices to close over transitive dependencies.
+    // The kinds enum is in topological order, and every node a
+    // projection is computed from precedes it, so one reverse pass
+    // closes over both.
     for (ArtifactKind t : targets)
         inClosure[static_cast<u8>(t)] = true;
-    for (std::size_t k = kNumArtifactKinds; k-- > 0;)
-        if (inClosure[k])
-            for (ArtifactKind d :
-                 artifactKindDeps(static_cast<ArtifactKind>(k)))
-                inClosure[static_cast<u8>(d)] = true;
+    for (std::size_t k = kNumArtifactKinds; k-- > 0;) {
+        if (!inClosure[k])
+            continue;
+        ArtifactKind kind = static_cast<ArtifactKind>(k);
+        for (ArtifactKind d : artifactKindDeps(kind))
+            inClosure[static_cast<u8>(d)] = true;
+        for (ArtifactKind src : computedFrom(kind))
+            inClosure[static_cast<u8>(src)] = true;
+    }
 
     for (const std::string &b : benchmarks)
         for (std::size_t k = 0; k < kNumArtifactKinds; ++k)

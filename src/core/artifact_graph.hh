@@ -415,9 +415,11 @@ class ArtifactGraph
 
     /**
      * Record the content-addressed key of every (benchmark, kind) in
-     * the dependency closure of @p targets into the manifest's
-     * "artifacts" section — deterministic across thread counts and
-     * cache states, so two manifests disagree exactly where the
+     * the closure of @p targets into the manifest's "artifacts"
+     * section: declared dependencies plus the nodes projections are
+     * computed from (computedFrom), so the manifest names every blob
+     * the run loads or stores.  Deterministic across thread counts
+     * and cache states, so two manifests disagree exactly where the
      * experiments did.
      */
     void recordArtifacts(obs::RunManifest &m,
@@ -435,6 +437,10 @@ class ArtifactGraph
     ArtifactValue computeValue(const std::string &name,
                                ArtifactKind kind);
     u64 configSliceHash(ArtifactKind kind) const;
+    /** Nodes computeValue reads beyond the declared deps: the fused
+     *  node a projection is taken from, and SimPoints for the
+     *  simpoint strategy's Regions.  They enter no key. */
+    std::vector<ArtifactKind> computedFrom(ArtifactKind kind) const;
 
     ExperimentConfig cfg;
     std::shared_ptr<const ArtifactCache> cache;

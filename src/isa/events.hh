@@ -76,12 +76,11 @@ struct BlockRecord
  * reductions (ldstmix, inscount, branchprofile, BBV accumulation)
  * consume O(1) (or O(touched blocks)) per chunk instead of walking
  * the block array.  They are computed lazily by a single
- * finalizeAggregates() pass over the filled SoA arrays (vectorized —
- * see isa/accumulate.hh; push() itself stays lean for the
- * generation inner loop) and cached until the next push/clear.  The
- * aggregates are pure integer sums of the same per-block fields, so
- * consuming them is observationally identical to the per-block
- * reduction in stream order.
+ * finalizeAggregates() pass over the filled SoA arrays (push()
+ * itself stays lean for the generation inner loop) and cached until
+ * the next push/clear.  The aggregates are pure integer sums of the
+ * same per-block fields, so consuming them is observationally
+ * identical to the per-block reduction in stream order.
  */
 class EventBatch
 {

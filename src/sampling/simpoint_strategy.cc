@@ -1,7 +1,6 @@
 #include "strategies.hh"
 
 #include "obs/manifest.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 
 namespace splab
@@ -29,10 +28,6 @@ SimpointStrategy::describe(obs::RunManifest &m) const
     m.setConfig("sampling.strategy", name());
     m.setConfig("sampling.simpoint.max_k", cfg.maxK);
     m.setConfig("sampling.simpoint.seed", cfg.seed);
-    // Recorded for provenance only: accel on/off yields bit-identical
-    // clustering output, so this never participates in artifact keys.
-    m.setConfig("sampling.simpoint.kmeans_accel",
-                kmeansAccelEnabled() ? 1 : 0);
 }
 
 } // namespace splab

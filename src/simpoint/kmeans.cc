@@ -8,7 +8,6 @@
 
 #include "obs/counters.hh"
 #include "obs/trace.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
@@ -484,7 +483,7 @@ seedCentroids(const DenseMatrix &points, const DistanceTile *tile,
 } // namespace
 
 KMeansResult
-kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
+kmeansFit(const DenseMatrix &points, const DistanceTile *tile, u32 k,
           u64 seed, int maxIters)
 {
     obs::TraceSpan span("kmeans.fit");
@@ -501,8 +500,6 @@ kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
 
     const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
-    // The scalar path never touches the tile: it stays the reference.
-    const DistanceTile *blocks = kmeansAccelEnabled() ? &tile : nullptr;
     u64 computed = 0;
 
     Rng rng(seed, 0x63a5ULL);
@@ -511,7 +508,7 @@ kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
     std::vector<u32> seedIdx;
     std::vector<double> seedDist;
     res.centroids =
-        seedCentroids(points, blocks, k, rng, seedIdx, seedDist,
+        seedCentroids(points, tile, k, rng, seedIdx, seedDist,
                       computed);
     res.assignment.assign(n, 0);
     res.clusterSize.assign(k, 0);
@@ -520,7 +517,7 @@ kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
 
     for (int iter = 0; iter < maxIters; ++iter) {
         // The tile path's seeding already made the first assignment.
-        const bool seeded = blocks && iter == 0;
+        const bool seeded = tile && iter == 0;
 
         // Assignment pass: each chunk accumulates private partial
         // sums; res.assignment is written index-wise, so chunks never
@@ -535,7 +532,7 @@ kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
                 const u32 *idx = seedIdx.data() + r.begin;
                 const double *dist = seedDist.data() + r.begin;
                 if (!seeded) {
-                    assignNearest(points, blocks, res.centroids,
+                    assignNearest(points, tile, res.centroids,
                                   r.begin, r.end, chunkIdx, chunkDist);
                     idx = chunkIdx;
                     dist = chunkDist;
@@ -597,7 +594,7 @@ kmeansFit(const DenseMatrix &points, const DistanceTile &tile, u32 k,
 }
 
 KMeansResult
-kmeansBestOf(const DenseMatrix &points, const DistanceTile &tile,
+kmeansBestOf(const DenseMatrix &points, const DistanceTile *tile,
              u32 k, u64 seed, int restarts, int maxIters)
 {
     SPLAB_ASSERT(restarts >= 1, "kmeans: restarts must be >= 1");
@@ -620,7 +617,7 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
 {
     DistanceTile tile;
     tile.assign(points);
-    return kmeansFit(points, tile, k, seed, maxIters);
+    return kmeansFit(points, &tile, k, seed, maxIters);
 }
 
 KMeansResult
@@ -629,7 +626,7 @@ kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed, int restarts,
 {
     DistanceTile tile;
     tile.assign(points);
-    return kmeansBestOf(points, tile, k, seed, restarts, maxIters);
+    return kmeansBestOf(points, &tile, k, seed, restarts, maxIters);
 }
 
 } // namespace splab

@@ -9,11 +9,11 @@
  * the global thread pool; per-chunk partial sums are reduced in
  * fixed chunk order, so fits are bit-identical at any SPLAB_THREADS.
  *
- * Block-kernel acceleration (SPLAB_KMEANS_ACCEL, default on): the
- * points are stored once as a transposed tile (DistanceTile) and
- * every nearest-centroid assignment -- each Lloyd pass after the
- * first and the whole-run slice assignment -- scores a block of 16
- * points against the centroids at once (TileKernel::nearest).
+ * Block-kernel acceleration: given a tile, the points are stored
+ * once transposed (DistanceTile) and every nearest-centroid
+ * assignment -- each Lloyd pass after the first and the whole-run
+ * slice assignment -- scores a block of 16 points against the
+ * centroids at once (TileKernel::nearest).
  * Lloyd's first assignment is no scan at all: the k-means++ seeding
  * already scored every placed centroid against every point, so it
  * keeps the running argmin and adds one pass for the last centroid.
@@ -22,8 +22,9 @@
  * strict-`<` argmin, so assignments, tie-breaks, distortion and
  * centroid bytes are bit-identical to the scalar path at any
  * SPLAB_THREADS, and cached artifact bytes never move (no
- * version-salt bump).  The deterministic counter
- * kmeans.distances_computed tallies the work.
+ * version-salt bump).  A null tile runs the scalar scans: the
+ * reference the kernels are tested against.  The deterministic
+ * counter kmeans.distances_computed tallies the work.
  */
 
 #ifndef SPLAB_SIMPOINT_KMEANS_HH
@@ -154,26 +155,26 @@ void accountDistances(u64 computed);
  * Fit k-means to @p points.
  *
  * @param points   dense row-major point matrix
- * @param tile     the tile of @p points, for the block kernels; the
- *                 scalar path (SPLAB_KMEANS_ACCEL=0) ignores it
+ * @param tile     the tile of @p points, for the block kernels; null
+ *                 runs the scalar scans (the reference)
  * @param k        number of clusters (clamped to points.rows())
  * @param seed     seeding determinism
  * @param maxIters Lloyd iteration cap
  */
 KMeansResult kmeansFit(const DenseMatrix &points,
-                       const DistanceTile &tile, u32 k, u64 seed,
+                       const DistanceTile *tile, u32 k, u64 seed,
                        int maxIters = 40);
 
 /**
  * Best of @p restarts fits (lowest distortion, earliest restart on
  * ties), varying the seed.  Restarts run in parallel and share
- * @p tile.
+ * @p tile (null: the scalar reference).
  */
 KMeansResult kmeansBestOf(const DenseMatrix &points,
-                          const DistanceTile &tile, u32 k, u64 seed,
+                          const DistanceTile *tile, u32 k, u64 seed,
                           int restarts, int maxIters = 40);
 
-/// @name Conveniences that build the tile (tests, benches)
+/// @name Conveniences that build the tile and run the block kernels
 /// @{
 
 KMeansResult kmeansFit(const DenseMatrix &points, u32 k, u64 seed,

@@ -6,7 +6,6 @@
 #include "obs/counters.hh"
 #include "obs/trace.hh"
 #include "sampling/region.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
@@ -124,11 +123,11 @@ struct ClusterInputs
 /**
  * The shared preamble of SimPoint selection: L1-normalize every BBV
  * during projection (no normalized copy is materialised), then carve
- * out the strided clustering sample.
+ * out the strided clustering sample, and tile it when @p blocks.
  */
 ClusterInputs
 prepareClusterInputs(const std::vector<FrequencyVector> &bbvs,
-                     const SimPointConfig &cfg)
+                     const SimPointConfig &cfg, bool blocks)
 {
     ClusterInputs in;
     RandomProjection proj(cfg.projectionDim,
@@ -139,7 +138,8 @@ prepareClusterInputs(const std::vector<FrequencyVector> &bbvs,
     in.sample.reset(sampleIdx.size(), in.projected.cols());
     for (std::size_t i = 0; i < sampleIdx.size(); ++i)
         in.sample.setRow(i, in.projected.row(sampleIdx[i]));
-    in.tile.assign(in.sample);
+    if (blocks)
+        in.tile.assign(in.sample);
     return in;
 }
 
@@ -154,10 +154,11 @@ findRoot(std::vector<u32> &parent, u32 x)
     return x;
 }
 
-/** Build the final result from a fit over the sample. */
+/** Build the final result from a fit over the sample; the slices
+ *  are assigned through the block kernel when @p blocks. */
 SimPointResult
 finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
-         const SimPointConfig &cfg)
+         const SimPointConfig &cfg, bool blocks)
 {
     obs::TraceSpan span("simpoint.finalize");
     SimPointResult res;
@@ -169,7 +170,7 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
 
     // Pass 1: assign every slice (not just the sample) to its
     // nearest k-means centroid, through the block kernel of the
-    // Lloyd passes (results bit-identical to the scalar scan; see
+    // Lloyd passes or the scalar scan (bit-identical; see
     // kmeans.hh).  Chunks accumulate private population counts and
     // per-cluster distance lists; the chunk-order reduction below
     // concatenates the lists in slice order, exactly as a serial
@@ -180,16 +181,17 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
         std::vector<std::vector<double>> distances;
     };
     DistanceTile tile;
-    tile.assign(allProjected);
-    const DistanceTile *blocks = kmeansAccelEnabled() ? &tile : nullptr;
+    if (blocks)
+        tile.assign(allProjected);
     std::vector<u32> rawAssign(n, 0);
     auto pass1 = parallelChunkApply<Pass1Accum>(
         n, kSliceChunk, [&](Pass1Accum &a, const ChunkRange &r) {
             a.population.assign(fit.k, 0);
             a.distances.assign(fit.k, {});
             double dist[kSliceChunk];
-            assignNearest(allProjected, blocks, fit.centroids, r.begin,
-                          r.end, rawAssign.data() + r.begin, dist);
+            assignNearest(allProjected, blocks ? &tile : nullptr,
+                          fit.centroids, r.begin, r.end,
+                          rawAssign.data() + r.begin, dist);
             for (std::size_t i = r.begin; i < r.end; ++i) {
                 ++a.population[rawAssign[i]];
                 a.distances[rawAssign[i]].push_back(dist[i - r.begin]);
@@ -349,11 +351,11 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
     return res;
 }
 
-} // namespace
-
+/** pickSimPoints with every nearest-centroid scan through the block
+ *  kernels (@p blocks) or the scalar scans. */
 SimPointResult
-pickSimPoints(const std::vector<FrequencyVector> &bbvs,
-              const SimPointConfig &cfg)
+selectSimPoints(const std::vector<FrequencyVector> &bbvs,
+                const SimPointConfig &cfg, bool blocks)
 {
     obs::TraceSpan span("simpoint.pick");
     static obs::Counter &selections =
@@ -362,7 +364,8 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
     selections.add();
     SPLAB_ASSERT(!bbvs.empty(), "simpoint: no slices");
 
-    ClusterInputs in = prepareClusterInputs(bbvs, cfg);
+    ClusterInputs in = prepareClusterInputs(bbvs, cfg, blocks);
+    const DistanceTile *tile = blocks ? &in.tile : nullptr;
 
     u32 maxK = cfg.maxK;
     if (maxK > in.sample.rows())
@@ -371,7 +374,7 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
     // The BIC model-selection sweep: every k is an independent fit
     // seeded by hashCombine(seed, k), so the sweep fans out across
     // the pool and results are collected by index.  All fits share
-    // the sample's tile.
+    // the sample's tile (null on the scalar reference).
     struct SweepFit
     {
         KMeansResult fit;
@@ -381,7 +384,7 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
     auto sweep = parallelMap<SweepFit>(maxK, [&](std::size_t ki) {
         u32 k = static_cast<u32>(ki) + 1;
         SweepFit s;
-        s.fit = kmeansBestOf(in.sample, in.tile, k,
+        s.fit = kmeansBestOf(in.sample, tile, k,
                              hashCombine(cfg.seed, k), cfg.restarts,
                              cfg.maxIters);
         s.entry = {k, bicScore(s.fit, in.sample), s.fit.distortion,
@@ -396,11 +399,28 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
         scores.push_back(s.entry.bic);
 
     std::size_t pick = pickByBicFraction(scores, cfg.bicFraction);
-    SimPointResult out = finalize(sweep[pick].fit, in.projected, cfg);
+    SimPointResult out =
+        finalize(sweep[pick].fit, in.projected, cfg, blocks);
     out.sweep.reserve(sweep.size());
     for (const SweepFit &s : sweep)
         out.sweep.push_back(s.entry);
     return out;
+}
+
+} // namespace
+
+SimPointResult
+pickSimPoints(const std::vector<FrequencyVector> &bbvs,
+              const SimPointConfig &cfg)
+{
+    return selectSimPoints(bbvs, cfg, true);
+}
+
+SimPointResult
+pickSimPointsReference(const std::vector<FrequencyVector> &bbvs,
+                       const SimPointConfig &cfg)
+{
+    return selectSimPoints(bbvs, cfg, false);
 }
 
 // SimPoint and KSweepEntry carry internal padding (a u32 member

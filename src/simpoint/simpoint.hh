@@ -110,6 +110,14 @@ struct SimPointResult
 SimPointResult pickSimPoints(const std::vector<FrequencyVector> &bbvs,
                              const SimPointConfig &cfg);
 
+/**
+ * pickSimPoints on the scalar nearest-centroid scans: the reference
+ * the block kernels are tested against.  Bit-identical result.
+ */
+SimPointResult
+pickSimPointsReference(const std::vector<FrequencyVector> &bbvs,
+                       const SimPointConfig &cfg);
+
 /// @name SimPointResult (de)serialization for the artifact cache
 /// @{
 void serializeSimPoints(ByteWriter &w, const SimPointResult &r);

@@ -22,18 +22,13 @@
  *  - SPLAB_MANIFEST: 0 = suppress the "<binary>.manifest.json" run
  *                    manifest benches write by default (see
  *                    obs/manifest.hh).
- *  - SPLAB_SIMD    : 0 = force the scalar reference implementation
- *                    of the batch accumulate kernels (see
- *                    isa/accumulate.hh).  Default on; scalar and
- *                    SIMD results are bit-identical.
- *  - SPLAB_KMEANS_ACCEL: 0 = force the scalar nearest-centroid
- *                    scans in the clustering stack (see
- *                    simpoint/kmeans.hh).  Default on: every
- *                    assignment runs through the lane-parallel block
- *                    kernel and Lloyd's first assignment comes from
- *                    the k-means++ seeding scan.  Assignments,
- *                    distortion and centroid bytes are bit-identical
- *                    either way.
+ *  - SPLAB_LOG     : log verbosity (see support/logging.hh).
+ *
+ * Those six are the only variables the library's behaviour depends
+ * on.  Five retired knobs (SPLAB_FUSED_PERSIST, SPLAB_GEN_PIPELINE,
+ * SPLAB_SIMD, SPLAB_TOOL_LANES, SPLAB_KMEANS_ACCEL) are read only by
+ * the print-only functions below, for the suite benchmark's [config]
+ * line.
  */
 
 #ifndef SPLAB_SUPPORT_ENV_HH
@@ -78,9 +73,10 @@ bool fusedPersistEnabled();
  *  goes with that line in the next benchmark change. */
 bool genPipelineEnabled();
 
-/** Whether the SIMD batch-accumulate kernels may be used
- *  (SPLAB_SIMD; default on).  Re-read per call so tests can toggle
- *  it within one process. */
+/** Value of the retired SPLAB_SIMD knob (default on).  No library
+ *  code reads it: batch aggregates are one scalar pass.  It remains
+ *  only for the suite benchmark's [config] print line and goes with
+ *  that line in the next benchmark change. */
 bool simdKernelsEnabled();
 
 /** Value of the retired SPLAB_TOOL_LANES knob (default on).  No
@@ -89,9 +85,11 @@ bool simdKernelsEnabled();
  *  goes with that line in the next benchmark change. */
 bool toolLanesEnabled();
 
-/** Whether the clustering block kernels may be used
- *  (SPLAB_KMEANS_ACCEL; default on).  Re-read per fit so tests
- *  can toggle it within one process. */
+/** Value of the retired SPLAB_KMEANS_ACCEL knob (default on).  No
+ *  library code reads it: pickSimPoints always runs the block
+ *  kernel, and pickSimPointsReference is the scalar reference.  It
+ *  remains only for the suite benchmark's [config] print line and
+ *  goes with that line in the next benchmark change. */
 bool kmeansAccelEnabled();
 
 } // namespace splab

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "core/artifact_graph.hh"
 #include "core/headlines.hh"
 #include "obs/counters.hh"
+#include "obs/json.hh"
 #include "perf/native.hh"
 #include "support/env.hh"
 #include "support/thread_pool.hh"
@@ -652,22 +654,58 @@ TEST(ArtifactGraphManifest, RecordsDependencyClosure)
     g.recordArtifacts(m, {kBenches[0]},
                       {ArtifactKind::PointsCacheCold});
     std::string json = m.renderDeterministic();
-    // Target plus its transitive upstreams, nothing else.
+    // Target plus its transitive upstreams and the nodes they are
+    // computed from, nothing else.
     EXPECT_NE(json.find("\"pointscold/" + kBenches[0] + "\""),
               std::string::npos);
+    EXPECT_NE(json.find("\"pointsfused/" + kBenches[0] + "\""),
+              std::string::npos);
     // Region selection is in the closure (strategy-qualified blob
-    // family); the SimPoints node is not — Regions declares its
-    // value dependency on the BBV profile, not on how the simpoint
-    // strategy's compute routes.
+    // family), and so is the SimPoints node the simpoint strategy's
+    // regions are computed from, though it enters no key.
     EXPECT_NE(json.find("\"regions_simpoint/" + kBenches[0] + "\""),
               std::string::npos);
-    EXPECT_EQ(json.find("\"simpoints/"), std::string::npos);
+    EXPECT_NE(json.find("\"simpoints/" + kBenches[0] + "\""),
+              std::string::npos);
     EXPECT_NE(json.find("\"bbvprofile/" + kBenches[0] + "\""),
               std::string::npos);
     EXPECT_NE(json.find("\"spec/" + kBenches[0] + "\""),
               std::string::npos);
     EXPECT_EQ(json.find("\"wholecache/"), std::string::npos);
+    EXPECT_EQ(json.find("\"wholefused/"), std::string::npos);
     EXPECT_EQ(json.find("\"pointswarm/"), std::string::npos);
+}
+
+TEST(ArtifactGraphManifest, RecordsTheFusedBlobsProjectionsReadFrom)
+{
+    // Fig 8's targets are all memory-resident projections; the blobs
+    // the run loads or stores are the fused nodes behind them, so
+    // the manifest must name those under their cache keys.
+    ArtifactGraph g(fastConfig(),
+                    std::make_shared<const ArtifactCache>(
+                        ArtifactCache("")));
+    obs::RunManifest m("test");
+    g.recordArtifacts(m, kBenches,
+                      {ArtifactKind::WholeCache,
+                       ArtifactKind::PointsCacheCold,
+                       ArtifactKind::PointsCacheWarm});
+    auto parsed = obs::parseJson(m.renderDeterministic());
+    ASSERT_TRUE(parsed.has_value());
+    const obs::JsonValue *artifacts = parsed->find("artifacts");
+    ASSERT_NE(artifacts, nullptr);
+    for (const std::string &b : kBenches)
+        for (ArtifactKind kind :
+             {ArtifactKind::WholeFused, ArtifactKind::PointsFused}) {
+            const std::string name =
+                std::string(artifactKindName(kind)) + "/" + b;
+            const obs::JsonValue *key = artifacts->find(name);
+            ASSERT_NE(key, nullptr) << name;
+            char hex[32];
+            std::snprintf(hex, sizeof(hex), "0x%016llx",
+                          static_cast<unsigned long long>(
+                              g.artifactKey(b, kind)));
+            EXPECT_EQ(key->asString(), hex) << name;
+        }
 }
 
 TEST(ArtifactGraphSerialization, RoundTripsEveryKind)

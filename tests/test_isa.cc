@@ -1,17 +1,12 @@
 /**
  * @file
- * Unit tests for instruction taxonomy and mix handling, and for the
- * SIMD batch-accumulate kernels (bit-equal to the scalar reference).
+ * Unit tests for instruction taxonomy and mix handling.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <random>
 #include <string>
-#include <vector>
 
-#include "isa/accumulate.hh"
 #include "isa/basic_block.hh"
 #include "isa/instr.hh"
 
@@ -93,115 +88,6 @@ TEST(StaticBlock, MemOpsCountsRwTwice)
     b.mix = {60, 25, 12, 3};
     // 25 reads + 12 writes + 3 read-write pairs = 25+12+6.
     EXPECT_EQ(b.memOps(), 25u + 12u + 6u);
-}
-
-/** RAII env toggle restoring the variable on scope exit. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *n, const char *v) : name(n)
-    {
-        const char *old = std::getenv(n);
-        had = old != nullptr;
-        if (had)
-            saved = old;
-        setenv(n, v, 1);
-    }
-    ~EnvGuard()
-    {
-        if (had)
-            setenv(name, saved.c_str(), 1);
-        else
-            unsetenv(name);
-    }
-
-  private:
-    const char *name;
-    bool had = false;
-    std::string saved;
-};
-
-/** Random event arrays shaped like a generated chunk. */
-struct RandomBatchArrays
-{
-    std::vector<BlockRecord> recs;
-    std::vector<u8> valid, taken, dataDep;
-};
-
-RandomBatchArrays
-randomArrays(std::size_t n, u64 seed)
-{
-    RandomBatchArrays a;
-    std::mt19937_64 rng(seed);
-    for (std::size_t i = 0; i < n; ++i) {
-        BlockRecord r;
-        r.bb = static_cast<u32>(rng() % 500);
-        r.pc = rng();
-        r.instrs = 1 + static_cast<u32>(rng() % 40);
-        for (std::size_t m = 0; m < r.mix.count.size(); ++m)
-            r.mix.count[m] = rng() % 17;
-        r.fpInstrs = static_cast<u32>(rng() % 9);
-        bool hasBr = (rng() & 1) != 0;
-        r.endsInBranch = hasBr;
-        a.recs.push_back(r);
-        a.valid.push_back(hasBr ? 1 : 0);
-        a.taken.push_back(hasBr && (rng() & 1) ? 1 : 0);
-        a.dataDep.push_back(hasBr && (rng() & 1) ? 1 : 0);
-    }
-    return a;
-}
-
-BatchAggregates
-accumulateWith(BatchAggregates (*kernel)(const BlockRecord *,
-                                         std::size_t, const u8 *,
-                                         const u8 *, const u8 *),
-               const RandomBatchArrays &a)
-{
-    return kernel(a.recs.data(), a.recs.size(), a.valid.data(),
-                  a.taken.data(), a.dataDep.data());
-}
-
-TEST(SimdAccumulate, MatchesScalarAtEveryLength)
-{
-    // Vector widths, tails, empty input: the SIMD kernels must be
-    // bit-equal to the scalar reference at every length.
-    for (std::size_t n : {0u, 1u, 2u, 7u, 15u, 16u, 17u, 333u, 4096u}) {
-        RandomBatchArrays a = randomArrays(n, 77 + n);
-        EXPECT_TRUE(accumulateWith(accumulateScalar, a) ==
-                    accumulateWith(accumulateSimd, a))
-            << "n=" << n;
-        EXPECT_EQ(sumBytesScalar(a.valid.data(), n),
-                  sumBytesSimd(a.valid.data(), n))
-            << "n=" << n;
-    }
-}
-
-TEST(SimdAccumulate, EnvForcesScalarPath)
-{
-    RandomBatchArrays a = randomArrays(1000, 5);
-    BatchAggregates ref = accumulateWith(accumulateScalar, a);
-    EnvGuard g("SPLAB_SIMD", "0");
-    EXPECT_FALSE(simdAccumulateEnabled());
-    EXPECT_TRUE(ref == accumulateWith(accumulateBatch, a));
-}
-
-TEST(EnvReRead, SimdFlipsMidProcess)
-{
-    // SPLAB_SIMD is re-read per call: toggling it inside one test
-    // body must flip the dispatch both ways, with identical results
-    // either way.
-    RandomBatchArrays a = randomArrays(777, 99);
-    BatchAggregates ref = accumulateWith(accumulateScalar, a);
-    {
-        EnvGuard g("SPLAB_SIMD", "0");
-        EXPECT_FALSE(simdAccumulateEnabled());
-        EXPECT_TRUE(ref == accumulateWith(accumulateBatch, a));
-    }
-    {
-        EnvGuard g("SPLAB_SIMD", "1");
-        EXPECT_EQ(simdAccumulateEnabled(), simdAccumulateCompiled());
-        EXPECT_TRUE(ref == accumulateWith(accumulateBatch, a));
-    }
 }
 
 } // namespace

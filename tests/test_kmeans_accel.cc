@@ -5,24 +5,22 @@
  * Lloyd's first assignment taken from the k-means++ seeding scan.
  *
  * The acceleration contract is *exact equality*, not approximation:
- * with SPLAB_KMEANS_ACCEL on, every fit and whole-pipeline SimPoint
- * selection must be bit-identical to the scalar path at any
- * SPLAB_THREADS, and every build of the kernels must return the
- * scalar scan's indices and doubles — so these tests compare doubles
- * with memcmp, not EXPECT_NEAR.  The work tally
- * (kmeans.distances_computed) is a deterministic counter and is
+ * every fit and whole-pipeline SimPoint selection must be
+ * bit-identical to the scalar reference (a null tile,
+ * pickSimPointsReference) at any SPLAB_THREADS, and every build of
+ * the kernels must return the scalar scan's indices and doubles — so
+ * these tests compare doubles with memcmp, not EXPECT_NEAR.  The work
+ * tally (kmeans.distances_computed) is a deterministic counter and is
  * asserted to be exact and thread-count invariant as well.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "obs/counters.hh"
 #include "simpoint/simpoint.hh"
-#include "support/env.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/thread_pool.hh"
@@ -31,18 +29,6 @@ namespace splab
 {
 namespace
 {
-
-/** Scoped SPLAB_KMEANS_ACCEL setter; restores the default (on). */
-class AccelGuard
-{
-  public:
-    explicit AccelGuard(bool on)
-    {
-        ::setenv("SPLAB_KMEANS_ACCEL", on ? "1" : "0", 1);
-    }
-
-    ~AccelGuard() { ::setenv("SPLAB_KMEANS_ACCEL", "1", 1); }
-};
 
 /** Scoped global-pool resize; restores the environment default. */
 class ThreadsGuard
@@ -97,6 +83,14 @@ gaussianBlobs(u32 clusters, u32 perCluster, double spread, u64 seed,
     return pts;
 }
 
+/** The scalar reference fit: no tile, so every scan is scalar. */
+KMeansResult
+referenceFit(const std::vector<std::vector<double>> &pts, u32 k,
+             u64 seed)
+{
+    return kmeansFit(DenseMatrix::fromRows(pts), nullptr, k, seed);
+}
+
 /** Delta of the kmeans.distances_computed counter across @p body
  *  (the counter is process-global and monotonic). */
 template <typename Fn>
@@ -120,15 +114,8 @@ TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
         gaussianBlobs(7, 143, 0.4, 13, 15)};
     for (const auto &pts : inputs) {
         for (u32 k = 1; k <= 35; ++k) {
-            KMeansResult brute, accel;
-            {
-                AccelGuard off(false);
-                brute = kmeansFit(pts, k, 7);
-            }
-            {
-                AccelGuard on(true);
-                accel = kmeansFit(pts, k, 7);
-            }
+            KMeansResult brute = referenceFit(pts, k, 7);
+            KMeansResult accel = kmeansFit(pts, k, 7);
             SCOPED_TRACE("n=" + std::to_string(pts.size()) +
                          " k=" + std::to_string(k));
             expectBitIdentical(brute, accel);
@@ -139,15 +126,9 @@ TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
 TEST(KMeansAccel, BestOfBitIdentical)
 {
     auto pts = gaussianBlobs(4, 80, 0.6, 19);
-    KMeansResult brute, accel;
-    {
-        AccelGuard off(false);
-        brute = kmeansBestOf(pts, 6, 3, 4);
-    }
-    {
-        AccelGuard on(true);
-        accel = kmeansBestOf(pts, 6, 3, 4);
-    }
+    KMeansResult brute =
+        kmeansBestOf(DenseMatrix::fromRows(pts), nullptr, 6, 3, 4);
+    KMeansResult accel = kmeansBestOf(pts, 6, 3, 4);
     expectBitIdentical(brute, accel);
 }
 
@@ -172,15 +153,8 @@ TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
                  {&grid, 1},  {&same, 1}, {&same, 2}, {&same, 5},
                  {&same, 20}};
     for (const auto &[pts, k] : cases) {
-        KMeansResult brute, accel;
-        {
-            AccelGuard off(false);
-            brute = kmeansFit(*pts, k, 1);
-        }
-        {
-            AccelGuard on(true);
-            accel = kmeansFit(*pts, k, 1);
-        }
+        KMeansResult brute = referenceFit(*pts, k, 1);
+        KMeansResult accel = kmeansFit(*pts, k, 1);
         SCOPED_TRACE("n=" + std::to_string(pts->size()) +
                      " k=" + std::to_string(k));
         expectBitIdentical(brute, accel);
@@ -196,35 +170,10 @@ TEST(KMeansAccel, SeededFirstPassSavesWork)
     // bit-identical, so they run the same iterations).
     auto pts = gaussianBlobs(8, 100, 0.1, 29);
     const u32 k = 16;
-    u64 brute, accel;
-    {
-        AccelGuard off(false);
-        brute = distancesComputed([&] { kmeansFit(pts, k, 5); });
-    }
-    {
-        AccelGuard on(true);
-        accel = distancesComputed([&] { kmeansFit(pts, k, 5); });
-    }
+    u64 brute = distancesComputed([&] { referenceFit(pts, k, 5); });
+    u64 accel = distancesComputed([&] { kmeansFit(pts, k, 5); });
     EXPECT_LT(accel, brute);
     EXPECT_EQ(brute - accel, pts.size() * (k - 1));
-}
-
-TEST(KMeansAccel, KnobReReadPerFit)
-{
-    // The env knob is consulted per fit, so one process can compare
-    // both paths without re-exec: the two paths' distance counts
-    // differ by the seeded first pass.
-    auto pts = gaussianBlobs(4, 50, 0.2, 37);
-    u64 off, on;
-    {
-        AccelGuard guard(false);
-        off = distancesComputed([&] { kmeansFit(pts, 8, 2); });
-    }
-    {
-        AccelGuard guard(true);
-        on = distancesComputed([&] { kmeansFit(pts, 8, 2); });
-    }
-    EXPECT_EQ(off - on, pts.size() * 7);
 }
 
 TEST(KMeansAccel, CountersThreadCountInvariant)
@@ -234,7 +183,6 @@ TEST(KMeansAccel, CountersThreadCountInvariant)
     // section.  Assert the deltas (and the fit bytes) are identical
     // at 1, 2 and 8 threads.
     auto pts = gaussianBlobs(5, 120, 0.3, 43);
-    AccelGuard on(true);
     KMeansResult ref;
     u64 refComputed = 0;
     bool first = true;
@@ -449,11 +397,10 @@ phasedBbvs(const std::vector<double> &weights, u32 slices, u64 seed)
 }
 
 std::vector<u8>
-selectionBytes(const std::vector<FrequencyVector> &bbvs,
-               const SimPointConfig &cfg)
+selectionBytes(const SimPointResult &r)
 {
     ByteWriter w;
-    serializeSimPoints(w, pickSimPoints(bbvs, cfg));
+    serializeSimPoints(w, r);
     return w.bytes();
 }
 
@@ -461,22 +408,19 @@ TEST(SimPointAccel, WholePipelineBytesInvariant)
 {
     // End-to-end SimPoint selection — sub-sampled k-sweep, BIC pick,
     // whole-run slice assignment — serialized and byte-compared:
-    // accel on/off and every thread count must agree exactly, which
-    // is what keeps cached artifact bytes stable with no salt bump.
+    // the block kernel at every thread count must agree exactly with
+    // the scalar reference, which is what keeps cached artifact
+    // bytes stable with no salt bump.
     auto bbvs = phasedBbvs({0.4, 0.3, 0.2, 0.1}, 500, 67);
     SimPointConfig cfg;
     cfg.maxK = 10;
-    std::vector<u8> ref;
-    {
-        AccelGuard off(false);
-        ref = selectionBytes(bbvs, cfg);
-    }
+    const std::vector<u8> ref =
+        selectionBytes(pickSimPointsReference(bbvs, cfg));
     ASSERT_FALSE(ref.empty());
     for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadsGuard tg(threads);
-        AccelGuard on(true);
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_EQ(selectionBytes(bbvs, cfg), ref);
+        EXPECT_EQ(selectionBytes(pickSimPoints(bbvs, cfg)), ref);
     }
 }
 
@@ -488,15 +432,9 @@ TEST(SimPointAccel, PipelineComputesFewerDistances)
     auto bbvs = phasedBbvs({0.5, 0.3, 0.2}, 600, 71);
     SimPointConfig cfg;
     cfg.maxK = 12;
-    u64 brute, accel;
-    {
-        AccelGuard off(false);
-        brute = distancesComputed([&] { pickSimPoints(bbvs, cfg); });
-    }
-    {
-        AccelGuard on(true);
-        accel = distancesComputed([&] { pickSimPoints(bbvs, cfg); });
-    }
+    u64 brute =
+        distancesComputed([&] { pickSimPointsReference(bbvs, cfg); });
+    u64 accel = distancesComputed([&] { pickSimPoints(bbvs, cfg); });
     EXPECT_GT(accel, 0u);
     EXPECT_LT(accel, brute);
 }
