@@ -3,10 +3,12 @@
 #include <array>
 #include <condition_variable>
 #include <cstdio>
+#include <optional>
 
 #include "artifact_backend.hh"
 #include "obs/counters.hh"
 #include "obs/trace.hh"
+#include "pin/tools/bbv_tool.hh"
 #include "pinball/logger.hh"
 #include "sampling/strategies.hh"
 #include "support/env.hh"
@@ -346,6 +348,9 @@ struct ArtifactGraph::Node
         Busy,    ///< one thread is loading/computing
         Ready,   ///< value valid; immutable from here on
     } state = Empty;
+    /** Asked for by runSuite: pinned even where read as a
+     *  dependency (see borrow). */
+    bool target = false;
     ArtifactValue value;
 };
 
@@ -452,9 +457,13 @@ ArtifactGraph::computeValue(const std::string &name,
         return benchmarkByName(name);
       case ArtifactKind::BbvProfile:
         return profileBbvs(spec(name), cfg.simpoint.sliceInstrs);
-      case ArtifactKind::SimPoints:
+      case ArtifactKind::SimPoints: {
         SPLAB_VERBOSE("simpoint selection: ", name);
-        return SimpointStrategy(cfg.simpoint).pick(bbvProfile(name));
+        std::optional<ArtifactValue> held;
+        return SimpointStrategy(cfg.simpoint)
+            .pick(std::get<std::vector<FrequencyVector>>(
+                borrow(name, ArtifactKind::BbvProfile, held)));
+      }
       case ArtifactKind::Regions: {
         SPLAB_VERBOSE("region selection (",
                       strategyName(cfg.sampling.strategy),
@@ -468,10 +477,20 @@ ArtifactGraph::computeValue(const std::string &name,
             accountSelection(StrategyKind::Simpoint, sel);
             return sel;
         }
-        const std::vector<FrequencyVector> &bbvs = bbvProfile(name);
-        StrategyInputs in{&bbvs, bbvs.size(),
-                          cfg.simpoint.sliceInstrs};
-        return makeStrategy(cfg.sampling, cfg.simpoint)->select(in);
+        auto strategy = makeStrategy(cfg.sampling, cfg.simpoint);
+        const ICount slice = cfg.simpoint.sliceInstrs;
+        if (!strategyReadsProfile(cfg.sampling.strategy)) {
+            // A count-only design: the profile's length follows from
+            // the spec, so no profile is read at all.
+            return strategy->select(
+                {nullptr,
+                 BbvTool::sliceCount(spec(name).totalInstrs(), slice),
+                 slice});
+        }
+        std::optional<ArtifactValue> held;
+        const auto &bbvs = std::get<std::vector<FrequencyVector>>(
+            borrow(name, ArtifactKind::BbvProfile, held));
+        return strategy->select({&bbvs, bbvs.size(), slice});
       }
       case ArtifactKind::WholeFused: {
         SPLAB_INFORM("fused whole-run simulation: ", name);
@@ -521,8 +540,8 @@ ArtifactGraph::computeValue(const std::string &name,
                 static_cast<int>(static_cast<u8>(kind)));
 }
 
-const ArtifactValue &
-ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
+ArtifactValue
+ArtifactGraph::materialize(const std::string &name, ArtifactKind kind)
 {
     static obs::Counter &hits =
         obs::counter("graph.cache_hits",
@@ -547,54 +566,53 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     static const auto computedBy =
         perKind("computed", " nodes computed fresh");
 
+    const KindInfo &info = kindInfo(kind);
+    obs::TraceSpan span(info.spanName);
+    bool persist = info.persisted && cache->enabled();
+    std::string family = blobFamily(kind, cfg);
+    u64 key = 0;
+    // Held until the store below is published: another process (or
+    // cache handle, or a thread borrowing this artifact) asking for
+    // it waits here and then loads it instead of computing it again.
+    FileLock keyLock;
+    if (persist) {
+        key = artifactKey(name, kind);
+        keyLock = cache->lockArtifact(family, key);
+        if (CacheOutcome got = cache->load(family, key)) {
+            hits.add();
+            loadedBy[static_cast<u8>(kind)]->add();
+            return deserializeArtifact(kind, *got);
+        }
+    }
+    ArtifactValue v = computeValue(name, kind);
+    computed.add();
+    computedBy[static_cast<u8>(kind)]->add();
+    if (persist) {
+        ByteWriter w;
+        serializeArtifact(w, v);
+        cache->store(family, key, w);
+    }
+    return v;
+}
+
+const ArtifactValue &
+ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
+{
     Node &n = nodeFor(name, kind);
     std::unique_lock<std::mutex> lock(n.mtx);
+    // Single-flight: while another thread owns the computation, wait
+    // for its result instead of duplicating the work.  If it failed,
+    // the node is Empty again and this thread retries it.
+    n.cv.wait(lock, [&] { return n.state != Node::Busy; });
     if (n.state == Node::Ready)
         return n.value;
-    if (n.state == Node::Busy) {
-        // Single-flight: another thread owns the computation; wait
-        // for its result instead of duplicating the work.
-        n.cv.wait(lock, [&] { return n.state == Node::Ready; });
-        return n.value;
-    }
     n.state = Node::Busy;
     lock.unlock();
 
-    const KindInfo &info = kindInfo(kind);
     ArtifactValue v;
     try {
-        obs::TraceSpan span(info.spanName);
-        bool persist = info.persisted && cache->enabled();
-        bool loaded = false;
-        std::string family = blobFamily(kind, cfg);
-        u64 key = 0;
-        // Held until the store below is published: another process
-        // (or cache handle) asking for this artifact waits here and
-        // then loads it instead of computing it a second time.
-        FileLock keyLock;
-        if (persist) {
-            key = artifactKey(name, kind);
-            keyLock = cache->lockArtifact(family, key);
-            if (CacheOutcome got = cache->load(family, key)) {
-                v = deserializeArtifact(kind, *got);
-                loaded = true;
-                hits.add();
-                loadedBy[static_cast<u8>(kind)]->add();
-            }
-        }
-        if (!loaded) {
-            v = computeValue(name, kind);
-            computed.add();
-            computedBy[static_cast<u8>(kind)]->add();
-            if (persist) {
-                ByteWriter w;
-                serializeArtifact(w, v);
-                cache->store(family, key, w);
-            }
-        }
+        v = materialize(name, kind);
     } catch (...) {
-        // Re-open the node so a later request can retry, and wake
-        // current waiters into the retry path.
         lock.lock();
         n.state = Node::Empty;
         n.cv.notify_all();
@@ -606,6 +624,29 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     n.state = Node::Ready;
     n.cv.notify_all();
     return n.value;
+}
+
+const ArtifactValue &
+ArtifactGraph::borrow(const std::string &name, ArtifactKind kind,
+                      std::optional<ArtifactValue> &held)
+{
+    // Without a usable cache a released value could only be computed
+    // again, so the graph keeps it.
+    if (!artifactKindPersisted(kind) || !cache->enabled())
+        return ensure(name, kind);
+    Node &n = nodeFor(name, kind);
+    bool pinned;
+    {
+        // Held, being pinned, or a runSuite target: share the pinned
+        // value, so whether a load happens never depends on which
+        // task ran first.
+        std::lock_guard<std::mutex> g(n.mtx);
+        pinned = n.state != Node::Empty || n.target;
+    }
+    if (pinned)
+        return ensure(name, kind);
+    held = materialize(name, kind);
+    return *held;
 }
 
 std::vector<u8>
@@ -736,6 +777,11 @@ ArtifactGraph::runSuite(const std::vector<std::string> &benchmarks,
         obs::counter("graph.tasks_scheduled",
                      "suite tasks fanned out by runSuite");
     scheduled.add(tasks.size());
+    for (const auto &[b, kind] : tasks) {
+        Node &n = nodeFor(benchmarks[b], kind);
+        std::lock_guard<std::mutex> g(n.mtx);
+        n.target = true;
+    }
 
     parallelFor(tasks.size(), [&](std::size_t i) {
         ensure(benchmarks[tasks[i].first], tasks[i].second);

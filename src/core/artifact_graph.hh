@@ -66,6 +66,16 @@
  * likewise for cfg.allcache and, per point, warmupChunks).  No bench
  * sweeps those fields.  See DESIGN.md section 10.
  *
+ * Retention: a graph keeps every node it was asked for — a runSuite
+ * target or an accessor's result — for its lifetime.  A BBV profile
+ * read only as a dependency (SimPoints, a profile-reading Regions)
+ * is borrowed instead when a usable cache holds its blob: loaded or
+ * computed under its key lock for that one computation and released
+ * when it returns, so a later reader loads the blob again.  The
+ * profile is the one intermediate whose size grows with run length;
+ * without a usable cache it stays pinned, so nothing is computed
+ * twice.  See DESIGN.md section 9.
+ *
  * Scheduling: accessors compute lazily with single-flight per node
  * (concurrent requests for the same node block until the one
  * computation finishes).  A persisted node also holds its cache
@@ -96,6 +106,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -340,7 +351,9 @@ class ArtifactGraph
     /** Executable spec (scaled by SPLAB_SCALE). */
     const BenchmarkSpec &spec(const std::string &name);
 
-    /** One BBV per slice of the whole execution. */
+    /** One BBV per slice of the whole execution; pinned, like every
+     *  accessor's result, so the reference lives as long as the
+     *  graph. */
     const std::vector<FrequencyVector> &
     bbvProfile(const std::string &name);
 
@@ -430,10 +443,25 @@ class ArtifactGraph
     struct Node;
 
     Node &nodeFor(const std::string &name, ArtifactKind kind);
-    /** Single-flight load-or-compute of one node: the only code
-     *  that locks, loads or stores an artifact-cache blob. */
+    /** Load-or-compute of one value under its cache key lock (a
+     *  store on a miss): the only code that locks, loads or stores
+     *  an artifact-cache blob.  Publishes nothing. */
+    ArtifactValue materialize(const std::string &name,
+                              ArtifactKind kind);
+    /** Single-flight materialize, published in (pinned to) the node
+     *  for the graph's lifetime. */
     const ArtifactValue &ensure(const std::string &name,
                                 ArtifactKind kind);
+    /**
+     * A value read only as a dependency, valid while @p held lives:
+     * the node's value if it is held, being pinned or a runSuite
+     * target; otherwise, when a usable cache can serve it again, a
+     * copy materialized into @p held and released with it.  Without
+     * a usable cache it pins, so nothing is computed twice.
+     */
+    const ArtifactValue &borrow(const std::string &name,
+                                ArtifactKind kind,
+                                std::optional<ArtifactValue> &held);
     ArtifactValue computeValue(const std::string &name,
                                ArtifactKind kind);
     u64 configSliceHash(ArtifactKind kind) const;

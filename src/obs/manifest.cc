@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sys/resource.h>
 #include <vector>
 
 #include "counters.hh"
@@ -161,6 +162,13 @@ RunManifest::build(bool includeTiming) const
             tstages.push(std::move(st));
         }
         timing.set("stages", std::move(tstages));
+        // The process's peak resident memory so far (ru_maxrss is
+        // in KiB on Linux).
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        timing.set("process.peak_rss_mb",
+                   JsonValue::number(static_cast<double>(ru.ru_maxrss) /
+                                     1024.0));
         for (const auto &kv : timingNotes.members())
             timing.set(kv.first, kv.second);
         root.set("timing", std::move(timing));

@@ -14,7 +14,8 @@
  * pure function of the configuration and the work performed.  Two
  * runs at different SPLAB_THREADS (and identical artifact-cache
  * state) render byte-identical deterministic content; wall-clock
- * stage timings, thread counts and gauges live under "timing" and
+ * stage timings, thread counts, gauges and the process's peak
+ * resident memory ("process.peak_rss_mb") live under "timing" and
  * are excluded by renderDeterministic().
  */
 
@@ -74,7 +75,8 @@ class RunManifest
 
     /**
      * Full manifest JSON, including the volatile "timing" section
-     * (wall-clock stage timings, thread count, gauges).
+     * (wall-clock stage timings, thread count, gauges, peak RSS at
+     * the time of the call).
      */
     std::string render() const;
 

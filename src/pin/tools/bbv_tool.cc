@@ -6,6 +6,20 @@
 namespace splab
 {
 
+namespace
+{
+
+/** Keep a final partial slice (@p inSlice > 0) only if it is at
+ *  least half full, the half-full case included; SimPoint likewise
+ *  drops trailing slivers. */
+bool
+keepsSliver(ICount inSlice, ICount sliceInstrs)
+{
+    return inSlice * 2 >= sliceInstrs;
+}
+
+} // namespace
+
 BbvTool::BbvTool(ICount sliceInstrs) : sliceInstrs(sliceInstrs)
 {
     SPLAB_ASSERT(sliceInstrs > 0, "slice length must be positive");
@@ -48,17 +62,21 @@ BbvTool::onBatch(const EventBatch &batch)
 void
 BbvTool::onRunEnd()
 {
-    // Keep a final partial slice only if it is at least half full
-    // (the half-full case inSlice * 2 == sliceInstrs included);
-    // SimPoint likewise drops trailing slivers.  Harvest
-    // unconditionally so the scratch resets through one path,
-    // whether the sliver is kept or dropped.
+    // Harvest unconditionally so the scratch resets through one
+    // path, whether the sliver is kept or dropped.
     if (acc && !acc->empty()) {
         FrequencyVector sliver = acc->harvest();
-        if (inSlice * 2 >= sliceInstrs)
+        if (keepsSliver(inSlice, sliceInstrs))
             slices.push_back(std::move(sliver));
     }
     inSlice = 0;
+}
+
+u64
+BbvTool::sliceCount(ICount instrs, ICount sliceInstrs)
+{
+    return instrs / sliceInstrs +
+           (keepsSliver(instrs % sliceInstrs, sliceInstrs) ? 1 : 0);
 }
 
 } // namespace splab

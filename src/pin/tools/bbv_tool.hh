@@ -44,6 +44,10 @@ class BbvTool : public PinTool
         return slices;
     }
 
+    /** How many vectors a run of @p instrs instructions yields: one
+     *  per full slice, plus the kept final partial slice. */
+    static u64 sliceCount(ICount instrs, ICount sliceInstrs);
+
   private:
     ICount sliceInstrs;
     ICount inSlice = 0;

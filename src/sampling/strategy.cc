@@ -63,6 +63,14 @@ strategySalt(StrategyKind k)
     return kSalts[static_cast<u8>(k)];
 }
 
+bool
+strategyReadsProfile(StrategyKind k)
+{
+    return k == StrategyKind::Simpoint ||
+           k == StrategyKind::Stratified ||
+           k == StrategyKind::RankedSet;
+}
+
 u64
 SmartsConfig::contentHash() const
 {

@@ -70,6 +70,11 @@ const std::vector<std::string> &strategyNames();
  *  (bump when a strategy's selection algorithm changes). */
 u64 strategySalt(StrategyKind k);
 
+/** Whether the strategy reads the per-slice BBVs (simpoint,
+ *  stratified, ranked_set).  smarts, random and stride read only
+ *  StrategyInputs::totalSlices and run with a null profile. */
+bool strategyReadsProfile(StrategyKind k);
+
 /** SMARTS-style systematic sampling knobs (cf. SMARTSim's
  *  sampling_k / sampling_munit / sampling_wunit / sampling_allwarm,
  *  scaled from instructions to model slices). */

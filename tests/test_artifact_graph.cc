@@ -802,15 +802,21 @@ TEST(BbvProfilePersistence, ComputedOncePerCacheAcrossStrategyGraphs)
 
     StrategyGraphsRun run = runStrategyGraphs(dir);
     ASSERT_EQ(run.windows.size(), strategyNames().size());
-    // The first graph profiles every benchmark; every later graph
-    // loads the profiles and traverses nothing.
+    // The first graph profiles every benchmark.  No later graph
+    // traverses: one whose strategy reads the profile loads it, and a
+    // count-only one (smarts, random, stride) reads none.
     EXPECT_GT(run.windows[0], 0u);
     EXPECT_EQ(run.computed[0], kBenches.size());
     EXPECT_EQ(run.loaded[0], 0u);
     for (std::size_t i = 1; i < run.windows.size(); ++i) {
-        EXPECT_EQ(run.windows[i], 0u) << strategyNames()[i];
-        EXPECT_EQ(run.computed[i], 0u) << strategyNames()[i];
-        EXPECT_EQ(run.loaded[i], kBenches.size()) << strategyNames()[i];
+        const std::string &s = strategyNames()[i];
+        EXPECT_EQ(run.windows[i], 0u) << s;
+        EXPECT_EQ(run.computed[i], 0u) << s;
+        EXPECT_EQ(run.loaded[i],
+                  strategyReadsProfile(strategyByName(s))
+                      ? kBenches.size()
+                      : 0u)
+            << s;
     }
     EXPECT_EQ(profileBlobs(dir).size(), kBenches.size());
 
@@ -852,8 +858,15 @@ TEST(BbvProfilePersistence, BlobsAndCountersThreadCountInvariant)
     EXPECT_EQ(counters[0], counters[1]);
     EXPECT_EQ(counters[0].at("graph.computed.bbvprofile"),
               kBenches.size());
+    // Each profile-reading graph after the first loads every profile
+    // for its selection.  The selections only borrowed it, so each
+    // graph's ensureSerialized in runStrategyGraphs loads it again.
+    std::size_t readers = 0;
+    for (const std::string &s : strategyNames())
+        readers += strategyReadsProfile(strategyByName(s));
     EXPECT_EQ(counters[0].at("graph.loaded.bbvprofile"),
-              kBenches.size() * (strategyNames().size() - 1));
+              kBenches.size() *
+                  (readers - 1 + strategyNames().size()));
     EXPECT_EQ(counters[0].at("graph.computed.regions"),
               kBenches.size() * strategyNames().size());
 }
@@ -1003,6 +1016,131 @@ TEST(BbvProfilePersistence, SharedAcrossSimPointConfigs)
     EXPECT_EQ(counted("graph.computed.bbvprofile"), 1u);
     EXPECT_EQ(profileBlobs(dir).size(), kBenches.size() + 1);
     std::filesystem::remove_all(dir);
+}
+
+/** graph.* counter @p name now, 0 when unregistered. */
+u64
+counted(const char *name)
+{
+    return counterOr0(obs::counterSnapshot(), name);
+}
+
+/** A stratified graph (its selection reads the profile) over @p dir;
+ *  "" disables the cache. */
+ArtifactGraph
+stratifiedGraph(const std::string &dir)
+{
+    return ArtifactGraph(fastConfig().withStrategy("stratified"),
+                         std::make_shared<const ArtifactCache>(
+                             ArtifactCache(dir)));
+}
+
+std::string
+freshDir(const std::string &leaf)
+{
+    std::string dir = testing::TempDir() + "/" + leaf;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+TEST(BbvProfileRetention, DependencyReadIsNotKeptWithACache)
+{
+    std::string dir = freshDir("splab-bbv-borrowed");
+    const std::string &b = kBenches[0];
+    obs::resetCounters();
+    {
+        ArtifactGraph g = stratifiedGraph(dir);
+        g.runSuite({b}, {ArtifactKind::Regions});
+        EXPECT_EQ(counted("graph.computed.bbvprofile"), 1u);
+        EXPECT_EQ(counted("graph.loaded.bbvprofile"), 0u);
+        // The selection borrowed the profile: the accessor loads its
+        // blob, and pins it from then on.
+        std::vector<u8> bytes =
+            g.ensureSerialized(b, ArtifactKind::BbvProfile);
+        EXPECT_EQ(counted("graph.loaded.bbvprofile"), 1u);
+        g.bbvProfile(b);
+        EXPECT_EQ(g.ensureSerialized(b, ArtifactKind::BbvProfile),
+                  bytes);
+        EXPECT_EQ(counted("graph.loaded.bbvprofile"), 1u);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BbvProfileRetention, ComputedOnceWhateverReadsIt)
+{
+    // SimPoints and a stratified Regions both read the profile.  With
+    // a cache, the first reader computes and stores it and the other
+    // loads it, in either order; without one the graph keeps it, so
+    // no reader computes it again.  Same counts at 1 and 4 threads.
+    const std::vector<ArtifactKind> targets = {
+        ArtifactKind::SimPoints, ArtifactKind::Regions};
+    for (std::size_t threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        std::string dir = freshDir("splab-bbv-readers");
+        for (const std::string &d : {std::string(""), dir}) {
+            obs::resetCounters();
+            ArtifactGraph g = stratifiedGraph(d);
+            g.runSuite(kBenches, targets);
+            for (const std::string &b : kBenches) {
+                g.bbvProfile(b);
+                g.ensureSerialized(b, ArtifactKind::BbvProfile);
+            }
+            bool cached = !d.empty();
+            EXPECT_EQ(counted("graph.computed.bbvprofile"),
+                      kBenches.size())
+                << threads << " threads, cached " << cached;
+            // Cached: the second reader and the accessor load.
+            EXPECT_EQ(counted("graph.loaded.bbvprofile"),
+                      cached ? 2 * kBenches.size() : 0u)
+                << threads << " threads, cached " << cached;
+        }
+        std::filesystem::remove_all(dir);
+    }
+    ThreadPool::setGlobalThreads(0);
+}
+
+TEST(BbvProfileRetention, PinnedReferenceSurvivesRunSuite)
+{
+    std::string dir = freshDir("splab-bbv-pinned");
+    const std::string &b = kBenches[0];
+    ArtifactGraph g = stratifiedGraph(dir);
+    const std::vector<FrequencyVector> &profile = g.bbvProfile(b);
+    std::vector<u8> bytes = g.ensureSerialized(b, ArtifactKind::BbvProfile);
+
+    obs::resetCounters();
+    g.runSuite({b}, {ArtifactKind::SimPoints, ArtifactKind::Regions});
+    // Both readers shared the pinned profile.
+    EXPECT_EQ(counted("graph.computed.bbvprofile"), 0u);
+    EXPECT_EQ(counted("graph.loaded.bbvprofile"), 0u);
+    EXPECT_EQ(&g.bbvProfile(b), &profile);
+    ByteWriter w;
+    serializeArtifact(w, profile);
+    EXPECT_EQ(w.bytes(), bytes);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BbvProfileRetention, RunSuiteTargetIsSharedWithItsReaders)
+{
+    // A profile that runSuite was asked for is pinned, and the
+    // selections computed beside it read that value: no load, whether
+    // a selection task or the profile task runs first.
+    for (std::size_t threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        std::string dir = freshDir("splab-bbv-target");
+        obs::resetCounters();
+        {
+            ArtifactGraph g = stratifiedGraph(dir);
+            g.runSuite(kBenches,
+                       {ArtifactKind::BbvProfile, ArtifactKind::SimPoints,
+                        ArtifactKind::Regions});
+        }
+        EXPECT_EQ(counted("graph.computed.bbvprofile"), kBenches.size())
+            << threads;
+        EXPECT_EQ(counted("graph.loaded.bbvprofile"), 0u) << threads;
+        std::filesystem::remove_all(dir);
+    }
+    ThreadPool::setGlobalThreads(0);
 }
 
 TEST(SharedCacheLock, TwoHandlesOnOneDirectoryComputeOnce)

@@ -263,6 +263,12 @@ TEST(ObsManifest, SchemaRoundTrips)
     EXPECT_EQ(outs->at(0).find("bytes")->asU64(), 8u);
     ASSERT_NE(doc->find("timing"), nullptr);
     ASSERT_NE(doc->find("timing")->find("wall_s"), nullptr);
+    // Every manifest carries the process's peak resident memory, in
+    // the volatile section only.
+    const obs::JsonValue *rss =
+        doc->find("timing")->find("process.peak_rss_mb");
+    ASSERT_NE(rss, nullptr);
+    EXPECT_GT(rss->asDouble(), 0.0);
 
     // Span aggregation surfaced in the stages section.
     const obs::JsonValue *stages = doc->find("stages");
@@ -278,6 +284,8 @@ TEST(ObsManifest, SchemaRoundTrips)
     auto det = obs::parseJson(m.renderDeterministic());
     ASSERT_TRUE(det.has_value());
     EXPECT_EQ(det->find("timing"), nullptr);
+    EXPECT_EQ(m.renderDeterministic().find("peak_rss"),
+              std::string::npos);
     obs::clearSpans();
 }
 

@@ -4,8 +4,9 @@
  * normalization, registry round-trips, per-strategy selection
  * shape, determinism and thread-count invariance through the
  * artifact graph, Regions
- * artifact-key field sensitivity for every new knob, and cold/warm
- * byte-equality of the per-strategy node families.
+ * artifact-key field sensitivity for every new knob, cold/warm
+ * byte-equality of the per-strategy node families, and the
+ * count-only strategies' profile-free path.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 
 #include "core/artifact_graph.hh"
 #include "obs/counters.hh"
+#include "pin/tools/bbv_tool.hh"
 #include "sampling/strategies.hh"
+#include "support/env.hh"
 #include "support/serialize.hh"
 #include "support/thread_pool.hh"
 
@@ -496,6 +499,80 @@ TEST(SimpointProjection, RegionsMatchSimPointSelection)
     }
     EXPECT_EQ(sel.totalSlices, sp.totalSlices);
     EXPECT_EQ(sel.sliceInstrs, sp.sliceInstrs);
+}
+
+TEST(CountOnlyStrategies, SliceCountMatchesTheProfile)
+{
+    // smarts, random and stride select from BbvTool::sliceCount, not
+    // from a profile.  It must equal the profile's length for every
+    // benchmark, at two run lengths (SPLAB_SCALE 0.05, and 0.013
+    // built by hand, since the file pins 0.05) and four slice
+    // lengths.  The runs are whole multiples of 10k instructions, so
+    // the final partial slice is a third of a 15k slice (dropped),
+    // two thirds of one (kept) or half of a 20k one (kept).
+    ASSERT_EQ(workloadScale(), 0.05);
+    std::vector<BenchmarkSpec> specs;
+    for (const std::string &name : suiteNames()) {
+        specs.push_back(benchmarkByName(name));
+        SuiteEntry e = suiteEntry(name);
+        u64 slices = std::max<u64>(
+            200, static_cast<u64>(static_cast<double>(e.slices) * 0.013));
+        e.slices = slices * 20; // makeBenchmark scales by 0.05
+        specs.push_back(makeBenchmark(e));
+        ASSERT_EQ(specs.back().totalChunks, slices * 10) << name;
+    }
+    const std::vector<ICount> sliceLens = {5000, 10000, 15000, 20000};
+    std::vector<u64> profiled(specs.size() * sliceLens.size());
+    parallelFor(profiled.size(), [&](std::size_t i) {
+        profiled[i] = profileBbvs(specs[i / sliceLens.size()],
+                                  sliceLens[i % sliceLens.size()])
+                          .size();
+    });
+    std::set<int> slivers; // -1 dropped, 0 half, 1 kept
+    for (std::size_t i = 0; i < profiled.size(); ++i) {
+        const BenchmarkSpec &spec = specs[i / sliceLens.size()];
+        ICount slice = sliceLens[i % sliceLens.size()];
+        EXPECT_EQ(BbvTool::sliceCount(spec.totalInstrs(), slice),
+                  profiled[i])
+            << spec.name << ", " << spec.totalChunks << " chunks, "
+            << slice << "-instruction slices";
+        ICount rem = spec.totalInstrs() % slice;
+        if (rem > 0)
+            slivers.insert(rem * 2 < slice ? -1 : rem * 2 > slice);
+    }
+    EXPECT_EQ(slivers, (std::set<int>{-1, 0, 1}));
+}
+
+TEST(CountOnlyStrategies, SelectWithoutReadingTheProfile)
+{
+    std::string dir = testing::TempDir() + "/splab-count-only";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::size_t countOnly = 0;
+    for (const std::string &name : strategyNames()) {
+        ExperimentConfig cfg = fastConfig().withStrategy(name);
+        if (strategyReadsProfile(cfg.sampling.strategy))
+            continue;
+        ++countOnly;
+        obs::resetCounters();
+        ArtifactGraph g(cfg, std::make_shared<const ArtifactCache>(
+                                 ArtifactCache(dir)));
+        std::vector<u8> bytes = selectionBytes(g.regions(kBench));
+        auto stats = obs::counterSnapshot();
+        EXPECT_EQ(stats.at("graph.computed.bbvprofile"), 0u) << name;
+        EXPECT_EQ(stats.at("graph.loaded.bbvprofile"), 0u) << name;
+
+        // The same regions as a selection over the profile itself.
+        ICount slice = cfg.simpoint.sliceInstrs;
+        std::vector<FrequencyVector> bbvs =
+            profileBbvs(g.spec(kBench), slice);
+        EXPECT_EQ(bytes,
+                  selectionBytes(makeStrategy(cfg.sampling, cfg.simpoint)
+                                     ->select({&bbvs, bbvs.size(), slice})))
+            << name;
+    }
+    EXPECT_EQ(countOnly, 3u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
