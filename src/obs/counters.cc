@@ -73,12 +73,12 @@ counterSnapshot()
     return snap;
 }
 
-std::map<std::string, u64>
+std::map<std::string, double>
 gaugeSnapshot()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> g(r.mtx);
-    std::map<std::string, u64> snap;
+    std::map<std::string, double> snap;
     for (const auto &kv : r.gauges)
         snap[kv.first] = kv.second->value();
     return snap;

@@ -11,9 +11,10 @@
  *    scheduling — so snapshots are byte-identical at any
  *    SPLAB_THREADS setting.  This is what lets run manifests act as
  *    cross-machine diffable records.
- *  - Gauge: last-write-wins level (thread count, cache dir state).
- *    Gauges MAY be scheduling- or environment-dependent, so
- *    manifests report them only in the volatile section.
+ *  - Gauge: a double level, last write wins (thread count) or
+ *    accumulated (seconds spent in an engine stage).  Gauges MAY be
+ *    scheduling- or environment-dependent, so manifests report them
+ *    only in the volatile section.
  *
  * Hot call sites cache the reference:
  *     static obs::Counter &c = obs::counter("pin.windows");
@@ -52,20 +53,27 @@ class Counter
     std::atomic<u64> val{0};
 };
 
-/** Last-write-wins level indicator. */
+/** Level indicator: last write wins, or an accumulated quantity
+ *  such as seconds spent in a stage. */
 class Gauge
 {
   public:
     void
-    set(u64 v)
+    set(double v)
     {
         val.store(v, std::memory_order_relaxed);
     }
 
-    u64 value() const { return val.load(std::memory_order_relaxed); }
+    void
+    add(double delta)
+    {
+        val.fetch_add(delta, std::memory_order_relaxed);
+    }
+
+    double value() const { return val.load(std::memory_order_relaxed); }
 
   private:
-    std::atomic<u64> val{0};
+    std::atomic<double> val{0.0};
 };
 
 /**
@@ -84,7 +92,7 @@ Gauge &gauge(const std::string &name, const std::string &desc = "");
 std::map<std::string, u64> counterSnapshot();
 
 /** Name -> value of every registered gauge, sorted by name. */
-std::map<std::string, u64> gaugeSnapshot();
+std::map<std::string, double> gaugeSnapshot();
 
 /** Description registered for a counter/gauge ("" if none). */
 std::string statDescription(const std::string &name);

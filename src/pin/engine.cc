@@ -1,11 +1,27 @@
 #include "engine.hh"
 
+#include <chrono>
+#include <string>
+
 #include "obs/counters.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
 
 namespace splab
 {
+
+namespace
+{
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0, Clock::time_point t1)
+{
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
+} // namespace
 
 void
 Engine::attach(PinTool *tool)
@@ -40,7 +56,17 @@ Engine::run(SyntheticWorkload &workload, u64 firstChunk, u64 numChunks)
         t->onRunStart(workload);
 
     ICount before = icount;
+    toolSeconds.assign(tools.size(), 0.0);
+    const Clock::time_point start = Clock::now();
     workload.run(firstChunk, numChunks, *this, needAddresses);
+    double generate = secondsSince(start, Clock::now());
+    for (std::size_t i = 0; i < tools.size(); ++i) {
+        generate -= toolSeconds[i];
+        obs::gauge(std::string("engine.tool.") + tools[i]->name() +
+                   ".seconds")
+            .add(toolSeconds[i]);
+    }
+    obs::gauge("engine.generate.seconds").add(generate);
 
     for (PinTool *t : tools)
         t->onRunEnd();
@@ -62,8 +88,13 @@ Engine::onBatch(const EventBatch &batch)
     batches.add();
     batchBlocks.add(batch.numBlocks());
     icount += batch.instrs();
-    for (PinTool *t : tools)
-        t->onBatch(batch);
+    Clock::time_point t0 = Clock::now();
+    for (std::size_t i = 0; i < tools.size(); ++i) {
+        tools[i]->onBatch(batch);
+        const Clock::time_point t1 = Clock::now();
+        toolSeconds[i] += secondsSince(t0, t1);
+        t0 = t1;
+    }
 }
 
 } // namespace splab

@@ -43,7 +43,12 @@ class Engine : public EventSink
 
     /**
      * Execute chunks [firstChunk, firstChunk + numChunks) of
-     * @p workload, delivering events to every attached tool.
+     * @p workload, delivering events to every attached tool.  Each
+     * tool's onBatch time and the generation time (the window's time
+     * outside the tools) are added at the end to the volatile gauges
+     * engine.tool.<name>.seconds and engine.generate.seconds: wall
+     * time on the traversal's thread, tools of one name sharing a
+     * gauge.
      * @return instructions executed in this window.
      */
     ICount run(SyntheticWorkload &workload, u64 firstChunk,
@@ -66,6 +71,7 @@ class Engine : public EventSink
   private:
     std::vector<PinTool *> tools;
     ICount icount = 0;
+    std::vector<double> toolSeconds; ///< per tool, this run()
 };
 
 } // namespace splab

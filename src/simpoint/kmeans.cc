@@ -1,9 +1,12 @@
 #include "kmeans.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <utility>
 
 #include "obs/counters.hh"
@@ -132,22 +135,26 @@ tileDistances(const double *row, const DistanceTile &tile,
                           std::make_index_sequence<B / L>());
 }
 
+/** Accumulators the rescoring kernel keeps in flight: a block of NG
+ *  vectors scores kInFlight / NG centroids at a time. */
+constexpr std::size_t kInFlight = 8;
+
 /**
- * One step of the nearest-centroid kernel: centroids c0, c0 + 1, ...
- * scored against a block of NG vectors of points.  Accumulator I
- * holds centroid I / NG against vector I % NG, so one fold over I
- * runs every (centroid, vector) pair, and its index order is
- * centroid-major: each lane meets the centroids in ascending index
- * order, and the strict `<` keeps the lowest index on a tie, exactly
- * as the scalar scan does.  The winner's index travels as a double
- * (exact for any centroid count) so the select stays one blend.
+ * One step of the rescoring kernel: the centroids moved[0],
+ * moved[1], ... scored against a block of NG vectors of points, each
+ * distance stored in its slot of the block's table (centroid c's
+ * lanes start at c * kBlockRows).  Accumulator I holds centroid
+ * moved[I / NG] against vector I % NG.
  */
 template <typename V, std::size_t NG, std::size_t... I>
 [[gnu::always_inline]] inline void
-scoreCentroids(const double *blk, std::size_t dim, const double *cent,
-               u32 c0, V *best, V *idx, std::index_sequence<I...>)
+scoreMoved(const double *blk, std::size_t dim, const DenseMatrix &cents,
+           const u32 *moved, double *blockTable,
+           std::index_sequence<I...>)
 {
     constexpr std::size_t L = sizeof(V) / sizeof(double);
+    constexpr std::size_t B = DistanceTile::kBlockRows;
+    const double *cent[sizeof...(I)] = {cents.row(moved[I / NG])...};
     V acc[sizeof...(I)] = {};
     for (std::size_t d = 0; d < dim; ++d) {
         const double *col = blk + d * NG * L;
@@ -155,49 +162,62 @@ scoreCentroids(const double *blk, std::size_t dim, const double *cent,
             [&] {
                 V p;
                 std::memcpy(&p, col + I % NG * L, sizeof p);
-                V t = p - cent[I / NG * dim + d];
+                V t = p - cent[I][d];
                 acc[I] += t * t;
             }(),
             ...);
     }
     (
         [&] {
-            constexpr std::size_t g = I % NG;
-            const auto closer = acc[I] < best[g];
-            best[g] = closer ? acc[I] : best[g];
-            idx[g] = closer ? V{} + static_cast<double>(c0 + I / NG)
-                            : idx[g];
+            std::memcpy(blockTable + moved[I / NG] * B + I % NG * L,
+                        &acc[I], sizeof(V));
         }(),
         ...);
 }
 
-/** Accumulators the nearest-centroid kernel keeps in flight: a block
- *  of NG vectors scores kInFlight / NG centroids at a time. */
-constexpr std::size_t kInFlight = 8;
-
-/** The brute scan's winner and distance for each of the first nOut
- *  points of one block of NG vectors. */
+/**
+ * Rescore the listed centroids against one block of NG vectors of
+ * points, then take each point's winner over its whole table row:
+ * centroids in index order, strict `<`, from (0, DBL_MAX), exactly
+ * as the scalar scan does.  The winner's index travels as a double
+ * (exact for any centroid count) so the select stays one blend.
+ * Only the first nOut lanes are points; the rest are padding.
+ */
 template <typename V, std::size_t... G>
 [[gnu::always_inline]] inline void
-blockNearest(const double *blk, std::size_t dim,
-             const DenseMatrix &cents, u32 *idxOut, double *distOut,
-             std::size_t nOut, std::index_sequence<G...>)
+blockRescore(const double *blk, std::size_t dim,
+             const DenseMatrix &cents, const u32 *moved,
+             std::size_t nMoved, double *blockTable, u32 *idxOut,
+             double *distOut, std::size_t nOut,
+             std::index_sequence<G...>)
 {
     constexpr std::size_t L = sizeof(V) / sizeof(double);
     constexpr std::size_t NG = sizeof...(G);
     constexpr std::size_t W = NG * L;
-    constexpr u32 C = kInFlight / NG;
+    constexpr std::size_t C = kInFlight / NG;
+    constexpr std::size_t B = DistanceTile::kBlockRows;
+    std::size_t m = 0;
+    for (; m + C <= nMoved; m += C)
+        scoreMoved<V, NG>(blk, dim, cents, moved + m, blockTable,
+                          std::make_index_sequence<C * NG>());
+    for (; m < nMoved; ++m)
+        scoreMoved<V, NG>(blk, dim, cents, moved + m, blockTable,
+                          std::make_index_sequence<NG>());
     V best[NG] = {(static_cast<void>(G), V{} + kMaxD)...};
     V idx[NG] = {};
     const u32 k = static_cast<u32>(cents.rows());
-    u32 c = 0;
-    for (; c + C <= k; c += C)
-        scoreCentroids<V, NG>(blk, dim, cents.row(c), c, best, idx,
-                              std::make_index_sequence<C * NG>());
-    for (; c < k; ++c)
-        scoreCentroids<V, NG>(blk, dim, cents.row(c), c, best, idx,
-                              std::make_index_sequence<NG>());
-    // Only the first nOut lanes are points; the rest are padding.
+    for (u32 c = 0; c < k; ++c) {
+        const double *slot = blockTable + c * B;
+        (
+            [&] {
+                V v;
+                std::memcpy(&v, slot + G * L, sizeof v);
+                const auto closer = v < best[G];
+                best[G] = closer ? v : best[G];
+                idx[G] = closer ? V{} + static_cast<double>(c) : idx[G];
+            }(),
+            ...);
+    }
     double bestLanes[W], idxLanes[W];
     (
         [&] {
@@ -211,13 +231,13 @@ blockNearest(const double *blk, std::size_t dim,
     }
 }
 
-/** Nearest centroids of tile rows [begin, end), in blocks of
- *  kBlockRows and, at the tile's end, one narrower tail block. */
+/** Rescore tile rows [begin, end), in blocks of kBlockRows and, at
+ *  the tile's end, one narrower tail block. */
 template <typename V>
 [[gnu::always_inline]] inline void
-tileNearest(const DistanceTile &tile, std::size_t begin,
-            std::size_t end, const DenseMatrix &cents, u32 *idx,
-            double *dist)
+tileRescore(const DistanceTile &tile, std::size_t begin,
+            std::size_t end, const DenseMatrix &cents, const u32 *moved,
+            std::size_t nMoved, double *table, u32 *idx, double *dist)
 {
     constexpr std::size_t L = sizeof(V) / sizeof(double);
     constexpr std::size_t B = DistanceTile::kBlockRows;
@@ -225,26 +245,84 @@ tileNearest(const DistanceTile &tile, std::size_t begin,
     static_assert(B / L <= kInFlight, "a block must fit in flight");
     static_assert(P % L == 0, "tail blocks must hold whole vectors");
     const std::size_t dim = tile.cols();
+    const std::size_t k = cents.rows();
     const double *blk = tile.data() + begin * dim;
     std::size_t r = begin;
-    for (; r + B <= end; r += B, blk += B * dim)
-        blockNearest<V>(blk, dim, cents, idx + (r - begin),
-                        dist + (r - begin), B,
+    for (; r + B <= end; r += B, blk += B * dim, table += B * k)
+        blockRescore<V>(blk, dim, cents, moved, nMoved, table,
+                        idx + (r - begin), dist + (r - begin), B,
                         std::make_index_sequence<B / L>());
     if (r == end)
         return;
     // A partial block is the tile's last one.
     if (tile.tailLanes() == P)
-        blockNearest<V>(blk, dim, cents, idx + (r - begin),
-                        dist + (r - begin), end - r,
+        blockRescore<V>(blk, dim, cents, moved, nMoved, table,
+                        idx + (r - begin), dist + (r - begin), end - r,
                         std::make_index_sequence<P / L>());
     else
-        blockNearest<V>(blk, dim, cents, idx + (r - begin),
-                        dist + (r - begin), end - r,
+        blockRescore<V>(blk, dim, cents, moved, nMoved, table,
+                        idx + (r - begin), dist + (r - begin), end - r,
                         std::make_index_sequence<B / L>());
 }
 
 typedef double Lanes2 __attribute__((vector_size(16)));
+typedef double Lanes4 __attribute__((vector_size(32)));
+typedef double Lanes8 __attribute__((vector_size(64)));
+
+/** s[0, L) += p[0, L) as one vector add. */
+template <typename V>
+[[gnu::always_inline]] inline void
+addLanes(double *s, const double *p)
+{
+    V a, b;
+    std::memcpy(&a, s, sizeof a);
+    std::memcpy(&b, p, sizeof b);
+    a += b;
+    std::memcpy(s, &a, sizeof a);
+}
+
+/** s[d] += p[d] for every d < dim: whole vectors of V, then one
+ *  step of each narrower width and a scalar last add. */
+template <typename V>
+[[gnu::always_inline]] inline void
+addRow(double *s, const double *p, std::size_t dim)
+{
+    constexpr std::size_t L = sizeof(V) / sizeof(double);
+    std::size_t d = 0;
+    for (; d + L <= dim; d += L)
+        addLanes<V>(s + d, p + d);
+    if constexpr (L > 4)
+        if (d + 4 <= dim) {
+            addLanes<Lanes4>(s + d, p + d);
+            d += 4;
+        }
+    if constexpr (L > 2)
+        if (d + 2 <= dim) {
+            addLanes<Lanes2>(s + d, p + d);
+            d += 2;
+        }
+    if (d < dim)
+        s[d] += p[d];
+}
+
+/** The cluster-sums kernel over one vector width (see
+ *  TileKernel::clusterSums). */
+template <typename V>
+[[gnu::always_inline]] inline void
+chunkSums(const DenseMatrix &points, std::size_t begin, std::size_t end,
+          const u32 *assign, const u8 *dirty, std::size_t k,
+          double *sums)
+{
+    const std::size_t dim = points.cols();
+    for (std::size_t c = 0; c < k; ++c)
+        if (dirty[c])
+            std::fill_n(sums + c * dim, dim, 0.0);
+    for (std::size_t i = begin; i < end; ++i) {
+        const u32 c = assign[i - begin];
+        if (dirty[c])
+            addRow<V>(sums + c * dim, points.row(i), dim);
+    }
+}
 
 void
 tileDistancesBase(const double *row, const DistanceTile &tile,
@@ -254,18 +332,25 @@ tileDistancesBase(const double *row, const DistanceTile &tile,
 }
 
 void
-tileNearestBase(const DistanceTile &tile, std::size_t begin,
-                std::size_t end, const DenseMatrix &cents, u32 *idx,
-                double *dist)
+tileRescoreBase(const DistanceTile &tile, std::size_t begin,
+                std::size_t end, const DenseMatrix &cents,
+                const u32 *moved, std::size_t nMoved, double *table,
+                u32 *idx, double *dist)
 {
-    tileNearest<Lanes2>(tile, begin, end, cents, idx, dist);
+    tileRescore<Lanes2>(tile, begin, end, cents, moved, nMoved, table,
+                        idx, dist);
+}
+
+void
+clusterSumsBase(const DenseMatrix &points, std::size_t begin,
+                std::size_t end, const u32 *assign, const u8 *dirty,
+                std::size_t k, double *sums)
+{
+    chunkSums<Lanes2>(points, begin, end, assign, dirty, k, sums);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 constexpr const char *kBaseName = "sse2";
-
-typedef double Lanes4 __attribute__((vector_size(32)));
-typedef double Lanes8 __attribute__((vector_size(64)));
 
 // The file is built with -ffp-contract=off: AVX-512F carries fused
 // multiply-adds, and fusing t * t into the add rounds once instead of
@@ -279,11 +364,21 @@ tileDistancesAvx2(const double *row, const DistanceTile &tile,
 }
 
 __attribute__((target("avx2"))) void
-tileNearestAvx2(const DistanceTile &tile, std::size_t begin,
-                std::size_t end, const DenseMatrix &cents, u32 *idx,
-                double *dist)
+tileRescoreAvx2(const DistanceTile &tile, std::size_t begin,
+                std::size_t end, const DenseMatrix &cents,
+                const u32 *moved, std::size_t nMoved, double *table,
+                u32 *idx, double *dist)
 {
-    tileNearest<Lanes4>(tile, begin, end, cents, idx, dist);
+    tileRescore<Lanes4>(tile, begin, end, cents, moved, nMoved, table,
+                        idx, dist);
+}
+
+__attribute__((target("avx2"))) void
+clusterSumsAvx2(const DenseMatrix &points, std::size_t begin,
+                std::size_t end, const u32 *assign, const u8 *dirty,
+                std::size_t k, double *sums)
+{
+    chunkSums<Lanes4>(points, begin, end, assign, dirty, k, sums);
 }
 
 __attribute__((target("avx512f"))) void
@@ -294,11 +389,21 @@ tileDistancesAvx512(const double *row, const DistanceTile &tile,
 }
 
 __attribute__((target("avx512f"))) void
-tileNearestAvx512(const DistanceTile &tile, std::size_t begin,
-                  std::size_t end, const DenseMatrix &cents, u32 *idx,
-                  double *dist)
+tileRescoreAvx512(const DistanceTile &tile, std::size_t begin,
+                  std::size_t end, const DenseMatrix &cents,
+                  const u32 *moved, std::size_t nMoved, double *table,
+                  u32 *idx, double *dist)
 {
-    tileNearest<Lanes8>(tile, begin, end, cents, idx, dist);
+    tileRescore<Lanes8>(tile, begin, end, cents, moved, nMoved, table,
+                        idx, dist);
+}
+
+__attribute__((target("avx512f"))) void
+clusterSumsAvx512(const DenseMatrix &points, std::size_t begin,
+                  std::size_t end, const u32 *assign, const u8 *dirty,
+                  std::size_t k, double *sums)
+{
+    chunkSums<Lanes8>(points, begin, end, assign, dirty, k, sums);
 }
 #else
 constexpr const char *kBaseName = "generic";
@@ -310,13 +415,15 @@ std::vector<TileKernel>
 supportedTileKernels()
 {
     std::vector<TileKernel> builds = {
-        {kBaseName, tileDistancesBase, tileNearestBase}};
+        {kBaseName, tileDistancesBase, tileRescoreBase,
+         clusterSumsBase}};
 #if defined(__x86_64__) || defined(__i386__)
     if (__builtin_cpu_supports("avx2"))
-        builds.push_back({"avx2", tileDistancesAvx2, tileNearestAvx2});
+        builds.push_back({"avx2", tileDistancesAvx2, tileRescoreAvx2,
+                          clusterSumsAvx2});
     if (__builtin_cpu_supports("avx512f"))
-        builds.push_back(
-            {"avx512", tileDistancesAvx512, tileNearestAvx512});
+        builds.push_back({"avx512", tileDistancesAvx512,
+                          tileRescoreAvx512, clusterSumsAvx512});
 #endif
     return builds;
 }
@@ -341,8 +448,18 @@ assignNearest(const DenseMatrix &points, const DistanceTile *tile,
                          (end % DistanceTile::kBlockRows == 0 ||
                           end == tile->rows()),
                      "kmeans: range splits a tile block");
-        activeTileKernel().nearest(*tile, begin, end, cents, idx,
-                                   dist);
+        // Every centroid listed, one block at a time through a
+        // scratch table of one block's rows.
+        const std::size_t k = cents.rows();
+        std::vector<u32> all(k);
+        std::iota(all.begin(), all.end(), 0u);
+        std::vector<double> scratch(DistanceTile::kBlockRows * k);
+        for (std::size_t r = begin; r < end;
+             r += DistanceTile::kBlockRows)
+            activeTileKernel().rescore(
+                *tile, r, std::min(end, r + DistanceTile::kBlockRows),
+                cents, all.data(), k, scratch.data(), idx + (r - begin),
+                dist + (r - begin));
         return;
     }
     const std::size_t dim = points.cols();
@@ -404,13 +521,196 @@ constexpr std::size_t kAssignChunk = 256;
 static_assert(kAssignChunk % DistanceTile::kBlockRows == 0,
               "a chunk never splits a tile block");
 
-/** Per-chunk partials of one Lloyd assignment pass. */
+/** Per-chunk partials of one reference Lloyd pass. */
 struct AssignAccum
 {
     std::vector<double> sums; ///< k * dim centroid numerators
     std::vector<u64> counts;  ///< k populations
     double distortion = 0.0;
     bool changed = false;
+};
+
+/**
+ * One Lloyd assignment pass of the scalar reference: every point
+ * scanned against every centroid, and every cluster's sum rebuilt
+ * from chunk partials reduced in chunk order.  Fills res.assignment,
+ * res.clusterSize, res.distortion and @p sums; returns whether any
+ * point changed cluster.
+ */
+bool
+referencePass(const DenseMatrix &points, KMeansResult &res,
+              std::vector<double> &sums)
+{
+    const std::size_t dim = points.cols();
+    const u32 k = res.k;
+    auto accums = parallelChunkApply<AssignAccum>(
+        points.rows(), kAssignChunk,
+        [&](AssignAccum &a, const ChunkRange &r) {
+            a.sums.assign(k * dim, 0.0);
+            a.counts.assign(k, 0);
+            u32 idx[kAssignChunk];
+            double dist[kAssignChunk];
+            assignNearest(points, nullptr, res.centroids, r.begin,
+                          r.end, idx, dist);
+            for (std::size_t i = r.begin; i < r.end; ++i) {
+                const u32 c = idx[i - r.begin];
+                if (res.assignment[i] != c) {
+                    res.assignment[i] = c;
+                    a.changed = true;
+                }
+                a.distortion += dist[i - r.begin];
+                ++a.counts[c];
+                const double *p = points.row(i);
+                double *s = a.sums.data() + c * dim;
+                for (std::size_t d = 0; d < dim; ++d)
+                    s[d] += p[d];
+            }
+        });
+
+    // Reduce in chunk order — fixed regardless of thread count.
+    bool changed = false;
+    res.distortion = 0.0;
+    std::fill(res.clusterSize.begin(), res.clusterSize.end(), 0);
+    std::fill(sums.begin(), sums.end(), 0.0);
+    for (const AssignAccum &a : accums) {
+        res.distortion += a.distortion;
+        changed = changed || a.changed;
+        for (u32 c = 0; c < k; ++c)
+            res.clusterSize[c] += a.counts[c];
+        for (std::size_t j = 0; j < sums.size(); ++j)
+            sums[j] += a.sums[j];
+    }
+    return changed;
+}
+
+/**
+ * The tile path's Lloyd state, kept across the passes of one fit.
+ * The table holds every point's exact distance to every centroid,
+ * for the centroid bytes it was last scored against: block b of
+ * kBlockRows points keeps centroid c's lanes at
+ * table[(b * k + c) * kBlockRows].  A centroid whose bytes did not
+ * change keeps its column, so each pass rescores only the stale
+ * ones.  Each chunk keeps its partial sums in the same way: a pass
+ * rebuilds only the clusters a point of that chunk joined or left.
+ */
+struct TiledLloyd
+{
+    /** A chunk's populations, partial sums and dirty clusters. */
+    struct Chunk
+    {
+        ChunkRange range;
+        std::vector<double> sums; ///< k * dim partial numerators
+        std::vector<u64> counts;  ///< k populations
+        std::vector<u8> dirty;    ///< clusters whose members changed
+        double distortion = 0.0;
+        bool changed = false;
+    };
+
+    std::vector<Chunk> chunks;
+    std::unique_ptr<double[]> table;
+    std::vector<u8> stale; ///< centroids the table does not hold
+    std::vector<u32> moved;
+
+    TiledLloyd(std::size_t n, std::size_t dim, u32 k)
+        : table(new double[(n + DistanceTile::kBlockRows - 1) /
+                           DistanceTile::kBlockRows *
+                           DistanceTile::kBlockRows * k]),
+          stale(k, 1)
+    {
+        for (const ChunkRange &r : fixedChunks(n, kAssignChunk)) {
+            Chunk &c = chunks.emplace_back();
+            c.range = r;
+            c.sums.assign(k * dim, 0.0);
+            c.counts.assign(k, 0);
+            c.dirty.assign(k, 0);
+        }
+    }
+
+    /**
+     * One Lloyd assignment pass, bit-identical to referencePass:
+     * from the seeding's (near, d2) when given (the first pass),
+     * else from the table after rescoring the stale centroids.  Adds
+     * the distances it computed to @p computed.
+     */
+    bool
+    pass(const DenseMatrix &points, const DistanceTile &tile,
+         const u32 *seedIdx, const double *seedDist, KMeansResult &res,
+         std::vector<double> &sums, u64 &computed)
+    {
+        const TileKernel &kernel = activeTileKernel();
+        const std::size_t dim = points.cols();
+        const u32 k = res.k;
+        const bool seeded = seedIdx != nullptr;
+        moved.clear();
+        if (!seeded) {
+            for (u32 c = 0; c < k; ++c)
+                if (stale[c])
+                    moved.push_back(c);
+            std::fill(stale.begin(), stale.end(), 0);
+            computed += points.rows() * moved.size();
+        }
+        parallelFor(chunks.size(), [&](std::size_t ci) {
+            Chunk &ch = chunks[ci];
+            const ChunkRange &r = ch.range;
+            u32 chunkIdx[kAssignChunk];
+            double chunkDist[kAssignChunk];
+            const u32 *idx = chunkIdx;
+            const double *dist = chunkDist;
+            if (seeded) {
+                idx = seedIdx + r.begin;
+                dist = seedDist + r.begin;
+            } else {
+                kernel.rescore(tile, r.begin, r.end, res.centroids,
+                               moved.data(), moved.size(),
+                               table.get() + r.begin * k, chunkIdx,
+                               chunkDist);
+            }
+            // The first pass builds every cluster's sums.
+            std::fill(ch.dirty.begin(), ch.dirty.end(), seeded);
+            std::fill(ch.counts.begin(), ch.counts.end(), 0);
+            ch.distortion = 0.0;
+            ch.changed = false;
+            for (std::size_t i = r.begin; i < r.end; ++i) {
+                const u32 c = idx[i - r.begin];
+                u32 &a = res.assignment[i];
+                if (a != c) {
+                    ch.dirty[a] = ch.dirty[c] = 1;
+                    a = c;
+                    ch.changed = true;
+                }
+                ch.distortion += dist[i - r.begin];
+                ++ch.counts[c];
+            }
+            kernel.clusterSums(points, r.begin, r.end,
+                               res.assignment.data() + r.begin,
+                               ch.dirty.data(), k, ch.sums.data());
+        });
+
+        // Reduce in chunk order, as referencePass does.  A cluster
+        // no chunk marked has the same partials, so its sum stands.
+        bool changed = false;
+        res.distortion = 0.0;
+        std::fill(res.clusterSize.begin(), res.clusterSize.end(), 0);
+        std::vector<u8> dirty(k, 0);
+        for (const Chunk &ch : chunks) {
+            res.distortion += ch.distortion;
+            changed = changed || ch.changed;
+            for (u32 c = 0; c < k; ++c) {
+                res.clusterSize[c] += ch.counts[c];
+                dirty[c] |= ch.dirty[c];
+            }
+        }
+        for (u32 c = 0; c < k; ++c) {
+            if (!dirty[c])
+                continue;
+            double *s = sums.data() + c * dim;
+            std::fill_n(s, dim, 0.0);
+            for (const Chunk &ch : chunks)
+                for (std::size_t d = 0; d < dim; ++d)
+                    s[d] += ch.sums[c * dim + d];
+        }
+        return changed;
+    }
 };
 
 /**
@@ -514,72 +814,43 @@ kmeansFit(const DenseMatrix &points, const DistanceTile *tile, u32 k,
     res.clusterSize.assign(k, 0);
 
     std::vector<double> sums(k * dim, 0.0);
+    std::unique_ptr<TiledLloyd> tiled;
+    if (tile)
+        tiled = std::make_unique<TiledLloyd>(n, dim, k);
 
     for (int iter = 0; iter < maxIters; ++iter) {
-        // The tile path's seeding already made the first assignment.
-        const bool seeded = tile && iter == 0;
-
-        // Assignment pass: each chunk accumulates private partial
-        // sums; res.assignment is written index-wise, so chunks never
-        // contend.
-        auto accums = parallelChunkApply<AssignAccum>(
-            n, kAssignChunk,
-            [&](AssignAccum &a, const ChunkRange &r) {
-                a.sums.assign(k * dim, 0.0);
-                a.counts.assign(k, 0);
-                u32 chunkIdx[kAssignChunk];
-                double chunkDist[kAssignChunk];
-                const u32 *idx = seedIdx.data() + r.begin;
-                const double *dist = seedDist.data() + r.begin;
-                if (!seeded) {
-                    assignNearest(points, tile, res.centroids,
-                                  r.begin, r.end, chunkIdx, chunkDist);
-                    idx = chunkIdx;
-                    dist = chunkDist;
-                }
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                    const u32 c = idx[i - r.begin];
-                    if (res.assignment[i] != c) {
-                        res.assignment[i] = c;
-                        a.changed = true;
-                    }
-                    a.distortion += dist[i - r.begin];
-                    ++a.counts[c];
-                    const double *p = points.row(i);
-                    double *s = a.sums.data() + c * dim;
-                    for (std::size_t d = 0; d < dim; ++d)
-                        s[d] += p[d];
-                }
-            });
-        if (!seeded)
+        bool changed;
+        if (tiled) {
+            // The seeding already made the first assignment.
+            const bool seeded = iter == 0;
+            changed = tiled->pass(
+                points, *tile, seeded ? seedIdx.data() : nullptr,
+                seeded ? seedDist.data() : nullptr, res, sums, computed);
+        } else {
+            changed = referencePass(points, res, sums);
             computed += n * k;
-
-        // Reduce in chunk order — fixed regardless of thread count.
-        bool changed = false;
-        res.distortion = 0.0;
-        std::fill(res.clusterSize.begin(), res.clusterSize.end(), 0);
-        std::fill(sums.begin(), sums.end(), 0.0);
-        for (const AssignAccum &a : accums) {
-            res.distortion += a.distortion;
-            changed = changed || a.changed;
-            for (u32 c = 0; c < k; ++c)
-                res.clusterSize[c] += a.counts[c];
-            for (std::size_t j = 0; j < sums.size(); ++j)
-                sums[j] += a.sums[j];
         }
 
         for (u32 c = 0; c < k; ++c) {
+            bool moved = true;
             if (res.clusterSize[c] == 0) {
                 // Re-seed an empty cluster at a random point.
                 res.centroids.setRow(c, points.row(rng.below(n)));
                 changed = true;
-                continue;
+            } else {
+                const double *s = sums.data() + c * dim;
+                double *cent = res.centroids.row(c);
+                moved = false;
+                for (std::size_t d = 0; d < dim; ++d) {
+                    const double v =
+                        s[d] / static_cast<double>(res.clusterSize[c]);
+                    moved = moved || std::bit_cast<u64>(v) !=
+                                         std::bit_cast<u64>(cent[d]);
+                    cent[d] = v;
+                }
             }
-            const double *s = sums.data() + c * dim;
-            double *cent = res.centroids.row(c);
-            for (std::size_t d = 0; d < dim; ++d)
-                cent[d] =
-                    s[d] / static_cast<double>(res.clusterSize[c]);
+            if (tiled && moved)
+                tiled->stale[c] = 1;
         }
 
         res.iterations = iter + 1;

@@ -12,19 +12,24 @@
  * Block-kernel acceleration: given a tile, the points are stored
  * once transposed (DistanceTile) and every nearest-centroid
  * assignment -- each Lloyd pass after the first and the whole-run
- * slice assignment -- scores a block of 16 points against the
- * centroids at once (TileKernel::nearest).
- * Lloyd's first assignment is no scan at all: the k-means++ seeding
- * already scored every placed centroid against every point, so it
- * keeps the running argmin and adds one pass for the last centroid.
+ * slice assignment -- scores blocks of 16 points at once
+ * (TileKernel::rescore).  Lloyd's first assignment is no scan at
+ * all: the k-means++ seeding already scored every placed centroid
+ * against every point, so it keeps the running argmin and adds one
+ * pass for the last centroid.  Each fit keeps a table of exact
+ * point-centroid distances, and a later pass rescores only the
+ * centroids whose bytes moved; it rebuilds the centroid sums only of
+ * clusters whose membership changed (TileKernel::clusterSums).
  * The contract is *exact equality*: every lane repeats the scalar
  * squaredDistance sequence and the scalar scan's index-order
- * strict-`<` argmin, so assignments, tie-breaks, distortion and
+ * strict-`<` argmin, an unchanged centroid's distances are the ones
+ * a rescan would compute, and an unchanged membership's sums the
+ * ones a rebuild would, so assignments, tie-breaks, distortion and
  * centroid bytes are bit-identical to the scalar path at any
  * SPLAB_THREADS, and cached artifact bytes never move (no
- * version-salt bump).  A null tile runs the scalar scans: the
- * reference the kernels are tested against.  The deterministic
- * counter kmeans.distances_computed tallies the work.
+ * version-salt bump).  A null tile runs the scalar scans and full
+ * sums: the reference the kernels are tested against.  The
+ * deterministic counter kmeans.distances_computed tallies the work.
  */
 
 #ifndef SPLAB_SIMPOINT_KMEANS_HH
@@ -111,23 +116,38 @@ class DistanceTile
  * distances() writes out[r] = squaredDistance(row, tile row r) for
  * r < tile.rows() and nothing past out[tile.rows() - 1].
  *
- * nearest() scores tile rows [begin, end) against every row of
- * @p cents and writes, for row begin + j, the brute scan's winner
- * idx[j] and its distance dist[j].  The brute scan starts from
- * (0, DBL_MAX) and takes a centroid only when its distance is
- * strictly smaller, so the lowest index wins a tie and a point whose
- * distances all overflow keeps (0, DBL_MAX).  @p begin is a multiple
- * of kBlockRows; @p end is one too, or tile.rows().  Nothing is
- * written past idx[end - begin - 1] or dist[end - begin - 1].
+ * rescore() works on a distance table of tile rows [begin, end):
+ * block b of kBlockRows rows (counted from @p begin) keeps centroid
+ * c's lanes at table[(b * k + c) * kBlockRows], k = cents.rows().
+ * It first writes, for each of the @p nMoved centroids listed in
+ * @p moved, its distance to every row of the range into the table.
+ * Then it takes each row's winner over its whole table row, exactly
+ * as the brute scan would: from (0, DBL_MAX), centroids in index
+ * order, a centroid taken only when its distance is strictly
+ * smaller, so the lowest index wins a tie and a row whose distances
+ * all overflow keeps (0, DBL_MAX).  Row begin + j gets idx[j] and
+ * dist[j].  The table slots of unlisted centroids must already hold
+ * their exact distances.  @p begin is a multiple of kBlockRows;
+ * @p end is one too, or tile.rows().  Nothing is written past
+ * idx[end - begin - 1], dist[end - begin - 1] or the range's table.
+ *
+ * clusterSums() sets, for every cluster c < k with dirty[c], row c
+ * of the row-major k x points.cols() matrix @p sums to the sum of
+ * the rows i in [begin, end) with assign[i - begin] == c, added in
+ * index order from +0.0 (s[d] += p[d]); other rows are untouched.
  */
 struct TileKernel
 {
     const char *name; ///< "sse2", "avx2", "avx512" or "generic"
     void (*distances)(const double *row, const DistanceTile &tile,
                       double *out);
-    void (*nearest)(const DistanceTile &tile, std::size_t begin,
+    void (*rescore)(const DistanceTile &tile, std::size_t begin,
                     std::size_t end, const DenseMatrix &cents,
+                    const u32 *moved, std::size_t nMoved, double *table,
                     u32 *idx, double *dist);
+    void (*clusterSums)(const DenseMatrix &points, std::size_t begin,
+                        std::size_t end, const u32 *assign,
+                        const u8 *dirty, std::size_t k, double *sums);
 };
 
 /** Every kernel build this host can run, baseline first. */
@@ -138,10 +158,11 @@ const TileKernel &activeTileKernel();
 
 /**
  * Nearest centroid of rows [begin, end) of @p points under the brute
- * scan's rule (see TileKernel::nearest), written to idx[j] and
+ * scan's rule (see TileKernel::rescore), written to idx[j] and
  * dist[j] for row begin + j.  With @p tile (the tile of @p points)
- * the active block kernel runs; without, the scalar scan, which is
- * the reference the kernels are tested against.
+ * the active rescore kernel scores every centroid, one block at a
+ * time through a one-block scratch table; without, the scalar scan,
+ * which is the reference the kernels are tested against.
  */
 void assignNearest(const DenseMatrix &points, const DistanceTile *tile,
                    const DenseMatrix &cents, std::size_t begin,

@@ -53,7 +53,7 @@ ThreadPool::ThreadPool(std::size_t nThreads)
     SPLAB_ASSERT(nThreads >= 1, "thread pool needs >= 1 thread");
     obs::gauge("pool.threads",
                "total parallelism of the most recent pool")
-        .set(nThreads);
+        .set(static_cast<double>(nThreads));
     workers.reserve(nThreads - 1);
     for (std::size_t t = 0; t + 1 < nThreads; ++t)
         workers.emplace_back([this] { workerLoop(); });

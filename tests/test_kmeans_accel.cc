@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the accelerated clustering kernels: the lane-parallel
- * tile distance kernel, the nearest-centroid block kernel, and
- * Lloyd's first assignment taken from the k-means++ seeding scan.
+ * tile distance kernel, the rescoring block kernel over a distance
+ * table, the dirty-cluster sums kernel, and Lloyd's first assignment
+ * taken from the k-means++ seeding scan.
  *
  * The acceleration contract is *exact equality*, not approximation:
  * every fit and whole-pipeline SimPoint selection must be
@@ -161,19 +162,22 @@ TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
     }
 }
 
-TEST(KMeansAccel, SeededFirstPassSavesWork)
+TEST(KMeansAccel, SettledCentroidsAreNotRescored)
 {
     // The seeding scan already scored k - 1 centroids against every
-    // point; the accelerated fit scores the last one there too and
-    // skips Lloyd's first scan, so it computes exactly n * (k - 1)
-    // fewer distances than the scalar fit (the fits are
-    // bit-identical, so they run the same iterations).
+    // point, so the accelerated fit skips Lloyd's first scan: that
+    // alone saves n * (k - 1) distances.  Later passes rescore only
+    // the centroids whose bytes moved, so a fit in which some
+    // centroids settle before it converges saves strictly more.
+    // The fits are bit-identical, so they run the same iterations.
     auto pts = gaussianBlobs(8, 100, 0.1, 29);
     const u32 k = 16;
-    u64 brute = distancesComputed([&] { referenceFit(pts, k, 5); });
-    u64 accel = distancesComputed([&] { kmeansFit(pts, k, 5); });
-    EXPECT_LT(accel, brute);
-    EXPECT_EQ(brute - accel, pts.size() * (k - 1));
+    KMeansResult ref, fit;
+    u64 brute = distancesComputed([&] { ref = referenceFit(pts, k, 5); });
+    u64 accel = distancesComputed([&] { fit = kmeansFit(pts, k, 5); });
+    expectBitIdentical(ref, fit);
+    ASSERT_GE(fit.iterations, 3);
+    EXPECT_LT(accel, brute - pts.size() * (k - 1));
 }
 
 TEST(KMeansAccel, CountersThreadCountInvariant)
@@ -334,34 +338,157 @@ TEST(TileKernel, EveryBuildNearestMatchesScalarArgminBitForBit)
                         }
                     }
                 for (const TileKernel &kernel : builds) {
-                    // Every range from a block boundary to the end.
+                    // Every range from a block boundary to the end,
+                    // once with every centroid listed over an empty
+                    // table and once with a random subset listed
+                    // over a table that holds the others' exact
+                    // distances.
                     for (std::size_t begin = 0; begin < count;
-                         begin += block) {
-                        SCOPED_TRACE(std::string(kernel.name) +
-                                     " dim=" + std::to_string(dim) +
-                                     " count=" + std::to_string(count) +
-                                     " k=" + std::to_string(k) +
-                                     " begin=" + std::to_string(begin));
-                        const std::size_t n = count - begin;
-                        std::vector<u32> idx(n + 16, idxSentinel);
-                        std::vector<double> dist(n + 16, distSentinel);
-                        kernel.nearest(tile, begin, count, kc,
-                                       idx.data(), dist.data());
-                        for (std::size_t j = 0; j < n; ++j) {
-                            EXPECT_EQ(idx[j], wantIdx[begin + j])
-                                << "row " << begin + j;
-                            EXPECT_TRUE(
-                                sameBits(dist[j], wantDist[begin + j]))
-                                << "row " << begin + j;
+                         begin += block)
+                        for (bool partial : {false, true}) {
+                            SCOPED_TRACE(
+                                std::string(kernel.name) +
+                                " dim=" + std::to_string(dim) +
+                                " count=" + std::to_string(count) +
+                                " k=" + std::to_string(k) +
+                                " begin=" + std::to_string(begin) +
+                                (partial ? " partial" : " full"));
+                            const std::size_t n = count - begin;
+                            const std::size_t slots =
+                                (n + block - 1) / block * block * k;
+                            // A stale slot holds -1, which would win
+                            // every argmin if it were not rescored.
+                            std::vector<double> table(slots + block,
+                                                      -1.0);
+                            std::vector<u32> moved;
+                            for (u32 c = 0; c < k; ++c) {
+                                if (!partial || rng.below(2) == 0) {
+                                    moved.push_back(c);
+                                    continue;
+                                }
+                                for (std::size_t j = 0; j < n; ++j)
+                                    table[(j / block * k + c) * block +
+                                          j % block] =
+                                        squaredDistance(
+                                            points.row(begin + j),
+                                            kc.row(c), dim);
+                            }
+                            // The listed order does not matter.
+                            for (std::size_t m = moved.size(); m > 1;
+                                 --m)
+                                std::swap(moved[m - 1],
+                                          moved[rng.below(m)]);
+                            std::vector<u32> idx(n + 16, idxSentinel);
+                            std::vector<double> dist(n + 16,
+                                                     distSentinel);
+                            kernel.rescore(tile, begin, count, kc,
+                                           moved.data(), moved.size(),
+                                           table.data(), idx.data(),
+                                           dist.data());
+                            for (std::size_t j = 0; j < n; ++j) {
+                                EXPECT_EQ(idx[j], wantIdx[begin + j])
+                                    << "row " << begin + j;
+                                EXPECT_TRUE(sameBits(
+                                    dist[j], wantDist[begin + j]))
+                                    << "row " << begin + j;
+                            }
+                            // Every listed centroid's slots now hold
+                            // its exact distances.
+                            for (u32 c : moved)
+                                for (std::size_t j = 0; j < n; ++j)
+                                    EXPECT_TRUE(sameBits(
+                                        table[(j / block * k + c) *
+                                                  block +
+                                              j % block],
+                                        squaredDistance(
+                                            points.row(begin + j),
+                                            kc.row(c), dim)))
+                                        << "centroid " << c << " row "
+                                        << begin + j;
+                            // Padding lanes are scored but never
+                            // written out, and the table ends where
+                            // the range does.
+                            for (std::size_t j = n; j < idx.size();
+                                 ++j) {
+                                EXPECT_EQ(idx[j], idxSentinel)
+                                    << "wrote past the range at " << j;
+                                EXPECT_TRUE(
+                                    sameBits(dist[j], distSentinel))
+                                    << "wrote past the range at " << j;
+                            }
+                            for (std::size_t j = slots;
+                                 j < table.size(); ++j)
+                                EXPECT_TRUE(sameBits(table[j], -1.0))
+                                    << "wrote past the table at " << j;
                         }
-                        // Padding lanes are scored but never written.
-                        for (std::size_t j = n; j < idx.size(); ++j) {
-                            EXPECT_EQ(idx[j], idxSentinel)
-                                << "wrote past the range at " << j;
-                            EXPECT_TRUE(sameBits(dist[j], distSentinel))
-                                << "wrote past the range at " << j;
-                        }
-                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(TileKernel, EveryBuildClusterSumsMatchScalarChunkOrder)
+{
+    // The Lloyd passes rebuild only the sums of clusters whose
+    // members changed; every build must give, for each dirty
+    // cluster, the scalar reference's s[d] += p[d] in index order
+    // from +0.0, and leave every other row alone.  k reaches past
+    // 64, so no dirty set fits one machine word.
+    const std::vector<TileKernel> builds = supportedTileKernels();
+    ASSERT_FALSE(builds.empty());
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> special = {
+        0.0, -0.0, tiny, -tiny, 1e308, -1e308, 1.0, -1.0, 1e-160};
+    Rng rng(97);
+    auto value = [&] {
+        if (rng.below(3) == 0)
+            return special[rng.below(special.size())];
+        return rng.uniform(-8.0, 8.0);
+    };
+    const double sentinel = -12345.0;
+    for (std::size_t dim : {1u, 2u, 15u, 16u, 17u, 31u}) {
+        for (std::size_t k : {1u, 5u, 35u, 70u}) {
+            const std::size_t n = 300;
+            DenseMatrix points(n, dim);
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t d = 0; d < dim; ++d)
+                    points.at(r, d) = value();
+            std::vector<u32> assign(n);
+            for (u32 &a : assign)
+                a = static_cast<u32>(rng.below(k));
+            std::vector<u8> dirty(k);
+            for (u8 &d : dirty)
+                d = rng.below(4) != 0;
+            // Ranges inside the matrix, as a Lloyd chunk sees them.
+            for (auto [begin, end] :
+                 {std::pair<std::size_t, std::size_t>{0, n},
+                  {32, 288},
+                  {256, n}}) {
+                std::vector<double> want(k * dim, sentinel);
+                for (std::size_t c = 0; c < k; ++c)
+                    if (dirty[c])
+                        std::fill_n(want.begin() + c * dim, dim, 0.0);
+                for (std::size_t i = begin; i < end; ++i) {
+                    if (!dirty[assign[i]])
+                        continue;
+                    double *s = want.data() + assign[i] * dim;
+                    const double *p = points.row(i);
+                    for (std::size_t d = 0; d < dim; ++d)
+                        s[d] += p[d];
+                }
+                for (const TileKernel &kernel : builds) {
+                    SCOPED_TRACE(std::string(kernel.name) +
+                                 " dim=" + std::to_string(dim) +
+                                 " k=" + std::to_string(k) +
+                                 " begin=" + std::to_string(begin));
+                    std::vector<double> sums(k * dim, sentinel);
+                    kernel.clusterSums(points, begin, end,
+                                       assign.data() + begin,
+                                       dirty.data(), k, sums.data());
+                    for (std::size_t j = 0; j < sums.size(); ++j)
+                        EXPECT_TRUE(sameBits(sums[j], want[j]))
+                            << "cluster " << j / dim << " dim "
+                            << j % dim;
                 }
             }
         }

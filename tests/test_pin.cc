@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/counters.hh"
 #include "pin/engine.hh"
 #include "pin/tools/allcache.hh"
 #include "pin/tools/bbv_tool.hh"
@@ -76,6 +79,28 @@ TEST(Engine, WindowedRunsAccumulate)
     engine.run(wl, 40, 20);
     EXPECT_EQ(count.instructions(), 40000u);
     EXPECT_EQ(engine.instructionsExecuted(), 40000u);
+}
+
+TEST(Engine, GaugesTimeEachToolAndGeneration)
+{
+    // Every run adds each tool's onBatch time and the generation
+    // time to volatile gauges; tools of one name share a gauge.
+    const char *names[] = {"engine.tool.inscount.seconds",
+                           "engine.tool.ldstmix.seconds",
+                           "engine.generate.seconds"};
+    std::vector<double> before;
+    for (const char *n : names)
+        before.push_back(obs::gauge(n).value());
+    SyntheticWorkload wl(smallSpec(100));
+    InsCountTool c1, c2;
+    LdStMixTool mix;
+    Engine engine;
+    engine.attach(&c1);
+    engine.attach(&mix);
+    engine.attach(&c2);
+    engine.runWhole(wl);
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_GT(obs::gauge(names[i]).value(), before[i]) << names[i];
 }
 
 TEST(LdStMix, FractionsSumToOne)
