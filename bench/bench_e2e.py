@@ -20,7 +20,7 @@ rusage), per-layer CPU from the run manifest's stages (the CPU
 seconds of every span, summed by span name), the engine gauges
 (engine.tool.<name>.seconds, engine.generate.seconds), nproc, the
 pool's thread count and the commit of the build's source tree.
-Every bench runs with its argv[0] inside a scratch directory, so its
+Every bench runs with its argv[0] inside a temporary directory, so its
 CSV and manifest land there and the build tree is not touched.
 Rows are appended to --out (a JSON list, one row per line), or
 printed when --out is omitted.
@@ -68,16 +68,16 @@ def source_commit(build):
         return "unknown"
 
 
-def run_bench(build, bench, cache, scratch):
+def run_bench(build, bench, cache, workdir):
     """Run one bench; return its measurements and manifest timing."""
     exe = os.path.join(build, "bench", bench)
-    argv0 = os.path.join(scratch, bench)
+    argv0 = os.path.join(workdir, bench)
     env = dict(os.environ, SPLAB_SCALE=SCALE, SPLAB_CACHE=cache,
                SPLAB_LOG="0")
     for var in ("SPLAB_TRACE", "SPLAB_MANIFEST"):
         env.pop(var, None)
     t0 = time.monotonic()
-    proc = subprocess.Popen([argv0], executable=exe, cwd=scratch,
+    proc = subprocess.Popen([argv0], executable=exe, cwd=workdir,
                             env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, ru = os.wait4(proc.pid, 0)
@@ -157,39 +157,45 @@ def main():
         # Alternate which build goes first, run by run.
         return builds if i % 2 == 0 else builds[::-1]
 
-    scratch_root = tempfile.mkdtemp(prefix="bench_e2e.")
+    tmp_root = tempfile.mkdtemp(prefix="bench_e2e.")
     try:
         for bench in benches:
             for i in range(args.runs):
                 for b in order(i):
-                    scratch = tempfile.mkdtemp(dir=scratch_root)
+                    workdir = tempfile.mkdtemp(dir=tmp_root)
                     m = run_bench(b, bench,
-                                  os.path.join(scratch, "cache"), scratch)
+                                  os.path.join(workdir, "cache"), workdir)
                     emit(row(args.label, commits[b], bench, "cold", m))
-                    shutil.rmtree(scratch)
+                    shutil.rmtree(workdir)
         if not args.no_sequence:
             name = f"sequence of {len(benches)}"
             for i in range(args.runs):
                 for b in order(i):
-                    scratch = tempfile.mkdtemp(dir=scratch_root)
-                    cache = os.path.join(scratch, "cache")
+                    workdir = tempfile.mkdtemp(dir=tmp_root)
+                    cache = os.path.join(workdir, "cache")
                     for state in ("cold", "warm"):
-                        parts = [run_bench(b, bench, cache, scratch)
+                        parts = [run_bench(b, bench, cache, workdir)
                                  for bench in benches]
                         emit(row(args.label, commits[b], name, state,
                                  merge(parts)))
-                    shutil.rmtree(scratch)
+                    shutil.rmtree(workdir)
     finally:
-        shutil.rmtree(scratch_root, ignore_errors=True)
+        shutil.rmtree(tmp_root, ignore_errors=True)
 
     if args.out:
-        old = []
+        # Append, leaving the rows already in the file byte for byte.
+        added = ",\n".join(json.dumps(r, separators=(",", ":"))
+                           for r in rows)
+        body = "["
         if os.path.exists(args.out):
             with open(args.out) as f:
-                old = json.load(f)
+                body = f.read().rstrip()
+            if not body.endswith("]"):
+                sys.exit(f"bench_e2e: {args.out} is not a JSON list")
+            body = body[:-1].rstrip()
+        sep = "\n" if body == "[" else ",\n"
         with open(args.out, "w") as f:
-            f.write("[\n" + ",\n".join(json.dumps(r)
-                                       for r in old + rows) + "\n]\n")
+            f.write(body + sep + added + "\n]\n")
 
 
 if __name__ == "__main__":
